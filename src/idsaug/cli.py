@@ -19,7 +19,7 @@ import numpy as np
 
 from . import dataio, evalreport, leveling, pipeline, san, scgan, skn, synthbench
 from .errors import ConfigError, IdsAugError, ReportError
-from .seeding import substream
+from .seeding import derive_seed
 
 OUT_ENV = "IDSAUG_OUT"
 METHODS = ("baseline", "ros", "smote", "s2cgan")
@@ -104,7 +104,7 @@ class RunConfig:
     def classifier_config(self) -> pipeline.ClassifierConfig:
         return pipeline.ClassifierConfig(
             epochs=self.clf_epochs, batch_size=self.clf_batch, lr=self.clf_lr,
-            seed=int(substream(self.master_seed, "classifier").integers(2**63)),
+            seed=derive_seed(self.master_seed, "classifier"),
             patience=self.clf_patience or None)
 
     def augment_config(self) -> pipeline.AugmentConfig:
@@ -238,26 +238,75 @@ def _apply_mapping(dataset: dataio.Dataset, config: RunConfig) -> dataio.Dataset
     return dataio.map_labels(dataset, dataio.load_label_map(config.mapping))
 
 
+@dataclass
+class _Ingested:
+    dataset: dataio.Dataset          # the whole label-mapped dataset
+    report: dataio.IngestReport
+    train: dataio.Dataset            # raw training split
+    sealed: dataio.SealedTestSet     # test split, unopened
+    norm: dataio.NormalizationParams
+
+
+def _ingest(config: RunConfig) -> _Ingested:
+    """Load and label-map the dataset, split it, fit min-max scaling on the
+    training side and seal the test side."""
+    dataset, report = dataio.load_dataset(config.dataset, config.label_column)
+    dataset = _apply_mapping(dataset, config)
+    spec = dataio.SplitSpec(config.train_ratio, derive_seed(config.master_seed, "split"),
+                            config.stratified)
+    train, test = dataio.stratified_split(dataset, spec)
+    return _Ingested(dataset, report, train, dataio.SealedTestSet(test),
+                     dataio.fit_minmax(train))
+
+
+def _save_ingest(run_dir, config: RunConfig, data: _Ingested, test: dataio.Dataset):
+    """Write what the staged commands read back: config, norm, labels, the
+    ingest report, the test fingerprint and both splits."""
+    pipeline.save_run(run_dir, config_text=config.snapshot(), norm_params=data.norm,
+                      extra_files={"ingest_report.txt": data.report.summary() + "\n",
+                                   "test_fingerprint.txt": data.sealed.fingerprint + "\n"})
+    _write_labels(run_dir, data.dataset.label_names)
+    dataio.save_dataset(os.path.join(run_dir, "split_train.csv"), data.train,
+                        config.label_column)
+    dataio.save_dataset(os.path.join(run_dir, "split_test.csv"), test, config.label_column)
+
+
+def _level_report(data: dataio.Dataset, config: RunConfig) -> list[leveling.LevelReportRow]:
+    counts, part, targets = pipeline.level_training_set(data, config.thresholds())
+    return leveling.build_level_report(counts, part, targets, data.label_names)
+
+
+def _write_levels(run_dir, rows: list[leveling.LevelReportRow], suffix: str = ""):
+    leveling.write_level_report(os.path.join(run_dir, f"levels{suffix}.csv"),
+                                os.path.join(run_dir, f"levels{suffix}.txt"), rows)
+
+
 def _augment_for_method(train_norm: dataio.Dataset, config: RunConfig,
-                        models: pipeline.AugmentationModels | None = None):
-    """Dispatch on the configured method. Returns (augmented, report, models)."""
+                        checkpoints: dict | None = None):
+    """Dispatch on the configured method. The s2cgan method reuses the SAN and
+    SCGAN models in ``checkpoints`` when both are there and trains them
+    otherwise. Returns (augmented, report, models trained here or None)."""
     aug_config = config.augment_config()
     counts, part, targets = pipeline.level_training_set(train_norm, aug_config.thresholds)
     report = pipeline.StageReport()
     if config.method == "baseline":
-        augmented = pipeline.AugmentedDataset(
-            train_norm, np.full(train_norm.n_rows, pipeline.PROV_ORIGINAL, dtype=object),
-            counts, dict(counts))
-        return augmented, report, None
+        # every target is the class's own count: there is nothing to sample
+        return pipeline.top_up(train_norm, counts, None), report, None
     if config.method == "ros":
         return pipeline.augment_ros(train_norm, targets, config.master_seed), report, None
     if config.method == "smote":
         return pipeline.augment_smote(train_norm, targets, aug_config.skn,
                                       config.master_seed), report, None
-    if models is None:
+    checkpoints = checkpoints or {}
+    if "san_model" in checkpoints and checkpoints.get("scgan_models"):
+        models = pipeline.AugmentationModels(part, targets, checkpoints["san_model"],
+                                             checkpoints["scgan_models"])
+        trained = None
+    else:
         models, report = pipeline.train_augmentation_models(train_norm, aug_config, report)
+        trained = models
     augmented, report = pipeline.synthesize_augmented(train_norm, aug_config, models, report)
-    return augmented, report, models
+    return augmented, report, trained
 
 
 def _evaluate(classifier: pipeline.ClassifierModel, test: dataio.Dataset,
@@ -329,20 +378,10 @@ def _read_fingerprint(run_dir) -> str:
 def cmd_preprocess(args) -> int:
     config = _config_from_args(args).validate(need_dataset=True)
     run_dir = config.out or _default_out(config)
-    dataset, report = dataio.load_dataset(config.dataset, config.label_column)
-    dataset = _apply_mapping(dataset, config)
-    split_seed = int(substream(config.master_seed, "split").integers(2**63))
-    spec = dataio.SplitSpec(config.train_ratio, split_seed, config.stratified)
-    train, test = dataio.stratified_split(dataset, spec)
-    norm = dataio.fit_minmax(train)
-    sealed = dataio.SealedTestSet(test)
-    pipeline.save_run(run_dir, config_text=config.snapshot(), norm_params=norm,
-                      extra_files={"ingest_report.txt": report.summary() + "\n",
-                                   "test_fingerprint.txt": sealed.fingerprint + "\n"})
-    _write_labels(run_dir, dataset.label_names)
-    dataio.save_dataset(os.path.join(run_dir, "split_train.csv"), train, config.label_column)
-    dataio.save_dataset(os.path.join(run_dir, "split_test.csv"), test, config.label_column)
-    print(f"preprocess: {train.n_rows} train rows, {test.n_rows} test rows -> {run_dir}")
+    data = _ingest(config)
+    test = data.sealed.open_for_eval()  # persisted for the eval stage
+    _save_ingest(run_dir, config, data, test)
+    print(f"preprocess: {data.train.n_rows} train rows, {test.n_rows} test rows -> {run_dir}")
     return 0
 
 
@@ -361,10 +400,7 @@ def cmd_levels(args) -> int:
             np.concatenate([data.labels, test.labels]),
             dict(data.label_names), data.feature_names)
         suffix = "_full"
-    counts, part, targets = pipeline.level_training_set(data, config.thresholds())
-    rows = leveling.build_level_report(counts, part, targets, data.label_names)
-    leveling.write_level_report(os.path.join(run_dir, f"levels{suffix}.csv"),
-                                os.path.join(run_dir, f"levels{suffix}.txt"), rows)
+    _write_levels(run_dir, _level_report(data, config), suffix)
     with open(os.path.join(run_dir, f"levels{suffix}.txt"), encoding="utf-8") as fh:
         print(fh.read(), end="")
     return 0
@@ -375,13 +411,8 @@ def cmd_train_san(args) -> int:
     run_dir = args.run
     pipeline.check_run_format(run_dir)
     train_norm = _normalized_train(run_dir, config)
-    aug_config = config.augment_config()
-    _, part, _ = pipeline.level_training_set(train_norm, aug_config.thresholds)
-    feats, labs = pipeline.san_training_rows(
-        train_norm, part, substream(config.master_seed, "san-subsample"))
-    san_cfg = dataclasses.replace(
-        aug_config.san, seed=int(substream(config.master_seed, "san").integers(2**63)))
-    model, history = san.train_san(feats, labs, san_cfg)
+    _, part, _ = pipeline.level_training_set(train_norm, config.thresholds())
+    model, history = pipeline.train_san_stage(train_norm, part, config.augment_config())
     pipeline.save_run(run_dir, san_model=model, histories={"san": history})
     print(f"train-san: {len(history)} epochs, final loss "
           f"{history[-1] if history else float('nan'):.6f}")
@@ -396,20 +427,17 @@ def cmd_train_scgan(args) -> int:
     artifacts = pipeline.load_run(run_dir)
     if "san_model" not in artifacts:
         raise ConfigError(f"{run_dir}: san.ckpt missing; run train-san first")
-    san_model = artifacts["san_model"]
-    counts, part, targets = pipeline.level_training_set(train_norm, config.thresholds())
-    wanted = part.classes_at(leveling.SCARCE)
     if args.class_name:
         wanted = [train_norm.id_of(args.class_name)]
+    else:
+        wanted = pipeline.scgan_classes(
+            *pipeline.level_training_set(train_norm, config.thresholds()))
+    aug_config = config.augment_config()
     models = {}
     histories = {}
     for class_id in wanted:
-        rows = train_norm.features[train_norm.rows_of(class_id)]
-        gan_cfg = dataclasses.replace(
-            config.scgan_config(),
-            seed=int(substream(config.master_seed, "scgan", class_id).integers(2**63)))
-        model, history = scgan.train_scgan(rows, class_id, san_model, gan_cfg)
-        models[class_id] = model
+        models[class_id], history = pipeline.train_scgan_stage(
+            train_norm, class_id, artifacts["san_model"], aug_config)
         histories[f"scgan_{class_id}"] = history
         print(f"train-scgan[{train_norm.name_of(class_id)}]: "
               f"{len(history.d_loss)} epochs")
@@ -422,16 +450,10 @@ def cmd_augment(args) -> int:
     run_dir = args.run
     pipeline.check_run_format(run_dir)
     train_norm = _normalized_train(run_dir, config)
-    models = None
-    if config.method == "s2cgan":
-        artifacts = pipeline.load_run(run_dir)
-        if "san_model" in artifacts and artifacts.get("scgan_models"):
-            counts, part, targets = pipeline.level_training_set(train_norm, config.thresholds())
-            models = pipeline.AugmentationModels(part, targets, artifacts["san_model"],
-                                                 artifacts["scgan_models"])
-    augmented, report, trained = _augment_for_method(train_norm, config, models)
+    checkpoints = pipeline.load_run(run_dir) if config.method == "s2cgan" else None
+    augmented, report, trained = _augment_for_method(train_norm, config, checkpoints)
     pipeline.save_run(run_dir, augmented=augmented, stage_report=report)
-    if trained is not None and models is None:
+    if trained is not None:
         pipeline.save_run(run_dir, san_model=trained.san_model,
                           scgan_models=trained.scgan_models)
     before = sum(augmented.before_counts.values())
@@ -477,38 +499,26 @@ def cmd_run_all(args) -> int:
     config = _config_from_args(args).validate(need_dataset=True)
     run_dir = config.out or _default_out(config)
 
-    stage = "load"
+    stage = "ingest"
     try:
-        dataset, ingest = dataio.load_dataset(config.dataset, config.label_column)
-        stage = "map-labels"
-        dataset = _apply_mapping(dataset, config)
-        stage = "split"
-        split_seed = int(substream(config.master_seed, "split").integers(2**63))
-        train, test = dataio.stratified_split(
-            dataset, dataio.SplitSpec(config.train_ratio, split_seed, config.stratified))
-        sealed = dataio.SealedTestSet(test)
+        data = _ingest(config)
         stage = "normalize"
-        norm = dataio.fit_minmax(train)
-        train_norm = dataio.normalized_dataset(train, norm)
+        train_norm = dataio.normalized_dataset(data.train, data.norm)
         stage = "level"
-        counts, part, targets = pipeline.level_training_set(train_norm, config.thresholds())
-        level_rows = leveling.build_level_report(counts, part, targets, train.label_names)
+        level_rows = _level_report(train_norm, config)
         # companion report over the complete dataset: its ratios are the ones
         # comparable with published full-dataset figures
-        full_counts, full_part, full_targets = pipeline.level_training_set(
-            dataset, config.thresholds())
-        full_rows = leveling.build_level_report(full_counts, full_part, full_targets,
-                                                dataset.label_names)
+        full_rows = _level_report(data.dataset, config)
         stage = "augment"
         augmented, report, models = _augment_for_method(train_norm, config)
         stage = "train-classifier"
         classifier, clf_history = pipeline.train_classifier(
             augmented.dataset, config.classifier_config())
         stage = "evaluate"
-        if sealed.opens:
+        if data.sealed.opens:
             raise ReportError("test split was opened before evaluation")
-        test_open = sealed.open_for_eval()
-        if dataio.dataset_fingerprint(test_open) != sealed.fingerprint:
+        test_open = data.sealed.open_for_eval()
+        if dataio.dataset_fingerprint(test_open) != data.sealed.fingerprint:
             raise ReportError("test split fingerprint changed during the run")
         stage = "save"
         histories = {"clf": clf_history}
@@ -517,28 +527,20 @@ def cmd_run_all(args) -> int:
                 histories["san"] = models.san_history
             for class_id, gan_history in models.scgan_histories.items():
                 histories[f"scgan_{class_id}"] = gan_history
+        _save_ingest(run_dir, config, data, test_open)
         pipeline.save_run(
-            run_dir, config_text=config.snapshot(), norm_params=norm,
-            level_rows=level_rows, augmented=augmented,
+            run_dir, augmented=augmented,
             san_model=models.san_model if models else None,
             scgan_models=models.scgan_models if models else None,
-            classifier=classifier,
-            histories=histories, stage_report=report,
-            extra_files={"ingest_report.txt": ingest.summary() + "\n",
-                         "test_fingerprint.txt": sealed.fingerprint + "\n"})
-        leveling.write_level_report(os.path.join(run_dir, "levels_full.csv"),
-                                    os.path.join(run_dir, "levels_full.txt"), full_rows)
-        _write_labels(run_dir, dataset.label_names)
-        dataio.save_dataset(os.path.join(run_dir, "split_train.csv"), train,
-                            config.label_column)
-        dataio.save_dataset(os.path.join(run_dir, "split_test.csv"), test_open,
-                            config.label_column)
+            classifier=classifier, histories=histories, stage_report=report)
+        _write_levels(run_dir, level_rows)
+        _write_levels(run_dir, full_rows, "_full")
         stage = "evaluate"
-        metrics = _evaluate(classifier, test_open, norm, config, run_dir)
+        metrics = _evaluate(classifier, test_open, data.norm, config, run_dir)
     except IdsAugError as exc:
         raise type(exc)(f"[stage {stage}] {exc}") from exc
     print(f"run-all[{config.method}] -> {run_dir}")
-    print(evalreport.render_summary(metrics, dataset.label_names), end="")
+    print(evalreport.render_summary(metrics, data.dataset.label_names), end="")
     return 0
 
 

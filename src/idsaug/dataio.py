@@ -308,6 +308,12 @@ def apply_minmax(params: NormalizationParams, data) -> np.ndarray:
     return np.clip(np.where(span > 0.0, scaled, 0.0), 0.0, 1.0)
 
 
+def _check_unit_range(features, context: str):
+    """Reject features outside [0, 1]: the models expect min-max scaled input."""
+    if features.size and (features.min() < -1e-12 or features.max() > 1.0 + 1e-12):
+        raise InputDataError(f"{context}: expected features normalized to [0, 1]")
+
+
 def normalized_dataset(dataset: Dataset, params: NormalizationParams) -> Dataset:
     return Dataset(apply_minmax(params, dataset), dataset.labels.copy(),
                    dict(dataset.label_names), dataset.feature_names)

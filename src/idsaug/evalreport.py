@@ -142,28 +142,6 @@ def compare(reports: dict[str, MetricsReport], baseline_name: str) -> Comparison
     return ComparisonTable(baseline_name, list(baseline.class_ids), per_class, aggregates)
 
 
-def _power_iteration(matrix: np.ndarray, max_iter: int = 10000, tol: float = 1e-13):
-    d = matrix.shape[0]
-    v = matrix @ np.ones(d)
-    norm = np.linalg.norm(v)
-    if norm < 1e-300:
-        v = np.zeros(d)
-        v[0] = 1.0
-    else:
-        v = v / norm
-    for _ in range(max_iter):
-        w = matrix @ v
-        norm = np.linalg.norm(w)
-        if norm < 1e-300:
-            break
-        w = w / norm
-        if min(np.linalg.norm(w - v), np.linalg.norm(w + v)) < tol:
-            v = w
-            break
-        v = w
-    return v, float(v @ matrix @ v)
-
-
 def _fix_sign(v: np.ndarray) -> np.ndarray:
     for comp in v:
         if abs(comp) > 1e-12:
@@ -172,11 +150,12 @@ def _fix_sign(v: np.ndarray) -> np.ndarray:
 
 
 def pca2d(data) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Top-2 principal directions by power iteration with deflation.
+    """Top-2 principal directions from the covariance eigendecomposition.
 
     Returns (projection, explained_variances, directions); directions are
-    the (d, 2) unit-norm columns, orthogonal to within 1e-6, each with its
-    first nonzero component made positive for reproducible plots.
+    the (d, 2) unit-norm orthogonal columns, each with its first nonzero
+    component made positive for reproducible plots. One-feature data gets a
+    zero second direction.
     """
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2 or data.shape[0] < 2:
@@ -185,19 +164,15 @@ def pca2d(data) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if not np.any(np.abs(centered) > 1e-300):
         raise DegenerateDataError("data has no variance; principal directions undefined")
     cov = centered.T @ centered / (data.shape[0] - 1)
-    v1, lam1 = _power_iteration(cov)
-    deflated = cov - lam1 * np.outer(v1, v1)
-    v2, lam2 = _power_iteration(deflated)
-    # re-orthogonalize against the first direction before fixing signs
-    v2 = v2 - (v2 @ v1) * v1
-    norm = np.linalg.norm(v2)
-    if norm > 1e-300:
-        v2 = v2 / norm
-    v1 = _fix_sign(v1)
-    v2 = _fix_sign(v2)
-    directions = np.stack([v1, v2], axis=1)
+    eigvals, eigvecs = np.linalg.eigh(cov)  # ascending order
+    top = min(2, cov.shape[0])
+    variances = np.zeros(2)
+    directions = np.zeros((cov.shape[0], 2))
+    variances[:top] = eigvals[::-1][:top]
+    for col in range(top):
+        directions[:, col] = _fix_sign(eigvecs[:, -1 - col])
     projection = centered @ directions
-    return projection, np.array([lam1, lam2]), directions
+    return projection, variances, directions
 
 
 def write_per_class_csv(path, report: MetricsReport, names: dict[int, str]):

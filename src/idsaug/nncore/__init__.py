@@ -19,7 +19,7 @@ from .losses import (
     generator_score_grad,
     reconstruction_loss,
 )
-from .network import Network, add_grads, zero_grads_like
+from .network import Network, add_grads
 
 __all__ = [
     "Adam",
@@ -42,5 +42,4 @@ __all__ = [
     "reconstruction_loss",
     "save_network",
     "write_network",
-    "zero_grads_like",
 ]

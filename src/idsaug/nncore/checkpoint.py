@@ -1,9 +1,10 @@
-"""Binary checkpoint format for networks.
+"""Binary checkpoint format for networks and model bundles.
 
-Layout: a versioned magic string, then a uint32 layer count and mode tag,
-then one record per layer: kind tag, in/out dims, and the layer's float64
-arrays in row-major little-endian order (running statistics included for
-norm layers). Round trips are bit-exact.
+Network layout: a versioned magic string, then a uint32 layer count and mode
+tag, then one record per layer: kind tag, in/out dims, and the layer's
+float64 arrays in row-major little-endian order (running statistics included
+for norm layers). A bundle file is a model-kind magic string, a JSON metadata
+record, then its networks in order. Round trips are bit-exact.
 """
 
 from __future__ import annotations
@@ -75,6 +76,12 @@ def _read_float(fh: BinaryIO) -> float:
     return struct.unpack("<d", raw)[0]
 
 
+def _read_magic(fh: BinaryIO, magic: bytes, source):
+    if fh.read(len(magic)) != magic:
+        kind = magic.decode("ascii").strip()
+        raise FormatError(f"{source}: bad checkpoint magic, expected {kind}")
+
+
 def write_network(fh: BinaryIO, net: Network):
     fh.write(NETWORK_MAGIC)
     _write_u32(fh, len(net.layers))
@@ -106,9 +113,7 @@ def write_network(fh: BinaryIO, net: Network):
 
 
 def read_network(fh: BinaryIO) -> Network:
-    magic = fh.read(len(NETWORK_MAGIC))
-    if magic != NETWORK_MAGIC:
-        raise FormatError("bad network checkpoint magic")
+    _read_magic(fh, NETWORK_MAGIC, getattr(fh, "name", "<stream>"))
     n_layers = _read_u32(fh)
     mode = _read_str(fh)
     layers = []
@@ -168,3 +173,18 @@ def read_metadata(fh: BinaryIO) -> dict:
         return json.loads(_read_str(fh))
     except (ValueError, FormatError) as exc:
         raise FormatError(f"bad checkpoint metadata: {exc}") from exc
+
+
+def write_bundle(path, magic: bytes, metadata: dict, networks: list[Network]):
+    with open(path, "wb") as fh:
+        fh.write(magic)
+        write_metadata(fh, metadata)
+        for net in networks:
+            write_network(fh, net)
+
+
+def read_bundle(path, magic: bytes, n_networks: int) -> tuple[dict, list[Network]]:
+    with open(path, "rb") as fh:
+        _read_magic(fh, magic, path)
+        metadata = read_metadata(fh)
+        return metadata, [read_network(fh) for _ in range(n_networks)]

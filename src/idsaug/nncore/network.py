@@ -98,10 +98,6 @@ class Network:
         return grad, flat
 
 
-def zero_grads_like(params: list[np.ndarray]) -> list[np.ndarray]:
-    return [np.zeros_like(p) for p in params]
-
-
 def add_grads(a: list[np.ndarray], b: list[np.ndarray]) -> list[np.ndarray]:
     if len(a) != len(b):
         raise ShapeError("gradient lists have different lengths")

@@ -12,12 +12,19 @@ from __future__ import annotations
 
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import leveling, san, scgan, skn
-from .dataio import Dataset, load_normalization, save_dataset, save_normalization
+from .dataio import (
+    Dataset,
+    _check_unit_range,
+    load_normalization,
+    save_dataset,
+    save_normalization,
+)
 from .leveling import LevelThresholds
 from .san import SanConfig
 from .scgan import FilterPolicy, ScganConfig
@@ -26,14 +33,13 @@ from .errors import (
     ConfigError,
     DataError,
     FormatError,
-    InputDataError,
     PipelineError,
     ShapeError,
     TrainingDivergedError,
 )
 from .nncore import Adam, Dense, Network, ReLU, Softmax, cross_entropy_loss
-from .nncore.checkpoint import read_metadata, read_network, write_metadata, write_network
-from .seeding import substream
+from .nncore.checkpoint import read_bundle, write_bundle
+from .seeding import derive_seed, substream
 
 PROV_ORIGINAL = "original"
 PROV_SCGAN = "scgan"
@@ -104,9 +110,18 @@ class _Timer:
         return False
 
 
-def _check_unit_range(features, context: str):
-    if features.size and (features.min() < -1e-12 or features.max() > 1.0 + 1e-12):
-        raise InputDataError(f"{context}: expected features normalized to [0, 1]")
+@contextmanager
+def _stage(stage: str, class_name: str | None = None):
+    """Re-raise a failure as a PipelineError naming the stage and class; a
+    PipelineError from an inner stage passes through unchanged."""
+    try:
+        yield
+    except PipelineError:
+        raise
+    except Exception as exc:
+        where = f" for class {class_name!r}" if class_name else ""
+        raise PipelineError(f"stage {stage} failed{where}: {exc}",
+                            stage=stage, class_name=class_name) from exc
 
 
 def san_training_rows(train: Dataset, part: leveling.LevelPartition,
@@ -131,6 +146,30 @@ def level_training_set(train: Dataset, thresholds: leveling.LevelThresholds):
     return counts, part, targets
 
 
+def scgan_classes(counts: dict[int, int], part: leveling.LevelPartition,
+                  targets: dict[int, int]) -> list[int]:
+    """The scarce classes below their target: each gets its own generator."""
+    return [c for c in part.classes_at(leveling.SCARCE) if targets[c] > counts[c]]
+
+
+def train_san_stage(train: Dataset, part: leveling.LevelPartition,
+                    config: AugmentConfig) -> tuple[san.SanModel, list[float]]:
+    """Train the shared autoencoder on the scarce rows plus an ample subsample."""
+    with _stage("san-training"):
+        feats, labs = san_training_rows(train, part, substream(config.seed, "san-subsample"))
+        san_cfg = replace(config.san, seed=derive_seed(config.seed, "san"))
+        return san.train_san(feats, labs, san_cfg)
+
+
+def train_scgan_stage(train: Dataset, class_id: int, san_model: san.SanModel,
+                      config: AugmentConfig) -> tuple[scgan.ScganModel, scgan.ScganHistory]:
+    """Train one class's conditional GAN on that class's rows."""
+    with _stage("scgan-training", train.name_of(class_id)):
+        gan_cfg = replace(config.scgan, seed=derive_seed(config.seed, "scgan", class_id))
+        return scgan.train_scgan(train.features[train.rows_of(class_id)], class_id,
+                                 san_model, gan_cfg)
+
+
 def train_augmentation_models(train: Dataset, config: AugmentConfig,
                               report: StageReport | None = None,
                               ) -> tuple[AugmentationModels, StageReport]:
@@ -140,110 +179,95 @@ def train_augmentation_models(train: Dataset, config: AugmentConfig,
     report = report or StageReport()
     with _Timer(report, "leveling"):
         counts, part, targets = level_training_set(train, config.thresholds)
-    scarce_needing = [c for c in part.classes_at(leveling.SCARCE) if targets[c] > counts[c]]
-
-    san_model = None
-    san_history: list[float] = []
-    scgan_models: dict[int, scgan.ScganModel] = {}
-    scgan_histories: dict[int, scgan.ScganHistory] = {}
-    if scarce_needing:
+    models = AugmentationModels(part, targets, None, {})
+    needing = scgan_classes(counts, part, targets)
+    if needing:
         with _Timer(report, "san-training"):
-            try:
-                feats, labs = san_training_rows(train, part,
-                                                 substream(config.seed, "san-subsample"))
-                san_cfg = replace(config.san,
-                                  seed=int(substream(config.seed, "san").integers(2**63)))
-                san_model, san_history = san.train_san(feats, labs, san_cfg)
-            except Exception as exc:
-                raise PipelineError(f"stage san-training failed: {exc}",
-                                    stage="san-training") from exc
-        for class_id in scarce_needing:
-            name = train.name_of(class_id)
-            rows = train.features[train.rows_of(class_id)]
-            with _Timer(report, f"scgan-training[{name}]"):
-                try:
-                    gan_cfg = replace(
-                        config.scgan,
-                        seed=int(substream(config.seed, "scgan", class_id).integers(2**63)))
-                    model, history = scgan.train_scgan(rows, class_id, san_model, gan_cfg)
-                except Exception as exc:
-                    raise PipelineError(f"stage scgan-training failed for class {name!r}: {exc}",
-                                        stage="scgan-training", class_name=name) from exc
-            scgan_models[class_id] = model
-            scgan_histories[class_id] = history
-    return AugmentationModels(part, targets, san_model, scgan_models,
-                              san_history, scgan_histories), report
+            models.san_model, models.san_history = train_san_stage(train, part, config)
+    for class_id in needing:
+        with _Timer(report, f"scgan-training[{train.name_of(class_id)}]"):
+            model, history = train_scgan_stage(train, class_id, models.san_model, config)
+        models.scgan_models[class_id] = model
+        models.scgan_histories[class_id] = history
+    return models, report
 
 
-def synthesize_augmented(train: Dataset, config: AugmentConfig,
-                         models: AugmentationModels,
-                         report: StageReport | None = None,
-                         ) -> tuple[AugmentedDataset, StageReport]:
-    """Top every scarce and rare class up to its target using trained models.
+def _join(parts: list[np.ndarray]) -> np.ndarray:
+    # a lone part is the training set itself, which needs no copy
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
-    Any stage failure raises a PipelineError naming the class and stage and
-    carrying the partially assembled result on its ``partial`` attribute.
+
+def top_up(train: Dataset, targets: dict[int, int], sampler) -> AugmentedDataset:
+    """Keep every training row and add ``sampler``'s rows to each class below
+    its target, visiting classes in ``targets`` order.
+
+    ``sampler(class_id, rows, need)`` gets the class's training rows and
+    returns ``need`` new rows plus their provenance tag. A failure raises a
+    PipelineError naming the stage and class, with the rows assembled so far
+    on its ``partial`` attribute. Every class must end exactly at its target.
     """
-    _check_unit_range(train.features, "synthesize_augmented")
-    report = report or StageReport()
     counts = train.class_counts()
-    part, targets = models.part, models.targets
-
-    blocks = [train.features.copy()]
-    labels = [train.labels.copy()]
+    blocks = [train.features]
+    labels = [train.labels]
     provenance = [np.full(train.n_rows, PROV_ORIGINAL, dtype=object)]
 
-    def fail(stage: str, name: str | None, exc: Exception) -> PipelineError:
-        # carry the partial result so a failed run can still be inspected
-        where = f" for class {name!r}" if name else ""
-        error = PipelineError(f"stage {stage} failed{where}: {exc}",
-                              stage=stage, class_name=name)
-        error.partial = _assemble(train, blocks, labels, provenance, counts)
-        return error
+    def assemble() -> AugmentedDataset:
+        dataset = Dataset(_join(blocks), _join(labels), dict(train.label_names),
+                          train.feature_names)
+        return AugmentedDataset(dataset, _join(provenance), counts, dataset.class_counts())
 
-    for class_id in part.classes_at(leveling.SCARCE):
-        need = targets[class_id] - counts.get(class_id, 0)
+    for class_id, target in targets.items():
+        need = target - counts.get(class_id, 0)
         if need <= 0:
             continue
-        name = train.name_of(class_id)
-        rows = train.features[train.rows_of(class_id)]
-        with _Timer(report, f"scgan-synthesis[{name}]"):
-            try:
-                if models.san_model is None or class_id not in models.scgan_models:
-                    raise DataError("no trained generator available for this class")
-                result = scgan.synthesize_to_target(
-                    models.scgan_models[class_id], models.san_model, rows, need,
-                    config.filter_policy, substream(config.seed, "scgan-gen", class_id))
-            except Exception as exc:
-                raise fail("scgan-synthesis", name, exc) from exc
-        report.acceptance_rates[name] = result.acceptance_rate
-        blocks.append(result.samples)
-        labels.append(np.full(need, class_id, dtype=np.int64))
-        provenance.append(np.full(need, PROV_SCGAN, dtype=object))
+        try:
+            with _stage("top-up", train.name_of(class_id)):
+                rows, tag = sampler(class_id, train.features[train.rows_of(class_id)], need)
+        except PipelineError as error:
+            # carry the partial result so a failed run can still be inspected
+            error.partial = assemble()
+            raise
+        blocks.append(rows)
+        labels.append(np.full(len(rows), class_id, dtype=np.int64))
+        provenance.append(np.full(len(rows), tag, dtype=object))
 
-    for class_id in part.classes_at(leveling.RARE):
-        need = targets[class_id] - counts.get(class_id, 0)
-        if need <= 0:
-            continue
-        name = train.name_of(class_id)
-        rows = train.features[train.rows_of(class_id)]
-        with _Timer(report, f"skn[{name}]"):
-            try:
-                synthesized = skn.skn_synthesize(rows, need, config.skn,
-                                                 substream(config.seed, "skn", class_id))
-            except Exception as exc:
-                raise fail("skn", name, exc) from exc
-        blocks.append(synthesized)
-        labels.append(np.full(need, class_id, dtype=np.int64))
-        provenance.append(np.full(need, PROV_SKN, dtype=object))
-
-    augmented = _assemble(train, blocks, labels, provenance, counts)
+    augmented = assemble()
     for class_id, target in targets.items():
         if augmented.after_counts.get(class_id, 0) != target:
             raise PipelineError(
                 f"class {train.name_of(class_id)!r} ended at "
                 f"{augmented.after_counts.get(class_id, 0)} rows, target {target}",
                 stage="assemble", class_name=train.name_of(class_id))
+    return augmented
+
+
+def synthesize_augmented(train: Dataset, config: AugmentConfig,
+                         models: AugmentationModels,
+                         report: StageReport | None = None,
+                         ) -> tuple[AugmentedDataset, StageReport]:
+    """Top every scarce class up with its generator and every rare class
+    with neighbor interpolation, scarce classes first."""
+    _check_unit_range(train.features, "synthesize_augmented")
+    report = report or StageReport()
+    levels = models.part.levels
+
+    def sample(class_id, rows, need):
+        name = train.name_of(class_id)
+        if levels[class_id] == leveling.RARE:
+            with _Timer(report, f"skn[{name}]"), _stage("skn", name):
+                return skn.skn_synthesize(rows, need, config.skn,
+                                          substream(config.seed, "skn", class_id)), PROV_SKN
+        with _Timer(report, f"scgan-synthesis[{name}]"), _stage("scgan-synthesis", name):
+            if models.san_model is None or class_id not in models.scgan_models:
+                raise DataError("no trained generator available for this class")
+            result = scgan.synthesize_to_target(
+                models.scgan_models[class_id], models.san_model, rows, need,
+                config.filter_policy, substream(config.seed, "scgan-gen", class_id))
+        report.acceptance_rates[name] = result.acceptance_rate
+        return result.samples, PROV_SCGAN
+
+    order = sorted(models.targets, key=lambda c: (levels[c] != leveling.SCARCE, c))
+    augmented = top_up(train, {c: models.targets[c] for c in order}, sample)
     return augmented, report
 
 
@@ -253,52 +277,24 @@ def build_augmented(train: Dataset, config: AugmentConfig) -> tuple[AugmentedDat
     return synthesize_augmented(train, config, models, report)
 
 
-def _assemble(train: Dataset, blocks, labels, provenance,
-              before_counts: dict[int, int]) -> AugmentedDataset:
-    dataset = Dataset(np.concatenate(blocks), np.concatenate(labels),
-                      dict(train.label_names), train.feature_names)
-    return AugmentedDataset(dataset, np.concatenate(provenance), before_counts,
-                            dataset.class_counts())
-
-
 def augment_ros(train: Dataset, targets: dict[int, int], seed: int) -> AugmentedDataset:
     """Random-duplication baseline: below-target classes are topped up by
     resampling their own rows with replacement."""
-    counts = train.class_counts()
-    blocks = [train.features.copy()]
-    labels = [train.labels.copy()]
-    provenance = [np.full(train.n_rows, PROV_ORIGINAL, dtype=object)]
-    for class_id in sorted(targets):
-        need = targets[class_id] - counts.get(class_id, 0)
-        if need <= 0:
-            continue
-        rows = train.features[train.rows_of(class_id)]
-        rng = substream(seed, "ros", class_id)
-        picks = rng.integers(0, rows.shape[0], size=need)
-        blocks.append(rows[picks])
-        labels.append(np.full(need, class_id, dtype=np.int64))
-        provenance.append(np.full(need, PROV_ROS, dtype=object))
-    return _assemble(train, blocks, labels, provenance, counts)
+    def sample(class_id, rows, need):
+        picks = substream(seed, "ros", class_id).integers(0, rows.shape[0], size=need)
+        return rows[picks], PROV_ROS
+
+    return top_up(train, dict(sorted(targets.items())), sample)
 
 
 def augment_smote(train: Dataset, targets: dict[int, int],
                   config: skn.SknConfig, seed: int) -> AugmentedDataset:
     """Neighbor-interpolation baseline applied to every below-target class."""
-    counts = train.class_counts()
-    blocks = [train.features.copy()]
-    labels = [train.labels.copy()]
-    provenance = [np.full(train.n_rows, PROV_ORIGINAL, dtype=object)]
-    for class_id in sorted(targets):
-        need = targets[class_id] - counts.get(class_id, 0)
-        if need <= 0:
-            continue
-        rows = train.features[train.rows_of(class_id)]
-        synthesized = skn.skn_synthesize(rows, need, config,
-                                         substream(seed, "smote", class_id))
-        blocks.append(synthesized)
-        labels.append(np.full(need, class_id, dtype=np.int64))
-        provenance.append(np.full(need, PROV_SKN, dtype=object))
-    return _assemble(train, blocks, labels, provenance, counts)
+    def sample(class_id, rows, need):
+        return skn.skn_synthesize(rows, need, config,
+                                  substream(seed, "smote", class_id)), PROV_SKN
+
+    return top_up(train, dict(sorted(targets.items())), sample)
 
 
 @dataclass
@@ -399,23 +395,15 @@ def predict(model: ClassifierModel, data) -> tuple[np.ndarray, np.ndarray]:
 
 
 def save_classifier(path, model: ClassifierModel):
-    with open(path, "wb") as fh:
-        fh.write(CLASSIFIER_MAGIC)
-        write_metadata(fh, {"class_ids": model.class_ids})
-        write_network(fh, model.net)
+    write_bundle(path, CLASSIFIER_MAGIC, {"class_ids": model.class_ids}, [model.net])
 
 
 def load_classifier(path) -> ClassifierModel:
-    with open(path, "rb") as fh:
-        magic = fh.read(len(CLASSIFIER_MAGIC))
-        if magic != CLASSIFIER_MAGIC:
-            raise FormatError(f"{path}: bad classifier checkpoint magic")
-        meta = read_metadata(fh)
-        net = read_network(fh)
+    meta, (net,) = read_bundle(path, CLASSIFIER_MAGIC, 1)
     return ClassifierModel(net, meta["class_ids"])
 
 
-def save_run(run_dir, *, config_text=None, norm_params=None, level_rows=None,
+def save_run(run_dir, *, config_text=None, norm_params=None,
              augmented: AugmentedDataset | None = None, san_model=None,
              scgan_models: dict | None = None, classifier: ClassifierModel | None = None,
              histories: dict | None = None, stage_report: StageReport | None = None,
@@ -429,9 +417,6 @@ def save_run(run_dir, *, config_text=None, norm_params=None, level_rows=None,
             fh.write(config_text)
     if norm_params is not None:
         save_normalization(os.path.join(run_dir, "norm.json"), norm_params)
-    if level_rows is not None:
-        leveling.write_level_report(os.path.join(run_dir, "levels.csv"),
-                                    os.path.join(run_dir, "levels.txt"), level_rows)
     if augmented is not None:
         save_dataset(os.path.join(run_dir, "augmented.csv"), augmented.dataset,
                      provenance=augmented.provenance)

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DataError, FormatError, InputDataError, StateError, TrainingDivergedError
+from .dataio import _check_unit_range
+from .errors import ConfigError, DataError, StateError, TrainingDivergedError
 from .nncore import (
     Adam,
     BatchNorm,
@@ -24,7 +25,7 @@ from .nncore import (
     contrastive_loss,
     reconstruction_loss,
 )
-from .nncore.checkpoint import read_metadata, read_network, write_metadata, write_network
+from .nncore.checkpoint import read_bundle, write_bundle
 from .seeding import as_generator
 
 SAN_MAGIC = b"IDSAUG-SAN-1\n"
@@ -203,11 +204,6 @@ def san_loss(model: SanModel, batch: PairBatch) -> float:
     return loss_r1 + loss_r2 + model.alpha * loss_c
 
 
-def _check_unit_range(features, context: str):
-    if features.size and (features.min() < -1e-12 or features.max() > 1.0 + 1e-12):
-        raise InputDataError(f"{context}: expected features normalized to [0, 1]")
-
-
 def train_san(features, labels, config: SanConfig) -> tuple[SanModel, list[float]]:
     """Train the shared twins; returns the model in eval mode plus the
     per-epoch mean loss history."""
@@ -252,19 +248,10 @@ def encode(model: SanModel, data) -> np.ndarray:
 
 
 def save_san(path, model: SanModel):
-    with open(path, "wb") as fh:
-        fh.write(SAN_MAGIC)
-        write_metadata(fh, {"margin": model.margin, "alpha": model.alpha})
-        write_network(fh, model.encoder)
-        write_network(fh, model.decoder)
+    write_bundle(path, SAN_MAGIC, {"margin": model.margin, "alpha": model.alpha},
+                 [model.encoder, model.decoder])
 
 
 def load_san(path) -> SanModel:
-    with open(path, "rb") as fh:
-        magic = fh.read(len(SAN_MAGIC))
-        if magic != SAN_MAGIC:
-            raise FormatError(f"{path}: bad siamese-autoencoder checkpoint magic")
-        meta = read_metadata(fh)
-        encoder = read_network(fh)
-        decoder = read_network(fh)
+    meta, (encoder, decoder) = read_bundle(path, SAN_MAGIC, 2)
     return SanModel(encoder, decoder, margin=meta["margin"], alpha=meta["alpha"])

@@ -12,10 +12,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dataio import _check_unit_range
 from .errors import (
     ConfigError,
     DataError,
-    FormatError,
     InputDataError,
     StateError,
     TrainingDivergedError,
@@ -34,7 +34,7 @@ from .nncore import (
     discriminator_score_grads,
     generator_score_grad,
 )
-from .nncore.checkpoint import read_metadata, read_network, write_metadata, write_network
+from .nncore.checkpoint import read_bundle, write_bundle
 from .san import SanModel, encode
 from .seeding import as_generator
 
@@ -133,11 +133,6 @@ def build_scgan(feature_dim: int, code_dim: int, config: ScganConfig,
     disc_layers += [Dense(prev, 1, rng), Sigmoid(1)]
     return ScganModel(Network(gen_layers), Network(disc_layers), config.noise_dim,
                       code_dim, feature_dim, class_id=class_id)
-
-
-def _check_unit_range(features, context: str):
-    if features.size and (features.min() < -1e-12 or features.max() > 1.0 + 1e-12):
-        raise InputDataError(f"{context}: expected features normalized to [0, 1]")
 
 
 def train_scgan(class_data, class_id, san_model: SanModel,
@@ -312,28 +307,18 @@ def synthesize_to_target(model: ScganModel, san_model: SanModel, class_samples,
 
 
 def save_scgan(path, model: ScganModel, eta: float | None = None):
-    with open(path, "wb") as fh:
-        fh.write(SCGAN_MAGIC)
-        write_metadata(fh, {
-            "noise_dim": model.noise_dim,
-            "code_dim": model.code_dim,
-            "feature_dim": model.feature_dim,
-            "class_id": model.class_id,
-            "trained": model.trained,
-            "eta": eta,
-        })
-        write_network(fh, model.generator)
-        write_network(fh, model.discriminator)
+    write_bundle(path, SCGAN_MAGIC, {
+        "noise_dim": model.noise_dim,
+        "code_dim": model.code_dim,
+        "feature_dim": model.feature_dim,
+        "class_id": model.class_id,
+        "trained": model.trained,
+        "eta": eta,
+    }, [model.generator, model.discriminator])
 
 
 def load_scgan(path) -> tuple[ScganModel, dict]:
-    with open(path, "rb") as fh:
-        magic = fh.read(len(SCGAN_MAGIC))
-        if magic != SCGAN_MAGIC:
-            raise FormatError(f"{path}: bad conditional-GAN checkpoint magic")
-        meta = read_metadata(fh)
-        generator = read_network(fh)
-        discriminator = read_network(fh)
+    meta, (generator, discriminator) = read_bundle(path, SCGAN_MAGIC, 2)
     model = ScganModel(generator, discriminator, meta["noise_dim"], meta["code_dim"],
                        meta["feature_dim"], class_id=meta.get("class_id"),
                        trained=bool(meta.get("trained", False)))

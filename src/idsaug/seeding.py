@@ -28,6 +28,11 @@ def substream(master_seed: int, *path: object) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
+def derive_seed(master_seed: int, *path: object) -> int:
+    """Integer seed for a stage config, drawn from the substream at ``path``."""
+    return int(substream(master_seed, *path).integers(2**63))
+
+
 def as_generator(seed: int | np.random.Generator) -> np.random.Generator:
     """Build a Generator from an integer seed; anything else passes through.
 

@@ -166,6 +166,31 @@ class TestStageCommands:
         assert main(["eval", "--run", str(out), *FAST_FLAGS]) == 1
         assert "fingerprint" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", ["baseline", "ros", "smote", "s2cgan"])
+    def test_staged_chain_reproduces_run_all(self, bench_csv, tmp_path, method):
+        seed = ["--seed", "4"]
+        whole = tmp_path / "whole"
+        assert run_all(bench_csv, whole, method=method, seed="4") == 0
+        run = str(tmp_path / "staged")
+        assert main(["preprocess", "--dataset", str(bench_csv), "--out", run,
+                     *seed, *FAST_FLAGS]) == 0
+        if method == "s2cgan":
+            assert main(["train-san", "--run", run, *seed, *FAST_FLAGS]) == 0
+            assert main(["train-scgan", "--run", run, *seed, *FAST_FLAGS]) == 0
+        for command in ("augment", "train-clf", "eval"):
+            assert main([command, "--run", run, "--method", method, *seed,
+                         *FAST_FLAGS]) == 0
+        names = ["augmented.csv", "classifier.ckpt", "metrics/metrics.json",
+                 "split_train.csv", "split_test.csv", "norm.json"]
+        checkpoints = sorted(p for p in os.listdir(whole)
+                             if p == "san.ckpt" or p.startswith("scgan_"))
+        assert sorted(p for p in os.listdir(run)
+                      if p == "san.ckpt" or p.startswith("scgan_")) == checkpoints
+        if method == "s2cgan":
+            assert "san.ckpt" in checkpoints and len(checkpoints) > 1
+        for name in names + checkpoints:
+            assert (whole / name).read_bytes() == (tmp_path / "staged" / name).read_bytes(), name
+
     def test_augment_requires_checkpoints_or_trains(self, bench_csv, tmp_path):
         run = str(tmp_path / "nockpt")
         base = ["--dataset", str(bench_csv), "--out", run, "--seed", "2", *FAST_FLAGS]
