@@ -209,7 +209,7 @@ def _load_split(run_dir, which: str, config: RunConfig) -> dataio.Dataset:
     path = os.path.join(run_dir, f"split_{which}.csv")
     if not os.path.exists(path):
         raise ConfigError(f"{run_dir}: split_{which}.csv missing; run preprocess first")
-    dataset, _ = dataio.load_dataset(path, config.label_column)
+    dataset = dataio.load_table(path, config.label_column)
     return dataio.conform_labels(dataset, _load_reference_labels(run_dir))
 
 
@@ -266,9 +266,8 @@ def _save_ingest(run_dir, config: RunConfig, data: _Ingested, test: dataio.Datas
                       extra_files={"ingest_report.txt": data.report.summary() + "\n",
                                    "test_fingerprint.txt": data.sealed.fingerprint + "\n"})
     _write_labels(run_dir, data.dataset.label_names)
-    dataio.save_dataset(os.path.join(run_dir, "split_train.csv"), data.train,
-                        config.label_column)
-    dataio.save_dataset(os.path.join(run_dir, "split_test.csv"), test, config.label_column)
+    dataio.save_table(os.path.join(run_dir, "split_train.csv"), data.train, config.label_column)
+    dataio.save_table(os.path.join(run_dir, "split_test.csv"), test, config.label_column)
 
 
 def _level_report(data: dataio.Dataset, config: RunConfig) -> list[leveling.LevelReportRow]:
@@ -283,30 +282,35 @@ def _write_levels(run_dir, rows: list[leveling.LevelReportRow], suffix: str = ""
 
 def _augment_for_method(train_norm: dataio.Dataset, config: RunConfig,
                         checkpoints: dict | None = None):
-    """Dispatch on the configured method. The s2cgan method reuses the SAN and
-    SCGAN models in ``checkpoints`` when both are there and trains them
-    otherwise. Returns (augmented, report, models trained here or None)."""
+    """Dispatch on the configured method. The s2cgan method reuses the SAN in
+    ``checkpoints`` with the SCGAN models there and trains whatever is
+    missing. Returns (augmented, report, models or None)."""
     aug_config = config.augment_config()
-    counts, part, targets = pipeline.level_training_set(train_norm, aug_config.thresholds)
     report = pipeline.StageReport()
+    if config.method == "s2cgan":
+        checkpoints = checkpoints or {}
+        models, report = pipeline.train_augmentation_models(
+            train_norm, aug_config, report, checkpoints.get("san_model"),
+            checkpoints.get("scgan_models"))
+        augmented, report = pipeline.synthesize_augmented(train_norm, aug_config, models,
+                                                          report)
+        return augmented, report, models
+    counts, _, targets = pipeline.level_training_set(train_norm, aug_config.thresholds)
     if config.method == "baseline":
         # every target is the class's own count: there is nothing to sample
         return pipeline.top_up(train_norm, counts, None), report, None
     if config.method == "ros":
         return pipeline.augment_ros(train_norm, targets, config.master_seed), report, None
-    if config.method == "smote":
-        return pipeline.augment_smote(train_norm, targets, aug_config.skn,
-                                      config.master_seed), report, None
-    checkpoints = checkpoints or {}
-    if "san_model" in checkpoints and checkpoints.get("scgan_models"):
-        models = pipeline.AugmentationModels(part, targets, checkpoints["san_model"],
-                                             checkpoints["scgan_models"])
-        trained = None
-    else:
-        models, report = pipeline.train_augmentation_models(train_norm, aug_config, report)
-        trained = models
-    augmented, report = pipeline.synthesize_augmented(train_norm, aug_config, models, report)
-    return augmented, report, trained
+    return pipeline.augment_smote(train_norm, targets, aug_config.skn,
+                                  config.master_seed), report, None
+
+
+def _model_histories(models: pipeline.AugmentationModels) -> dict:
+    """Loss histories of the models trained in this run, keyed for save_run."""
+    histories = {f"scgan_{c}": h for c, h in models.scgan_histories.items()}
+    if models.san_history:
+        histories["san"] = models.san_history
+    return histories
 
 
 def _evaluate(classifier: pipeline.ClassifierModel, test: dataio.Dataset,
@@ -450,12 +454,15 @@ def cmd_augment(args) -> int:
     run_dir = args.run
     pipeline.check_run_format(run_dir)
     train_norm = _normalized_train(run_dir, config)
-    checkpoints = pipeline.load_run(run_dir) if config.method == "s2cgan" else None
-    augmented, report, trained = _augment_for_method(train_norm, config, checkpoints)
+    checkpoints = pipeline.load_run(run_dir) if config.method == "s2cgan" else {}
+    augmented, report, models = _augment_for_method(train_norm, config, checkpoints)
     pipeline.save_run(run_dir, augmented=augmented, stage_report=report)
-    if trained is not None:
-        pipeline.save_run(run_dir, san_model=trained.san_model,
-                          scgan_models=trained.scgan_models)
+    if models is not None:
+        # save only the models trained here: those with a loss history
+        pipeline.save_run(
+            run_dir, san_model=None if "san_model" in checkpoints else models.san_model,
+            scgan_models={c: models.scgan_models[c] for c in models.scgan_histories},
+            histories=_model_histories(models))
     before = sum(augmented.before_counts.values())
     print(f"augment[{config.method}]: {before} -> {augmented.dataset.n_rows} rows")
     return 0
@@ -468,8 +475,7 @@ def cmd_train_clf(args) -> int:
     path = os.path.join(run_dir, "augmented.csv")
     if not os.path.exists(path):
         raise ConfigError(f"{run_dir}: augmented.csv missing; run augment first")
-    dataset, _ = dataio.load_dataset(path, config.label_column,
-                                     ignore_columns=("provenance",))
+    dataset = dataio.load_table(path, config.label_column, ignore_columns=("provenance",))
     dataset = dataio.conform_labels(dataset, _load_reference_labels(run_dir))
     classifier, history = pipeline.train_classifier(dataset, config.classifier_config())
     pipeline.save_run(run_dir, classifier=classifier, histories={"clf": history})
@@ -482,15 +488,16 @@ def cmd_eval(args) -> int:
     config = _config_from_args(args).validate()
     run_dir = args.run
     pipeline.check_run_format(run_dir)
-    artifacts = pipeline.load_run(run_dir)
-    if "classifier" not in artifacts:
+    path = os.path.join(run_dir, "classifier.ckpt")
+    if not os.path.exists(path):
         raise ConfigError(f"{run_dir}: classifier.ckpt missing; run train-clf first")
+    classifier = pipeline.load_classifier(path)
     test = _load_split(run_dir, "test", config)
     recorded = _read_fingerprint(run_dir)
     actual = dataio.dataset_fingerprint(test)
     if recorded != actual:
         raise ReportError(f"{run_dir}: test split fingerprint changed since preprocess")
-    report = _evaluate(artifacts["classifier"], test, _load_norm(run_dir), config, run_dir)
+    report = _evaluate(classifier, test, _load_norm(run_dir), config, run_dir)
     print(evalreport.render_summary(report, test.label_names), end="")
     return 0
 
@@ -523,10 +530,7 @@ def cmd_run_all(args) -> int:
         stage = "save"
         histories = {"clf": clf_history}
         if models is not None:
-            if models.san_history:
-                histories["san"] = models.san_history
-            for class_id, gan_history in models.scgan_histories.items():
-                histories[f"scgan_{class_id}"] = gan_history
+            histories.update(_model_histories(models))
         _save_ingest(run_dir, config, data, test_open)
         pipeline.save_run(
             run_dir, augmented=augmented,

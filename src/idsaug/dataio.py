@@ -1,11 +1,14 @@
-"""Flow-feature CSV ingest, label grouping, Min-Max scaling, and splitting."""
+"""Flow-feature CSV ingest, label grouping, Min-Max scaling, splitting, and
+the run-directory tables with their binary companions."""
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import math
+import os
 import warnings
 from dataclasses import dataclass, field
 
@@ -14,15 +17,19 @@ import numpy as np
 from .errors import (
     ConfigError,
     DataError,
+    IdsAugError,
     InputDataError,
     MappingError,
     SchemaError,
     ShapeError,
     StateError,
 )
+from .nncore.checkpoint import read_record, write_record
 from .seeding import as_generator
 
 DEFAULT_LABEL_COLUMN = "Label"
+TABLE_MAGIC = b"IDSAUG-TABLE-1\n"
+_WRITE_ROWS = 2048  # rows formatted per write
 
 # CICIDS2017 sub-label grouping: attack variants collapse into one family
 # label each, benign and single-variant attacks map to themselves.
@@ -222,27 +229,140 @@ def load_dataset(path, label_column: str = DEFAULT_LABEL_COLUMN,
     return Dataset(features, ids, label_names, feature_names), report
 
 
+def _csv_line(fields) -> str:
+    """``fields`` as one ``csv.writer`` row, line terminator included."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow(fields)
+    return buf.getvalue()
+
+
 def save_dataset(path, dataset: Dataset, label_column: str = DEFAULT_LABEL_COLUMN,
-                 provenance: np.ndarray | None = None):
-    """Write a dataset back to CSV with full-precision floats.
+                 provenance: np.ndarray | None = None) -> str:
+    """Write a dataset back to CSV with full-precision floats; returns the
+    sha256 of the bytes written.
 
     ``repr`` formatting round-trips float64 exactly, so save followed by
-    load reproduces identical values.
+    load reproduces identical values. The bytes are those of a
+    ``csv.writer`` given each row's ``repr`` strings, label and provenance:
+    a ``repr`` float never needs quoting, so the floats are joined directly
+    and only the label/provenance tail goes through ``csv``, once per
+    distinct pair.
     """
     if provenance is not None and len(provenance) != dataset.n_rows:
         raise ShapeError("provenance length must equal the number of rows")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        header = list(dataset.feature_names) + [label_column]
-        if provenance is not None:
-            header.append("provenance")
-        writer.writerow(header)
-        for i in range(dataset.n_rows):
-            row = [repr(float(v)) for v in dataset.features[i]]
-            row.append(dataset.label_names[int(dataset.labels[i])])
-            if provenance is not None:
-                row.append(str(provenance[i]))
-            writer.writerow(row)
+    header = list(dataset.feature_names) + [label_column]
+    if provenance is not None:
+        header.append("provenance")
+    # an empty first field stands for the comma after the last float
+    lead = [""] if dataset.n_features else []
+    tails: dict[tuple, str] = {}
+
+    def tail(label_id: int, tag) -> str:
+        key = (label_id, tag)
+        if key not in tails:
+            fields = lead + [dataset.label_names[label_id]]
+            tails[key] = _csv_line(fields if tag is None else fields + [tag])
+        return tails[key]
+
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+        def emit(text: str):
+            data = text.encode("utf-8")
+            digest.update(data)
+            fh.write(data)
+
+        emit(_csv_line(header))
+        for start in range(0, dataset.n_rows, _WRITE_ROWS):
+            stop = start + _WRITE_ROWS
+            labels = dataset.labels[start:stop].tolist()
+            tags = ([None] * len(labels) if provenance is None
+                    else [str(p) for p in provenance[start:stop]])
+            emit("".join(",".join(map(repr, row)) + tail(label, tag) for row, label, tag
+                         in zip(dataset.features[start:stop].tolist(), labels, tags)))
+    return digest.hexdigest()
+
+
+def _companion_path(path) -> str:
+    return os.path.splitext(os.fspath(path))[0] + ".tbl"
+
+
+def _file_sha256(path) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
+
+
+def _names_round_trip(names) -> bool:
+    """Whether parsing gives ``names`` back: distinct strings that ``.strip()``
+    leaves alone."""
+    return (all(isinstance(n, str) and n == n.strip() for n in names)
+            and len(set(names)) == len(names))
+
+
+def save_table(path, dataset: Dataset, label_column: str = DEFAULT_LABEL_COLUMN,
+               provenance: np.ndarray | None = None):
+    """Write ``dataset`` to the CSV at ``path``, then a binary companion
+    beside it (``.tbl`` for ``.csv``) that ``load_table`` reads instead of
+    parsing while the CSV keeps these bytes.
+
+    The companion holds what ``load_dataset`` parses from the CSV. It is
+    left out when that is not exactly ``dataset``: with no rows, a
+    non-finite feature (its row is dropped on load), or a column or label
+    name that repeats or that ``.strip()`` changes.
+    """
+    csv_sha256 = save_dataset(path, dataset, label_column, provenance)
+    companion = _companion_path(path)
+    ignore = [] if provenance is None else ["provenance"]
+    present = [int(c) for c in np.unique(dataset.labels)]
+    names = [dataset.label_names[c] for c in present]
+    if (not dataset.n_rows or not np.isfinite(dataset.features).all()
+            or not _names_round_trip(list(dataset.feature_names) + [label_column] + ignore)
+            or not _names_round_trip(names)):
+        if os.path.exists(companion):
+            os.remove(companion)
+        return
+    # load_dataset numbers the labels it finds in name order
+    loaded_names = sorted(names)
+    remap = np.array([loaded_names.index(n) for n in names], dtype=np.int64)
+    labels = remap[np.searchsorted(present, dataset.labels)]
+    metadata = {"csv_sha256": csv_sha256, "label_column": label_column,
+                "ignore_columns": ignore, "feature_names": list(dataset.feature_names),
+                "label_names": loaded_names, "n_rows": dataset.n_rows}
+    write_record(companion, TABLE_MAGIC, metadata, [dataset.features, labels])
+
+
+def _read_companion(path, label_column: str, ignore_columns) -> Dataset | None:
+    """The dataset in ``path``'s companion if it was written for the CSV's
+    current bytes, this label column and this ignore set; None otherwise."""
+    try:
+        meta, (features, labels) = read_record(_companion_path(path), TABLE_MAGIC, 2)
+        n_rows = meta["n_rows"]
+        if (meta["label_column"] != label_column
+                or meta["ignore_columns"] != sorted(set(ignore_columns))
+                or features.shape != (n_rows, len(meta["feature_names"]))
+                or labels.shape != (n_rows,)
+                or meta["csv_sha256"] != _file_sha256(path)):
+            return None
+        return Dataset(features, labels.astype(np.int64), dict(enumerate(meta["label_names"])),
+                       list(meta["feature_names"]))
+    except (IdsAugError, OSError, LookupError, TypeError, ValueError):
+        return None
+
+
+def load_table(path, label_column: str = DEFAULT_LABEL_COLUMN,
+               ignore_columns: tuple[str, ...] = ()) -> Dataset:
+    """The dataset ``load_dataset`` parses from the CSV at ``path``.
+
+    The CSV is authoritative: the companion ``save_table`` wrote is used
+    only while it matches the CSV's current sha256, the label column and
+    the ignore set, and the CSV is parsed in every other case.
+    """
+    dataset = _read_companion(path, label_column, ignore_columns)
+    if dataset is None:
+        dataset, _ = load_dataset(path, label_column, ignore_columns=ignore_columns)
+    return dataset
 
 
 def load_label_map(path) -> dict[str, str]:

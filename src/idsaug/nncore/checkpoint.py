@@ -4,12 +4,17 @@ Network layout: a versioned magic string, then a uint32 layer count and mode
 tag, then one record per layer: kind tag, in/out dims, and the layer's
 float64 arrays in row-major little-endian order (running statistics included
 for norm layers). A bundle file is a model-kind magic string, a JSON metadata
-record, then its networks in order. Round trips are bit-exact.
+record, then its networks in order. A record file is a kind magic string, a
+JSON metadata record and float64 arrays, closed by the sha256 of everything
+before it. Round trips are bit-exact.
 """
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
+import os
 import struct
 from typing import BinaryIO
 
@@ -188,3 +193,45 @@ def read_bundle(path, magic: bytes, n_networks: int) -> tuple[dict, list[Network
         _read_magic(fh, magic, path)
         metadata = read_metadata(fh)
         return metadata, [read_network(fh) for _ in range(n_networks)]
+
+
+class _HashingWriter:
+    """A binary file that hashes every byte written to it."""
+
+    def __init__(self, fh: BinaryIO):
+        self.fh = fh
+        self.digest = hashlib.sha256()
+
+    def write(self, data):
+        self.digest.update(data)
+        self.fh.write(data)
+
+
+def write_record(path, magic: bytes, metadata: dict, arrays: list[np.ndarray]):
+    """Write a record file atomically: a temporary file, then ``os.replace``."""
+    tmp = f"{os.fspath(path)}.tmp"
+    with open(tmp, "wb") as raw:
+        fh = _HashingWriter(raw)
+        fh.write(magic)
+        write_metadata(fh, metadata)
+        for arr in arrays:
+            _write_array(fh, arr)
+        raw.write(fh.digest.digest())
+    os.replace(tmp, path)
+
+
+def read_record(path, magic: bytes, n_arrays: int) -> tuple[dict, list[np.ndarray]]:
+    """Read a record file; a FormatError means it is not one whole, unaltered
+    record of this kind."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    size = len(data) - hashlib.sha256().digest_size
+    if size < 0 or hashlib.sha256(memoryview(data)[:size]).digest() != data[size:]:
+        raise FormatError(f"{path}: record checksum mismatch")
+    fh = io.BytesIO(data)
+    _read_magic(fh, magic, path)
+    metadata = read_metadata(fh)
+    arrays = [_read_array(fh) for _ in range(n_arrays)]
+    if fh.tell() != size:
+        raise FormatError(f"{path}: record length does not match its arrays")
+    return metadata, arrays

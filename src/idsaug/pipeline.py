@@ -22,8 +22,9 @@ from .dataio import (
     Dataset,
     _check_unit_range,
     load_normalization,
-    save_dataset,
+    save_dataset,  # noqa: F401  perfbench's tracer test checks this binding
     save_normalization,
+    save_table,
 )
 from .leveling import LevelThresholds
 from .san import SanConfig
@@ -172,16 +173,24 @@ def train_scgan_stage(train: Dataset, class_id: int, san_model: san.SanModel,
 
 def train_augmentation_models(train: Dataset, config: AugmentConfig,
                               report: StageReport | None = None,
+                              san_model: san.SanModel | None = None,
+                              scgan_models: dict[int, scgan.ScganModel] | None = None,
                               ) -> tuple[AugmentationModels, StageReport]:
     """Level the training set and train the autoencoder plus one conditional
-    GAN per scarce class that needs new rows."""
+    GAN per scarce class that needs new rows.
+
+    A given ``san_model`` is reused together with the ``scgan_models``
+    trained against it; only the generators missing from them are trained.
+    Without a ``san_model`` every model is trained afresh.
+    """
     _check_unit_range(train.features, "train_augmentation_models")
     report = report or StageReport()
     with _Timer(report, "leveling"):
         counts, part, targets = level_training_set(train, config.thresholds)
-    models = AugmentationModels(part, targets, None, {})
-    needing = scgan_classes(counts, part, targets)
-    if needing:
+    reused = dict(scgan_models or {}) if san_model is not None else {}
+    models = AugmentationModels(part, targets, san_model, reused)
+    needing = [c for c in scgan_classes(counts, part, targets) if c not in reused]
+    if needing and models.san_model is None:
         with _Timer(report, "san-training"):
             models.san_model, models.san_history = train_san_stage(train, part, config)
     for class_id in needing:
@@ -418,8 +427,8 @@ def save_run(run_dir, *, config_text=None, norm_params=None,
     if norm_params is not None:
         save_normalization(os.path.join(run_dir, "norm.json"), norm_params)
     if augmented is not None:
-        save_dataset(os.path.join(run_dir, "augmented.csv"), augmented.dataset,
-                     provenance=augmented.provenance)
+        save_table(os.path.join(run_dir, "augmented.csv"), augmented.dataset,
+                   provenance=augmented.provenance)
     if san_model is not None:
         san.save_san(os.path.join(run_dir, "san.ckpt"), san_model)
     if scgan_models:

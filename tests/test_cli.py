@@ -201,6 +201,39 @@ class TestStageCommands:
         assert os.path.exists(os.path.join(run, "augmented.csv"))
 
 
+    def test_augment_trains_only_the_missing_generators(self, tmp_path):
+        bench = tmp_path / "bench.csv"
+        assert main(["synthbench", "--out", str(bench), "--counts", "400,40,30",
+                     "--dim", "3", "--seed", "3"]) == 0
+        flags = ["--scarce-min-ir", "5", "--rare-min-ir", "50", "--san-epochs", "4",
+                 "--san-pairs", "128", "--scgan-epochs", "20", "--clf-epochs", "2",
+                 "--seed", "6"]
+        whole = tmp_path / "whole"
+        assert main(["run-all", "--dataset", str(bench), "--out", str(whole),
+                     "--method", "s2cgan", *flags]) == 0
+        run = tmp_path / "staged"
+        assert main(["preprocess", "--dataset", str(bench), "--out", str(run), *flags]) == 0
+        assert main(["train-san", "--run", str(run), *flags]) == 0
+        assert main(["train-scgan", "--run", str(run), "--class-name", "class_1",
+                     *flags]) == 0
+        assert not (run / "scgan_2.ckpt").exists()
+        assert main(["augment", "--run", str(run), "--method", "s2cgan", *flags]) == 0
+        # the reused SAN and class_1 generator plus a class_2 generator trained
+        # here give what run-all trains in one go
+        for name in ("san.ckpt", "scgan_1.ckpt", "scgan_2.ckpt", "history_scgan_2.csv",
+                     "augmented.csv", "augmented.tbl", "split_train.tbl", "split_test.tbl"):
+            assert (run / name).read_bytes() == (whole / name).read_bytes(), name
+
+    def test_eval_reads_only_the_classifier(self, bench_csv, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run_all(bench_csv, out, method="s2cgan") == 0
+        (out / "san.ckpt").write_bytes(b"not a checkpoint")
+        assert main(["eval", "--run", str(out), *FAST_FLAGS]) == 0
+        (out / "classifier.ckpt").unlink()
+        assert main(["eval", "--run", str(out), *FAST_FLAGS]) == 2
+        assert "classifier.ckpt missing; run train-clf first" in capsys.readouterr().err
+
+
 class TestRunDirSelfDescription:
     def test_snapshotted_config_reproduces_reports_byte_for_byte(self, bench_csv,
                                                                  tmp_path):

@@ -1,3 +1,8 @@
+import csv
+import hashlib
+import os
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +12,7 @@ from idsaug import dataio
 from idsaug.errors import (
     ConfigError,
     DataError,
+    IdsAugError,
     InputDataError,
     MappingError,
     SchemaError,
@@ -288,3 +294,211 @@ class TestConformAndSeal:
         opened = sealed.open_for_eval()
         assert sealed.opens == 1
         assert dataio.dataset_fingerprint(opened) == sealed.fingerprint
+
+
+def csv_writer_oracle(path, dataset, label_column="Label", provenance=None):
+    """The reference writer: one ``repr`` per cell through ``csv.writer``."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        header = list(dataset.feature_names) + [label_column]
+        if provenance is not None:
+            header.append("provenance")
+        writer.writerow(header)
+        for i in range(dataset.n_rows):
+            row = [repr(float(v)) for v in dataset.features[i]]
+            row.append(dataset.label_names[int(dataset.labels[i])])
+            if provenance is not None:
+                row.append(str(provenance[i]))
+            writer.writerow(row)
+
+
+EDGE_FLOATS = [-0.0, 5e-324, 1e-05, 1e16, 0.1, 2.0 ** 53]
+TRICKY_NAMES = ["", ",", '"', "a\nb", " lead", "x", "a,b", 'say "hi"', "\r"]
+names = st.one_of(st.sampled_from(TRICKY_NAMES), st.text(st.sampled_from('ab ,"\n\r\té'),
+                                                          max_size=4))
+finite = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+any_float = st.one_of(finite, st.sampled_from([np.nan, np.inf, -np.inf]))
+
+
+@st.composite
+def tables(draw, values=finite, min_rows=0):
+    """A dataset, its provenance (None, object or str array) and its ignore set."""
+    n = draw(st.integers(min_rows, 8))
+    d = draw(st.integers(0, 3))
+    k = draw(st.integers(1, 3))
+    feature_names = draw(st.lists(st.one_of(st.sampled_from(["f", "Label", "provenance", " f"]),
+                                            names), min_size=d, max_size=d))
+    features = np.array(draw(st.lists(values, min_size=n * d, max_size=n * d)),
+                        dtype=np.float64).reshape(n, d)
+    labels = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+    dataset = dataio.Dataset(features, labels,
+                             dict(enumerate(draw(st.lists(names, min_size=k, max_size=k)))),
+                             feature_names or [f"f{i}" for i in range(d)])
+    kind = draw(st.sampled_from([None, object, str]))
+    provenance = None
+    if kind is not None:
+        provenance = np.array(draw(st.lists(names, min_size=n, max_size=n)), dtype=kind)
+    return dataset, provenance, () if provenance is None else ("provenance",)
+
+
+def parsed(path, label_column="Label", ignore=()):
+    """load_dataset's dataset, or the type of error it raises."""
+    try:
+        return dataio.load_dataset(path, label_column, ignore_columns=ignore)[0]
+    except IdsAugError as exc:
+        return type(exc)
+
+
+def table_loaded(path, label_column="Label", ignore=()):
+    try:
+        return dataio.load_table(path, label_column, ignore)
+    except IdsAugError as exc:
+        return type(exc)
+
+
+def assert_same(a, b):
+    if isinstance(a, type) or isinstance(b, type):
+        assert a == b
+        return
+    assert a.features.shape == b.features.shape
+    assert a.features.tobytes() == b.features.tobytes()  # -0.0 included
+    assert a.labels.tobytes() == b.labels.tobytes()
+    assert a.label_names == b.label_names and a.feature_names == b.feature_names
+
+
+class TestVectorisedWriter:
+    @settings(max_examples=120, deadline=None)
+    @given(tables(values=any_float))
+    def test_bytes_match_the_csv_writer_oracle(self, table):
+        dataset, provenance, _ = table
+        with tempfile.TemporaryDirectory() as tmp:
+            new, old = os.path.join(tmp, "new.csv"), os.path.join(tmp, "old.csv")
+            digest = dataio.save_dataset(new, dataset, provenance=provenance)
+            csv_writer_oracle(old, dataset, provenance=provenance)
+            with open(new, "rb") as fh:
+                data = fh.read()
+            with open(old, "rb") as fh:
+                assert data == fh.read()
+            assert digest == hashlib.sha256(data).hexdigest()
+
+    @pytest.mark.parametrize("extra", [None, -1, 0, 1])
+    def test_chunk_boundaries(self, tmp_path, extra):
+        n = 0 if extra is None else dataio._WRITE_ROWS + extra
+        rng = np.random.default_rng(n)
+        dataset = dataio.Dataset(rng.standard_normal((n, 3)), rng.integers(0, 2, n),
+                                 {0: "a,b", 1: ""})
+        provenance = np.array(["original", 'q"'] * (n // 2) + ["x"] * (n % 2), dtype=object)
+        digest = dataio.save_dataset(tmp_path / "new.csv", dataset, "Tag", provenance)
+        csv_writer_oracle(tmp_path / "old.csv", dataset, "Tag", provenance)
+        data = (tmp_path / "new.csv").read_bytes()
+        assert data == (tmp_path / "old.csv").read_bytes()
+        assert digest == hashlib.sha256(data).hexdigest()
+
+    def test_lone_empty_field_is_quoted_like_csv_writer(self, tmp_path):
+        dataset = dataio.Dataset(np.zeros((2, 0)), [0, 1], {0: "", 1: "a"})
+        dataio.save_dataset(tmp_path / "new.csv", dataset, label_column="")
+        assert (tmp_path / "new.csv").read_bytes() == b'""\r\n""\r\na\r\n'
+
+
+class TestTableCompanion:
+    @settings(max_examples=120, deadline=None)
+    @given(tables(min_rows=1))
+    def test_load_table_equals_load_dataset(self, table):
+        dataset, provenance, ignore = table
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "t.csv")
+            dataio.save_table(path, dataset, provenance=provenance)
+            expected = parsed(path, ignore=ignore)
+            if os.path.exists(os.path.join(tmp, "t.tbl")):
+                # a usable companion means the CSV is not parsed at all
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(dataio, "load_dataset", None)
+                    got = table_loaded(path, ignore=ignore)
+            else:
+                got = table_loaded(path, ignore=ignore)
+            assert_same(got, expected)
+            if not isinstance(expected, type):
+                # a reference dictionary with a class the table lacks, as for a split
+                names = set(expected.label_names.values()) | {"zz"}
+                reference = dict(enumerate(sorted(names)))
+                conformed = [dataio.conform_labels(d, reference) for d in (got, expected)]
+                assert_same(*conformed)
+
+    def test_companion_written_for_a_clean_table(self, tmp_path):
+        dataset = _dataset_with_counts([3, 2], seed=1)
+        dataio.save_table(tmp_path / "t.csv", dataset)
+        assert (tmp_path / "t.tbl").exists()
+        assert not (tmp_path / "t.tbl.tmp").exists()
+
+    def test_non_finite_row_gets_no_companion_and_loads_as_before(self, tmp_path):
+        dataset = _dataset_with_counts([3, 2], seed=2)
+        dataio.save_table(tmp_path / "t.csv", dataset)
+        dataset.features[1, 0] = np.nan
+        dataio.save_table(tmp_path / "t.csv", dataset)
+        assert not (tmp_path / "t.tbl").exists()
+        loaded = dataio.load_table(tmp_path / "t.csv")
+        assert loaded.n_rows == 4
+        assert_same(loaded, dataio.load_dataset(tmp_path / "t.csv")[0])
+
+    @pytest.mark.parametrize("change", [
+        "edit_csv", "truncate_csv", "append_csv", "delete_tbl", "truncate_tbl",
+        "corrupt_tbl_payload", "corrupt_tbl_metadata", "empty_tbl", "label_column",
+        "ignore_set"])
+    def test_changes_fall_back_to_parsing(self, tmp_path, change, monkeypatch):
+        base = _dataset_with_counts([4, 3], dim=3, seed=3)
+        # numeric label names, so any column can be read as the label
+        dataset = dataio.Dataset(base.features, base.labels, {0: "10", 1: "20"})
+        csv_path, tbl = tmp_path / "t.csv", tmp_path / "t.tbl"
+        dataio.save_table(csv_path, dataset)
+        text, blob = csv_path.read_text(), tbl.read_bytes()
+        label_column, ignore = "Label", ()
+        if change == "edit_csv":
+            csv_path.write_text(text.replace(repr(float(dataset.features[0, 0])), "7.5", 1))
+        elif change == "truncate_csv":
+            csv_path.write_text("".join(text.splitlines(keepends=True)[:-1]))
+        elif change == "append_csv":
+            csv_path.write_text(text + "1.0,2.0,3.0,20\r\n")
+        elif change == "delete_tbl":
+            tbl.unlink()
+        elif change == "truncate_tbl":
+            tbl.write_bytes(blob[:len(blob) // 2])
+        elif change == "corrupt_tbl_payload":
+            tbl.write_bytes(blob[:-40] + bytes([blob[-40] ^ 1]) + blob[-39:])
+        elif change == "corrupt_tbl_metadata":
+            at = blob.index(b'"f1"')
+            tbl.write_bytes(blob[:at] + b'"g1"' + blob[at + 4:])
+        elif change == "empty_tbl":
+            tbl.write_bytes(b"")
+        elif change == "label_column":
+            label_column = "f0"
+        else:
+            ignore = ("f1",)
+        calls = []
+        original = dataio.load_dataset
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(dataio, "load_dataset", counting)
+        got = dataio.load_table(csv_path, label_column, ignore)
+        assert len(calls) == 1
+        assert_same(got, original(csv_path, label_column, ignore_columns=ignore)[0])
+        if change in ("edit_csv", "truncate_csv", "append_csv"):
+            assert got.features.tobytes() != dataset.features.tobytes()
+
+    def test_missing_csv_raises_like_load_dataset(self, tmp_path):
+        dataio.save_table(tmp_path / "t.csv", _dataset_with_counts([2, 2], seed=4))
+        (tmp_path / "t.csv").unlink()
+        with pytest.raises(OSError):
+            dataio.load_table(tmp_path / "t.csv")
+
+    def test_companion_bytes_are_deterministic(self, tmp_path):
+        dataset = _dataset_with_counts([5, 2], seed=5)
+        provenance = np.array(["original"] * 5 + ["skn"] * 2, dtype=object)
+        blobs = []
+        for name in ("a", "b"):
+            dataio.save_table(tmp_path / f"{name}.csv", dataset, provenance=provenance)
+            blobs.append((tmp_path / f"{name}.tbl").read_bytes())
+        assert blobs[0] == blobs[1]
+        assert blobs[0].startswith(dataio.TABLE_MAGIC)

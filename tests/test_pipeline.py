@@ -234,6 +234,34 @@ class TestPredict:
         assert np.array_equal(base.argmax(axis=1), scaled.argmax(axis=1))
 
 
+class TestModelReuse:
+    def test_only_missing_generators_are_trained(self):
+        train = leveled_dataset(seed=12, n_ample=80, n_scarce=16, n_rare=3)
+        config = fast_config(seed=4)
+        config.scgan.epochs = 10
+        full, _ = pipeline.train_augmentation_models(train, config)
+        kept, missing = sorted(full.scgan_models)
+        reused, _ = pipeline.train_augmentation_models(
+            train, config, None, full.san_model, {kept: full.scgan_models[kept]})
+        assert reused.san_model is full.san_model and not reused.san_history
+        assert reused.scgan_models[kept] is full.scgan_models[kept]
+        assert set(reused.scgan_histories) == {missing}
+        for a, b in zip(reused.scgan_models[missing].generator.parameters(),
+                        full.scgan_models[missing].generator.parameters()):
+            assert np.array_equal(a, b)
+
+    def test_generators_without_their_san_are_retrained(self):
+        train = leveled_dataset(seed=12, n_ample=80, n_scarce=16, n_rare=3)
+        config = fast_config(seed=4)
+        config.scgan.epochs = 10
+        full, _ = pipeline.train_augmentation_models(train, config)
+        again, _ = pipeline.train_augmentation_models(train, config, None, None,
+                                                      full.scgan_models)
+        assert set(again.scgan_histories) == set(full.scgan_models)
+        assert all(again.scgan_models[c] is not m for c, m in full.scgan_models.items())
+        assert again.san_history == full.san_history
+
+
 class TestSaveLoadRun:
     def test_classifier_round_trip_predicts_identically(self, tmp_path):
         data = separable_dataset(seed=9)
