@@ -1,9 +1,10 @@
 """Command-line entry point wiring the whole augmentation workflow.
 
 Commands: run-all, preprocess, levels, train-san, train-scgan, augment,
-train-clf, eval, compare, synthbench. Configuration comes from a key=value
-file plus flags; flags win. The IDSAUG_OUT environment variable sets the
-default output root.
+train-clf, eval, compare, synthbench. run-all runs preprocess, levels (both
+scopes), augment, train-clf and eval in one process. Configuration comes from
+a key=value file plus flags; flags win. The IDSAUG_OUT environment variable
+sets the default output root.
 """
 
 from __future__ import annotations
@@ -149,15 +150,12 @@ def _coerce(name: str, value: str, target_type) -> object:
 
 def build_run_config(file_values: dict[str, str], flag_values: dict[str, object]) -> RunConfig:
     """Merge config-file values and flags (flags win) into a RunConfig."""
-    fields = {f.name: f.type for f in dataclasses.fields(RunConfig)}
-    types = {"dataset": str, "label_column": str, "mapping": str, "out": str,
-             "method": str, "level_mode": str}
+    fields = {f.name for f in dataclasses.fields(RunConfig)}
     config = RunConfig()
     for key, raw in file_values.items():
         if key not in fields:
             raise ConfigError(f"unknown config key {key!r}")
-        target = types.get(key, type(getattr(config, key)))
-        setattr(config, key, _coerce(key, raw, target))
+        setattr(config, key, _coerce(key, raw, type(getattr(config, key))))
     for key, value in flag_values.items():
         if value is None or key not in fields:
             continue
@@ -205,12 +203,11 @@ def _load_reference_labels(run_dir) -> dict[int, str]:
     return {int(k): v for k, v in raw.items()}
 
 
-def _load_split(run_dir, which: str, config: RunConfig) -> dataio.Dataset:
+def _load_split(run_dir, which: str) -> dataio.Dataset:
     path = os.path.join(run_dir, f"split_{which}.csv")
     if not os.path.exists(path):
         raise ConfigError(f"{run_dir}: split_{which}.csv missing; run preprocess first")
-    dataset = dataio.load_table(path, config.label_column)
-    return dataio.conform_labels(dataset, _load_reference_labels(run_dir))
+    return dataio.conform_labels(dataio.load_table(path), _load_reference_labels(run_dir))
 
 
 def _load_norm(run_dir) -> dataio.NormalizationParams:
@@ -220,14 +217,8 @@ def _load_norm(run_dir) -> dataio.NormalizationParams:
     return dataio.load_normalization(path)
 
 
-def _normalized_train(run_dir, config: RunConfig) -> dataio.Dataset:
-    train = _load_split(run_dir, "train", config)
-    return dataio.normalized_dataset(train, _load_norm(run_dir))
-
-
-def _write_labels(run_dir, label_names: dict[int, str]):
-    with open(os.path.join(run_dir, "labels.json"), "w", encoding="utf-8") as fh:
-        json.dump({str(k): v for k, v in sorted(label_names.items())}, fh, sort_keys=True)
+def _normalized_train(run_dir) -> dataio.Dataset:
+    return dataio.normalized_dataset(_load_split(run_dir, "train"), _load_norm(run_dir))
 
 
 def _apply_mapping(dataset: dataio.Dataset, config: RunConfig) -> dataio.Dataset:
@@ -236,115 +227,6 @@ def _apply_mapping(dataset: dataio.Dataset, config: RunConfig) -> dataio.Dataset
     if config.mapping == "builtin":
         return dataio.map_labels(dataset, dataio.DEFAULT_LABEL_MAP)
     return dataio.map_labels(dataset, dataio.load_label_map(config.mapping))
-
-
-@dataclass
-class _Ingested:
-    dataset: dataio.Dataset          # the whole label-mapped dataset
-    report: dataio.IngestReport
-    train: dataio.Dataset            # raw training split
-    sealed: dataio.SealedTestSet     # test split, unopened
-    norm: dataio.NormalizationParams
-
-
-def _ingest(config: RunConfig) -> _Ingested:
-    """Load and label-map the dataset, split it, fit min-max scaling on the
-    training side and seal the test side."""
-    dataset, report = dataio.load_dataset(config.dataset, config.label_column)
-    dataset = _apply_mapping(dataset, config)
-    spec = dataio.SplitSpec(config.train_ratio, derive_seed(config.master_seed, "split"),
-                            config.stratified)
-    train, test = dataio.stratified_split(dataset, spec)
-    return _Ingested(dataset, report, train, dataio.SealedTestSet(test),
-                     dataio.fit_minmax(train))
-
-
-def _save_ingest(run_dir, config: RunConfig, data: _Ingested, test: dataio.Dataset):
-    """Write what the staged commands read back: config, norm, labels, the
-    ingest report, the test fingerprint and both splits."""
-    pipeline.save_run(run_dir, config_text=config.snapshot(), norm_params=data.norm,
-                      extra_files={"ingest_report.txt": data.report.summary() + "\n",
-                                   "test_fingerprint.txt": data.sealed.fingerprint + "\n"})
-    _write_labels(run_dir, data.dataset.label_names)
-    dataio.save_table(os.path.join(run_dir, "split_train.csv"), data.train, config.label_column)
-    dataio.save_table(os.path.join(run_dir, "split_test.csv"), test, config.label_column)
-
-
-def _level_report(data: dataio.Dataset, config: RunConfig) -> list[leveling.LevelReportRow]:
-    counts, part, targets = pipeline.level_training_set(data, config.thresholds())
-    return leveling.build_level_report(counts, part, targets, data.label_names)
-
-
-def _write_levels(run_dir, rows: list[leveling.LevelReportRow], suffix: str = ""):
-    leveling.write_level_report(os.path.join(run_dir, f"levels{suffix}.csv"),
-                                os.path.join(run_dir, f"levels{suffix}.txt"), rows)
-
-
-def _augment_for_method(train_norm: dataio.Dataset, config: RunConfig,
-                        checkpoints: dict | None = None):
-    """Dispatch on the configured method. The s2cgan method reuses the SAN in
-    ``checkpoints`` with the SCGAN models there and trains whatever is
-    missing. Returns (augmented, report, models or None)."""
-    aug_config = config.augment_config()
-    report = pipeline.StageReport()
-    if config.method == "s2cgan":
-        checkpoints = checkpoints or {}
-        models, report = pipeline.train_augmentation_models(
-            train_norm, aug_config, report, checkpoints.get("san_model"),
-            checkpoints.get("scgan_models"))
-        augmented, report = pipeline.synthesize_augmented(train_norm, aug_config, models,
-                                                          report)
-        return augmented, report, models
-    counts, _, targets = pipeline.level_training_set(train_norm, aug_config.thresholds)
-    if config.method == "baseline":
-        # every target is the class's own count: there is nothing to sample
-        return pipeline.top_up(train_norm, counts, None), report, None
-    if config.method == "ros":
-        return pipeline.augment_ros(train_norm, targets, config.master_seed), report, None
-    return pipeline.augment_smote(train_norm, targets, aug_config.skn,
-                                  config.master_seed), report, None
-
-
-def _model_histories(models: pipeline.AugmentationModels) -> dict:
-    """Loss histories of the models trained in this run, keyed for save_run."""
-    histories = {f"scgan_{c}": h for c, h in models.scgan_histories.items()}
-    if models.san_history:
-        histories["san"] = models.san_history
-    return histories
-
-
-def _evaluate(classifier: pipeline.ClassifierModel, test: dataio.Dataset,
-              norm: dataio.NormalizationParams, config: RunConfig, run_dir: str):
-    features = dataio.apply_minmax(norm, test)
-    predicted, _ = pipeline.predict(classifier, features)
-    report = evalreport.build_report(test.labels, predicted, sorted(test.label_names))
-    metrics_dir = os.path.join(run_dir, "metrics")
-    os.makedirs(metrics_dir, exist_ok=True)
-    names = test.label_names
-    evalreport.write_per_class_csv(os.path.join(metrics_dir, "per_class.csv"), report, names)
-    evalreport.write_aggregates_csv(os.path.join(metrics_dir, "aggregates.csv"), report)
-    cm = evalreport.confusion(test.labels, predicted, sorted(test.label_names))
-    evalreport.write_confusion_csv(os.path.join(metrics_dir, "confusion.csv"), cm, names)
-    with open(os.path.join(metrics_dir, "summary.txt"), "w", encoding="utf-8") as fh:
-        fh.write(evalreport.render_summary(report, names))
-    payload = {
-        "class_ids": report.class_ids,
-        "names": {str(c): names[c] for c in report.class_ids},
-        "precision": [float(v) for v in report.precision],
-        "recall": [float(v) for v in report.recall],
-        "f_beta": [float(v) for v in report.f_beta],
-        "supports": [float(v) for v in report.supports],
-        "beta": report.beta,
-        "weighted": report.weighted,
-        "macro": report.macro,
-    }
-    with open(os.path.join(metrics_dir, "metrics.json"), "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True)
-    if config.emit_pca:
-        projection, _, _ = evalreport.pca2d(features)
-        evalreport.write_pca_csv(os.path.join(metrics_dir, "pca.csv"),
-                                 projection, test.labels, names)
-    return report
 
 
 def _load_metrics(run_dir) -> tuple[evalreport.MetricsReport, dict[int, str]]:
@@ -376,61 +258,191 @@ def _read_fingerprint(run_dir) -> str:
 
 
 # ---------------------------------------------------------------------------
-# commands
+# stages: each reads its inputs from the run directory and writes its outputs
+# there, so run-all and the staged commands run the same code. The test split
+# is sealed by that boundary: only the full-scope level report (counts) and
+# eval read split_test.*
 
 
-def cmd_preprocess(args) -> int:
-    config = _config_from_args(args).validate(need_dataset=True)
-    run_dir = config.out or _default_out(config)
-    data = _ingest(config)
-    test = data.sealed.open_for_eval()  # persisted for the eval stage
-    _save_ingest(run_dir, config, data, test)
-    print(f"preprocess: {data.train.n_rows} train rows, {test.n_rows} test rows -> {run_dir}")
-    return 0
+def _preprocess(config: RunConfig, run_dir):
+    """Load and label-map the dataset, split it, fit min-max scaling on the
+    training side and write the config, the scaling, the labels, the ingest
+    report, the test fingerprint and both splits."""
+    dataset, report = dataio.load_dataset(config.dataset, config.label_column)
+    # the run directory's tables add these columns to the features
+    clash = sorted({dataio.DEFAULT_LABEL_COLUMN, "provenance"} & set(dataset.feature_names))
+    if clash:
+        raise ConfigError(f"{config.dataset}: feature column {clash[0]!r} would clash with "
+                          "a column of the run directory's tables; rename it")
+    dataset = _apply_mapping(dataset, config)
+    spec = dataio.SplitSpec(config.train_ratio, derive_seed(config.master_seed, "split"),
+                            config.stratified)
+    train, test = dataio.stratified_split(dataset, spec)
+    fingerprint = dataio.dataset_fingerprint(test)
+    pipeline.save_run(run_dir, config_text=config.snapshot(),
+                      norm_params=dataio.fit_minmax(train),
+                      extra_files={"ingest_report.txt": report.summary() + "\n",
+                                   "test_fingerprint.txt": fingerprint + "\n"})
+    labels = {str(k): v for k, v in sorted(dataset.label_names.items())}
+    with open(os.path.join(run_dir, "labels.json"), "w", encoding="utf-8") as fh:
+        json.dump(labels, fh, sort_keys=True)
+    dataio.save_table(os.path.join(run_dir, "split_train.csv"), train)
+    dataio.save_table(os.path.join(run_dir, "split_test.csv"), test)
+    print(f"preprocess: {train.n_rows} train rows, {test.n_rows} test rows -> {run_dir}")
 
 
-def cmd_levels(args) -> int:
-    config = _config_from_args(args).validate()
-    run_dir = args.run
-    pipeline.check_run_format(run_dir)
-    data = _load_split(run_dir, "train", config)
+def _levels(config: RunConfig, run_dir, scope: str):
+    data = _load_split(run_dir, "train")
     suffix = ""
-    if args.scope == "full":
+    if scope == "full":
         # ratios over the complete dataset are the published-figure view;
         # training-scope ratios are what drive augmentation targets
-        test = _load_split(run_dir, "test", config)
+        test = _load_split(run_dir, "test")
         data = dataio.Dataset(
             np.concatenate([data.features, test.features]),
             np.concatenate([data.labels, test.labels]),
             dict(data.label_names), data.feature_names)
         suffix = "_full"
-    _write_levels(run_dir, _level_report(data, config), suffix)
-    with open(os.path.join(run_dir, f"levels{suffix}.txt"), encoding="utf-8") as fh:
+    counts, part, targets = pipeline.level_training_set(data, config.thresholds())
+    text_path = os.path.join(run_dir, f"levels{suffix}.txt")
+    leveling.write_level_report(
+        os.path.join(run_dir, f"levels{suffix}.csv"), text_path,
+        leveling.build_level_report(counts, part, targets, data.label_names))
+    with open(text_path, encoding="utf-8") as fh:
         print(fh.read(), end="")
+
+
+def _augment(config: RunConfig, run_dir, checkpoints: dict):
+    """Top the scaled training split up by the configured method. The s2cgan
+    method reuses the SAN in ``checkpoints`` with the SCGAN models there,
+    trains whatever is missing and saves only what it trained."""
+    train_norm = _normalized_train(run_dir)
+    aug_config = config.augment_config()
+    report = pipeline.StageReport()
+    if config.method == "s2cgan":
+        models, report = pipeline.train_augmentation_models(
+            train_norm, aug_config, report, checkpoints.get("san_model"),
+            checkpoints.get("scgan_models"))
+        augmented, report = pipeline.synthesize_augmented(train_norm, aug_config, models,
+                                                          report)
+        # the models trained here are those with a loss history
+        histories = {f"scgan_{c}": h for c, h in models.scgan_histories.items()}
+        if models.san_history:
+            histories["san"] = models.san_history
+        pipeline.save_run(
+            run_dir, san_model=None if "san_model" in checkpoints else models.san_model,
+            scgan_models={c: models.scgan_models[c] for c in models.scgan_histories},
+            histories=histories)
+    else:
+        counts, _, targets = pipeline.level_training_set(train_norm, aug_config.thresholds)
+        if config.method == "baseline":
+            # every target is the class's own count: there is nothing to sample
+            augmented = pipeline.top_up(train_norm, counts, None)
+        elif config.method == "ros":
+            augmented = pipeline.augment_ros(train_norm, targets, config.master_seed)
+        else:
+            augmented = pipeline.augment_smote(train_norm, targets, aug_config.skn,
+                                               config.master_seed)
+    pipeline.save_run(run_dir, augmented=augmented, stage_report=report)
+    before = sum(augmented.before_counts.values())
+    print(f"augment[{config.method}]: {before} -> {augmented.dataset.n_rows} rows")
+
+
+def _train_clf(config: RunConfig, run_dir):
+    path = os.path.join(run_dir, "augmented.csv")
+    if not os.path.exists(path):
+        raise ConfigError(f"{run_dir}: augmented.csv missing; run augment first")
+    dataset = dataio.load_table(path, ignore_columns=("provenance",))
+    dataset = dataio.conform_labels(dataset, _load_reference_labels(run_dir))
+    classifier, history = pipeline.train_classifier(dataset, config.classifier_config())
+    pipeline.save_run(run_dir, classifier=classifier, histories={"clf": history})
+    print(f"train-clf: {len(history)} epochs, final loss "
+          f"{history[-1] if history else float('nan'):.6f}")
+
+
+def _eval(config: RunConfig, run_dir):
+    """Score the classifier on the test split, after checking that the split
+    still has the fingerprint recorded at preprocess, and write metrics/."""
+    path = os.path.join(run_dir, "classifier.ckpt")
+    if not os.path.exists(path):
+        raise ConfigError(f"{run_dir}: classifier.ckpt missing; run train-clf first")
+    classifier = pipeline.load_classifier(path)
+    test = _load_split(run_dir, "test")
+    if dataio.dataset_fingerprint(test) != _read_fingerprint(run_dir):
+        raise ReportError(f"{run_dir}: test split fingerprint changed since preprocess")
+    features = dataio.apply_minmax(_load_norm(run_dir), test)
+    predicted, _ = pipeline.predict(classifier, features)
+    report = evalreport.build_report(test.labels, predicted, sorted(test.label_names))
+    metrics_dir = os.path.join(run_dir, "metrics")
+    os.makedirs(metrics_dir, exist_ok=True)
+    names = test.label_names
+    evalreport.write_per_class_csv(os.path.join(metrics_dir, "per_class.csv"), report, names)
+    evalreport.write_aggregates_csv(os.path.join(metrics_dir, "aggregates.csv"), report)
+    cm = evalreport.confusion(test.labels, predicted, sorted(test.label_names))
+    evalreport.write_confusion_csv(os.path.join(metrics_dir, "confusion.csv"), cm, names)
+    with open(os.path.join(metrics_dir, "summary.txt"), "w", encoding="utf-8") as fh:
+        fh.write(evalreport.render_summary(report, names))
+    payload = {
+        "class_ids": report.class_ids,
+        "names": {str(c): names[c] for c in report.class_ids},
+        "precision": [float(v) for v in report.precision],
+        "recall": [float(v) for v in report.recall],
+        "f_beta": [float(v) for v in report.f_beta],
+        "supports": [float(v) for v in report.supports],
+        "beta": report.beta,
+        "weighted": report.weighted,
+        "macro": report.macro,
+    }
+    with open(os.path.join(metrics_dir, "metrics.json"), "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, sort_keys=True)
+    if config.emit_pca:
+        projection, _, _ = evalreport.pca2d(features)
+        evalreport.write_pca_csv(os.path.join(metrics_dir, "pca.csv"),
+                                 projection, test.labels, names)
+    print(evalreport.render_summary(report, names), end="")
+
+
+# ---------------------------------------------------------------------------
+# commands
+
+
+def _staged_config(args) -> RunConfig:
+    """The validated config of a command that works in an existing run directory."""
+    config = _config_from_args(args).validate()
+    pipeline.check_run_format(args.run)
+    return config
+
+
+def cmd_preprocess(args) -> int:
+    config = _config_from_args(args).validate(need_dataset=True)
+    _preprocess(config, config.out or _default_out(config))
+    return 0
+
+
+def cmd_levels(args) -> int:
+    _levels(_staged_config(args), args.run, args.scope)
     return 0
 
 
 def cmd_train_san(args) -> int:
-    config = _config_from_args(args).validate()
-    run_dir = args.run
-    pipeline.check_run_format(run_dir)
-    train_norm = _normalized_train(run_dir, config)
+    config = _staged_config(args)
+    train_norm = _normalized_train(args.run)
     _, part, _ = pipeline.level_training_set(train_norm, config.thresholds())
     model, history = pipeline.train_san_stage(train_norm, part, config.augment_config())
-    pipeline.save_run(run_dir, san_model=model, histories={"san": history})
+    pipeline.save_run(args.run, san_model=model, histories={"san": history})
     print(f"train-san: {len(history)} epochs, final loss "
           f"{history[-1] if history else float('nan'):.6f}")
     return 0
 
 
 def cmd_train_scgan(args) -> int:
-    config = _config_from_args(args).validate()
+    config = _staged_config(args)
     run_dir = args.run
-    pipeline.check_run_format(run_dir)
-    train_norm = _normalized_train(run_dir, config)
-    artifacts = pipeline.load_run(run_dir)
-    if "san_model" not in artifacts:
+    train_norm = _normalized_train(run_dir)
+    path = os.path.join(run_dir, "san.ckpt")
+    if not os.path.exists(path):
         raise ConfigError(f"{run_dir}: san.ckpt missing; run train-san first")
+    san_model = san.load_san(path)
     if args.class_name:
         wanted = [train_norm.id_of(args.class_name)]
     else:
@@ -441,7 +453,7 @@ def cmd_train_scgan(args) -> int:
     histories = {}
     for class_id in wanted:
         models[class_id], history = pipeline.train_scgan_stage(
-            train_norm, class_id, artifacts["san_model"], aug_config)
+            train_norm, class_id, san_model, aug_config)
         histories[f"scgan_{class_id}"] = history
         print(f"train-scgan[{train_norm.name_of(class_id)}]: "
               f"{len(history.d_loss)} epochs")
@@ -450,101 +462,35 @@ def cmd_train_scgan(args) -> int:
 
 
 def cmd_augment(args) -> int:
-    config = _config_from_args(args).validate()
-    run_dir = args.run
-    pipeline.check_run_format(run_dir)
-    train_norm = _normalized_train(run_dir, config)
-    checkpoints = pipeline.load_run(run_dir) if config.method == "s2cgan" else {}
-    augmented, report, models = _augment_for_method(train_norm, config, checkpoints)
-    pipeline.save_run(run_dir, augmented=augmented, stage_report=report)
-    if models is not None:
-        # save only the models trained here: those with a loss history
-        pipeline.save_run(
-            run_dir, san_model=None if "san_model" in checkpoints else models.san_model,
-            scgan_models={c: models.scgan_models[c] for c in models.scgan_histories},
-            histories=_model_histories(models))
-    before = sum(augmented.before_counts.values())
-    print(f"augment[{config.method}]: {before} -> {augmented.dataset.n_rows} rows")
+    config = _staged_config(args)
+    checkpoints = pipeline.load_run(args.run) if config.method == "s2cgan" else {}
+    _augment(config, args.run, checkpoints)
     return 0
 
 
 def cmd_train_clf(args) -> int:
-    config = _config_from_args(args).validate()
-    run_dir = args.run
-    pipeline.check_run_format(run_dir)
-    path = os.path.join(run_dir, "augmented.csv")
-    if not os.path.exists(path):
-        raise ConfigError(f"{run_dir}: augmented.csv missing; run augment first")
-    dataset = dataio.load_table(path, config.label_column, ignore_columns=("provenance",))
-    dataset = dataio.conform_labels(dataset, _load_reference_labels(run_dir))
-    classifier, history = pipeline.train_classifier(dataset, config.classifier_config())
-    pipeline.save_run(run_dir, classifier=classifier, histories={"clf": history})
-    print(f"train-clf: {len(history)} epochs, final loss "
-          f"{history[-1] if history else float('nan'):.6f}")
+    _train_clf(_staged_config(args), args.run)
     return 0
 
 
 def cmd_eval(args) -> int:
-    config = _config_from_args(args).validate()
-    run_dir = args.run
-    pipeline.check_run_format(run_dir)
-    path = os.path.join(run_dir, "classifier.ckpt")
-    if not os.path.exists(path):
-        raise ConfigError(f"{run_dir}: classifier.ckpt missing; run train-clf first")
-    classifier = pipeline.load_classifier(path)
-    test = _load_split(run_dir, "test", config)
-    recorded = _read_fingerprint(run_dir)
-    actual = dataio.dataset_fingerprint(test)
-    if recorded != actual:
-        raise ReportError(f"{run_dir}: test split fingerprint changed since preprocess")
-    report = _evaluate(classifier, test, _load_norm(run_dir), config, run_dir)
-    print(evalreport.render_summary(report, test.label_names), end="")
+    _eval(_staged_config(args), args.run)
     return 0
 
 
 def cmd_run_all(args) -> int:
+    """The staged commands in one process. No checkpoint is reused, so a run
+    never depends on what an earlier run left in ``--out``."""
     config = _config_from_args(args).validate(need_dataset=True)
     run_dir = config.out or _default_out(config)
-
-    stage = "ingest"
-    try:
-        data = _ingest(config)
-        stage = "normalize"
-        train_norm = dataio.normalized_dataset(data.train, data.norm)
-        stage = "level"
-        level_rows = _level_report(train_norm, config)
-        # companion report over the complete dataset: its ratios are the ones
-        # comparable with published full-dataset figures
-        full_rows = _level_report(data.dataset, config)
-        stage = "augment"
-        augmented, report, models = _augment_for_method(train_norm, config)
-        stage = "train-classifier"
-        classifier, clf_history = pipeline.train_classifier(
-            augmented.dataset, config.classifier_config())
-        stage = "evaluate"
-        if data.sealed.opens:
-            raise ReportError("test split was opened before evaluation")
-        test_open = data.sealed.open_for_eval()
-        if dataio.dataset_fingerprint(test_open) != data.sealed.fingerprint:
-            raise ReportError("test split fingerprint changed during the run")
-        stage = "save"
-        histories = {"clf": clf_history}
-        if models is not None:
-            histories.update(_model_histories(models))
-        _save_ingest(run_dir, config, data, test_open)
-        pipeline.save_run(
-            run_dir, augmented=augmented,
-            san_model=models.san_model if models else None,
-            scgan_models=models.scgan_models if models else None,
-            classifier=classifier, histories=histories, stage_report=report)
-        _write_levels(run_dir, level_rows)
-        _write_levels(run_dir, full_rows, "_full")
-        stage = "evaluate"
-        metrics = _evaluate(classifier, test_open, data.norm, config, run_dir)
-    except IdsAugError as exc:
-        raise type(exc)(f"[stage {stage}] {exc}") from exc
-    print(f"run-all[{config.method}] -> {run_dir}")
-    print(evalreport.render_summary(metrics, data.dataset.label_names), end="")
+    stages = (("ingest", _preprocess, ()), ("level", _levels, ("train",)),
+              ("level", _levels, ("full",)), ("augment", _augment, ({},)),
+              ("train-classifier", _train_clf, ()), ("evaluate", _eval, ()))
+    for stage, run, extra in stages:
+        try:
+            run(config, run_dir, *extra)
+        except IdsAugError as exc:
+            raise type(exc)(f"[stage {stage}] {exc}") from exc
     return 0
 
 

@@ -497,23 +497,6 @@ def conform_labels(dataset: Dataset, label_names: dict[int, str]) -> Dataset:
     return Dataset(dataset.features, new_labels, dict(label_names), dataset.feature_names)
 
 
-class SealedTestSet:
-    """Holds the test partition behind its fingerprint.
-
-    Augmentation code never receives the rows; only ``open_for_eval``
-    reveals them, and each open is counted so hygiene is checkable.
-    """
-
-    def __init__(self, dataset: Dataset):
-        self._dataset = dataset
-        self.fingerprint = dataset_fingerprint(dataset)
-        self.opens = 0
-
-    def open_for_eval(self) -> Dataset:
-        self.opens += 1
-        return self._dataset
-
-
 def dataset_fingerprint(dataset: Dataset) -> str:
     """Content hash over feature bytes, labels, and the label dictionary."""
     digest = hashlib.sha256()

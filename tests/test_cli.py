@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from idsaug import dataio
+from idsaug import dataio, pipeline, scgan
 from idsaug.cli import RunConfig, build_run_config, main, parse_config_file
 
 
@@ -232,6 +232,97 @@ class TestStageCommands:
         (out / "classifier.ckpt").unlink()
         assert main(["eval", "--run", str(out), *FAST_FLAGS]) == 2
         assert "classifier.ckpt missing; run train-clf first" in capsys.readouterr().err
+
+
+    def test_train_scgan_reads_only_the_san(self, bench_csv, tmp_path, monkeypatch):
+        out = tmp_path / "run"
+        assert run_all(bench_csv, out, method="s2cgan") == 0
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("train-scgan needs only san.ckpt")
+
+        monkeypatch.setattr(scgan, "load_scgan", refuse)
+        monkeypatch.setattr(pipeline, "load_classifier", refuse)
+        assert main(["train-scgan", "--run", str(out), *FAST_FLAGS]) == 0
+
+    def test_train_scgan_without_san_fails_cleanly(self, bench_csv, tmp_path, capsys):
+        run = tmp_path / "run"
+        assert main(["preprocess", "--dataset", str(bench_csv), "--out", str(run),
+                     *FAST_FLAGS]) == 0
+        assert main(["train-scgan", "--run", str(run), *FAST_FLAGS]) == 2
+        assert "san.ckpt missing; run train-san first" in capsys.readouterr().err
+
+    def test_test_split_is_read_only_by_eval(self, bench_csv, tmp_path, capsys):
+        run = tmp_path / "run"
+        assert main(["preprocess", "--dataset", str(bench_csv), "--out", str(run),
+                     *FAST_FLAGS]) == 0
+        (run / "split_test.csv").unlink()
+        (run / "split_test.tbl").unlink()
+        for argv in (["levels"], ["augment", "--method", "smote"], ["train-clf"]):
+            assert main([*argv, "--run", str(run), *FAST_FLAGS]) == 0, argv
+        assert main(["eval", "--run", str(run), *FAST_FLAGS]) == 2
+        assert "split_test.csv missing" in capsys.readouterr().err
+
+
+class TestRunAllChain:
+    """run-all runs the staged commands, so what they write is what it writes."""
+
+    def test_rerun_into_a_used_directory_reuses_no_checkpoint(self, bench_csv, tmp_path):
+        used, fresh = tmp_path / "used", tmp_path / "fresh"
+        assert run_all(bench_csv, used, method="s2cgan", seed="1") == 0
+        assert run_all(bench_csv, used, method="s2cgan", seed="2") == 0
+        assert run_all(bench_csv, fresh, method="s2cgan", seed="2") == 0
+        checkpoints = sorted(p for p in os.listdir(fresh) if p.startswith("scgan_"))
+        assert checkpoints
+        for name in ["san.ckpt", "augmented.csv", "classifier.ckpt",
+                     "metrics/metrics.json", *checkpoints]:
+            assert (used / name).read_bytes() == (fresh / name).read_bytes(), name
+
+    def test_failing_stage_is_named(self, bench_csv, tmp_path, capsys):
+        code = run_all(bench_csv, tmp_path / "run", method="s2cgan",
+                       extra=("--eta", "1.0", "--max-attempt-factor", "1"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "[stage augment]" in err and "class_1" in err
+        # the stages before the failure leave their artifacts behind
+        assert (tmp_path / "run" / "levels_full.csv").exists()
+
+    def test_stdout_is_the_stage_outputs_in_order(self, bench_csv, tmp_path, capsys):
+        assert run_all(bench_csv, tmp_path / "run", method="ros") == 0
+        out = capsys.readouterr().out
+        marks = [out.index(m) for m in ("preprocess:", "augment[ros]:", "train-clf:", "macro")]
+        assert marks == sorted(marks)
+
+    @pytest.fixture
+    def tag_csv(self, bench_csv, tmp_path):
+        path = tmp_path / "tag.csv"
+        header, rest = bench_csv.read_text().split("\n", 1)
+        assert header.endswith(",Label")
+        path.write_text(header[:-len("Label")] + "Tag\n" + rest)
+        return path
+
+    def test_label_column_names_only_the_input_column(self, tag_csv, tmp_path):
+        flags = ["--label-column", "Tag", "--method", "ros", "--seed", "3", *FAST_FLAGS]
+        whole, run = tmp_path / "whole", tmp_path / "staged"
+        assert main(["run-all", "--dataset", str(tag_csv), "--out", str(whole), *flags]) == 0
+        assert main(["preprocess", "--dataset", str(tag_csv), "--out", str(run), *flags]) == 0
+        for command in ("augment", "train-clf", "eval"):
+            assert main([command, "--run", str(run), *flags]) == 0, command
+        for name in ("augmented.csv", "classifier.ckpt", "metrics/metrics.json"):
+            assert (whole / name).read_bytes() == (run / name).read_bytes(), name
+        assert (run / "split_train.csv").read_text().split("\n", 1)[0].endswith(",Label")
+
+    @pytest.mark.parametrize("name", ["Label", "provenance"])
+    def test_input_feature_named_like_a_run_column_is_refused(self, tag_csv, tmp_path,
+                                                              capsys, name):
+        text = tag_csv.read_text()
+        assert text.startswith("f0,")
+        tag_csv.write_text(f"{name}," + text[len("f0,"):])
+        code = main(["run-all", "--dataset", str(tag_csv), "--out", str(tmp_path / "run"),
+                     "--label-column", "Tag", *FAST_FLAGS])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "[stage ingest]" in err and f"{name!r}" in err
 
 
 class TestRunDirSelfDescription:

@@ -287,14 +287,6 @@ class TestConformAndSeal:
         with pytest.raises(MappingError):
             dataio.conform_labels(subset, {0: "a"})
 
-    def test_sealed_test_set_counts_opens(self):
-        ds = _dataset_with_counts([4], seed=9)
-        sealed = dataio.SealedTestSet(ds)
-        assert sealed.opens == 0
-        opened = sealed.open_for_eval()
-        assert sealed.opens == 1
-        assert dataio.dataset_fingerprint(opened) == sealed.fingerprint
-
 
 def csv_writer_oracle(path, dataset, label_column="Label", provenance=None):
     """The reference writer: one ``repr`` per cell through ``csv.writer``."""
