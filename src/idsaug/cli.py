@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import glob
 import json
 import os
 import sys
@@ -194,20 +195,16 @@ def _add_config_flags(parser: argparse.ArgumentParser):
 # shared stage helpers
 
 
-def _load_reference_labels(run_dir) -> dict[int, str]:
-    path = os.path.join(run_dir, "labels.json")
-    if not os.path.exists(path):
-        raise ConfigError(f"{run_dir}: labels.json missing; run preprocess first")
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
-    return {int(k): v for k, v in raw.items()}
+def _load_table(run_dir, name: str, producer: str) -> dataio.Dataset:
+    """The run table ``name`` from its ``.tbl`` record, checked against its CSV."""
+    for ext in (".csv", ".tbl"):
+        if not os.path.exists(os.path.join(run_dir, name + ext)):
+            raise ConfigError(f"{run_dir}: {name}{ext} missing; run {producer} first")
+    return dataio.load_table(os.path.join(run_dir, name + ".csv"))
 
 
 def _load_split(run_dir, which: str) -> dataio.Dataset:
-    path = os.path.join(run_dir, f"split_{which}.csv")
-    if not os.path.exists(path):
-        raise ConfigError(f"{run_dir}: split_{which}.csv missing; run preprocess first")
-    return dataio.conform_labels(dataio.load_table(path), _load_reference_labels(run_dir))
+    return _load_table(run_dir, f"split_{which}", "preprocess")
 
 
 def _load_norm(run_dir) -> dataio.NormalizationParams:
@@ -264,10 +261,28 @@ def _read_fingerprint(run_dir) -> str:
 # eval read split_test.*
 
 
+# what the stages after preprocess write, relative to the run directory
+STAGE_OUTPUTS = ("san.ckpt", "scgan_*.ckpt", "classifier.ckpt", "history_*.csv",
+                 "augmented.csv", "augmented.tbl", "levels*.csv", "levels*.txt",
+                 "stage_report.txt", os.path.join("metrics", "*"))
+
+
+def _clear_stage_outputs(run_dir):
+    """Remove an earlier run's stage outputs from a used run directory, so no
+    later stage reuses them; files of other names are left alone."""
+    if not os.path.exists(os.path.join(run_dir, "format.txt")):
+        return
+    for pattern in STAGE_OUTPUTS:
+        for path in glob.glob(os.path.join(glob.escape(run_dir), pattern)):
+            if os.path.isfile(path):
+                os.remove(path)
+
+
 def _preprocess(config: RunConfig, run_dir):
     """Load and label-map the dataset, split it, fit min-max scaling on the
-    training side and write the config, the scaling, the labels, the ingest
-    report, the test fingerprint and both splits."""
+    training side, clear an earlier run's stage outputs and write the config,
+    the scaling, the labels, the ingest report, the test fingerprint and both
+    splits."""
     dataset, report = dataio.load_dataset(config.dataset, config.label_column)
     # the run directory's tables add these columns to the features
     clash = sorted({dataio.DEFAULT_LABEL_COLUMN, "provenance"} & set(dataset.feature_names))
@@ -279,6 +294,7 @@ def _preprocess(config: RunConfig, run_dir):
                             config.stratified)
     train, test = dataio.stratified_split(dataset, spec)
     fingerprint = dataio.dataset_fingerprint(test)
+    _clear_stage_outputs(run_dir)
     pipeline.save_run(run_dir, config_text=config.snapshot(),
                       norm_params=dataio.fit_minmax(train),
                       extra_files={"ingest_report.txt": report.summary() + "\n",
@@ -349,11 +365,7 @@ def _augment(config: RunConfig, run_dir, checkpoints: dict):
 
 
 def _train_clf(config: RunConfig, run_dir):
-    path = os.path.join(run_dir, "augmented.csv")
-    if not os.path.exists(path):
-        raise ConfigError(f"{run_dir}: augmented.csv missing; run augment first")
-    dataset = dataio.load_table(path, ignore_columns=("provenance",))
-    dataset = dataio.conform_labels(dataset, _load_reference_labels(run_dir))
+    dataset = _load_table(run_dir, "augmented", "augment")
     classifier, history = pipeline.train_classifier(dataset, config.classifier_config())
     pipeline.save_run(run_dir, classifier=classifier, histories={"clf": history})
     print(f"train-clf: {len(history)} epochs, final loss "

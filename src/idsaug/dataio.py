@@ -1,5 +1,5 @@
 """Flow-feature CSV ingest, label grouping, Min-Max scaling, splitting, and
-the run-directory tables with their binary companions."""
+the run-directory tables: binary records with a checked CSV twin each."""
 
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ import numpy as np
 from .errors import (
     ConfigError,
     DataError,
-    IdsAugError,
+    FormatError,
     InputDataError,
     MappingError,
     SchemaError,
@@ -28,7 +28,7 @@ from .nncore.checkpoint import read_record, write_record
 from .seeding import as_generator
 
 DEFAULT_LABEL_COLUMN = "Label"
-TABLE_MAGIC = b"IDSAUG-TABLE-1\n"
+TABLE_MAGIC = b"IDSAUG-TABLE-2\n"
 _WRITE_ROWS = 2048  # rows formatted per write
 
 # CICIDS2017 sub-label grouping: attack variants collapse into one family
@@ -282,7 +282,7 @@ def save_dataset(path, dataset: Dataset, label_column: str = DEFAULT_LABEL_COLUM
     return digest.hexdigest()
 
 
-def _companion_path(path) -> str:
+def _record_path(path) -> str:
     return os.path.splitext(os.fspath(path))[0] + ".tbl"
 
 
@@ -294,75 +294,27 @@ def _file_sha256(path) -> str:
     return digest.hexdigest()
 
 
-def _names_round_trip(names) -> bool:
-    """Whether parsing gives ``names`` back: distinct strings that ``.strip()``
-    leaves alone."""
-    return (all(isinstance(n, str) and n == n.strip() for n in names)
-            and len(set(names)) == len(names))
+def save_table(path, dataset: Dataset, provenance: np.ndarray | None = None):
+    """Write ``dataset`` to the CSV at ``path``, then its record beside it
+    (``.tbl`` for ``.csv``): the features, the labels, both name lists and
+    the sha256 of the CSV bytes. ``load_table`` reads the record alone; the
+    CSV is its human-readable twin."""
+    csv_sha256 = save_dataset(path, dataset, provenance=provenance)
+    metadata = {"csv_sha256": csv_sha256, "feature_names": list(dataset.feature_names),
+                "label_names": {str(k): v for k, v in dataset.label_names.items()}}
+    write_record(_record_path(path), TABLE_MAGIC, metadata, [dataset.features, dataset.labels])
 
 
-def save_table(path, dataset: Dataset, label_column: str = DEFAULT_LABEL_COLUMN,
-               provenance: np.ndarray | None = None):
-    """Write ``dataset`` to the CSV at ``path``, then a binary companion
-    beside it (``.tbl`` for ``.csv``) that ``load_table`` reads instead of
-    parsing while the CSV keeps these bytes.
-
-    The companion holds what ``load_dataset`` parses from the CSV. It is
-    left out when that is not exactly ``dataset``: with no rows, a
-    non-finite feature (its row is dropped on load), or a column or label
-    name that repeats or that ``.strip()`` changes.
-    """
-    csv_sha256 = save_dataset(path, dataset, label_column, provenance)
-    companion = _companion_path(path)
-    ignore = [] if provenance is None else ["provenance"]
-    present = [int(c) for c in np.unique(dataset.labels)]
-    names = [dataset.label_names[c] for c in present]
-    if (not dataset.n_rows or not np.isfinite(dataset.features).all()
-            or not _names_round_trip(list(dataset.feature_names) + [label_column] + ignore)
-            or not _names_round_trip(names)):
-        if os.path.exists(companion):
-            os.remove(companion)
-        return
-    # load_dataset numbers the labels it finds in name order
-    loaded_names = sorted(names)
-    remap = np.array([loaded_names.index(n) for n in names], dtype=np.int64)
-    labels = remap[np.searchsorted(present, dataset.labels)]
-    metadata = {"csv_sha256": csv_sha256, "label_column": label_column,
-                "ignore_columns": ignore, "feature_names": list(dataset.feature_names),
-                "label_names": loaded_names, "n_rows": dataset.n_rows}
-    write_record(companion, TABLE_MAGIC, metadata, [dataset.features, labels])
-
-
-def _read_companion(path, label_column: str, ignore_columns) -> Dataset | None:
-    """The dataset in ``path``'s companion if it was written for the CSV's
-    current bytes, this label column and this ignore set; None otherwise."""
-    try:
-        meta, (features, labels) = read_record(_companion_path(path), TABLE_MAGIC, 2)
-        n_rows = meta["n_rows"]
-        if (meta["label_column"] != label_column
-                or meta["ignore_columns"] != sorted(set(ignore_columns))
-                or features.shape != (n_rows, len(meta["feature_names"]))
-                or labels.shape != (n_rows,)
-                or meta["csv_sha256"] != _file_sha256(path)):
-            return None
-        return Dataset(features, labels.astype(np.int64), dict(enumerate(meta["label_names"])),
-                       list(meta["feature_names"]))
-    except (IdsAugError, OSError, LookupError, TypeError, ValueError):
-        return None
-
-
-def load_table(path, label_column: str = DEFAULT_LABEL_COLUMN,
-               ignore_columns: tuple[str, ...] = ()) -> Dataset:
-    """The dataset ``load_dataset`` parses from the CSV at ``path``.
-
-    The CSV is authoritative: the companion ``save_table`` wrote is used
-    only while it matches the CSV's current sha256, the label column and
-    the ignore set, and the CSV is parsed in every other case.
-    """
-    dataset = _read_companion(path, label_column, ignore_columns)
-    if dataset is None:
-        dataset, _ = load_dataset(path, label_column, ignore_columns=ignore_columns)
-    return dataset
+def load_table(path) -> Dataset:
+    """The dataset ``save_table`` wrote for the CSV at ``path``, read from its
+    record. The CSV is never parsed: one changed since it was written is
+    refused."""
+    meta, (features, labels) = read_record(_record_path(path), TABLE_MAGIC, 2)
+    if _file_sha256(path) != meta["csv_sha256"]:
+        raise FormatError(f"{path} no longer matches the fingerprint in its .tbl record")
+    return Dataset(features, labels.astype(np.int64),
+                   {int(k): v for k, v in meta["label_names"].items()},
+                   list(meta["feature_names"]))
 
 
 def load_label_map(path) -> dict[str, str]:
@@ -481,8 +433,8 @@ def stratified_split(dataset: Dataset, spec: SplitSpec) -> tuple[Dataset, Datase
 def conform_labels(dataset: Dataset, label_names: dict[int, str]) -> Dataset:
     """Re-index labels so ids follow a reference dictionary (matched by name).
 
-    Needed when a partition saved to CSV is reloaded: a split that lost a
-    class would otherwise renumber the remaining ones.
+    Needed when a partition's CSV is parsed with ``load_dataset``: a split
+    that lost a class would otherwise renumber the remaining ones.
     """
     name_to_id = {name: class_id for class_id, name in label_names.items()}
     present = np.unique(dataset.labels)
@@ -517,8 +469,6 @@ def save_normalization(path, params: NormalizationParams):
 
 
 def load_normalization(path) -> NormalizationParams:
-    from .errors import FormatError
-
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
     if payload.get("format") != "idsaug-norm-1":

@@ -263,6 +263,43 @@ class TestStageCommands:
         assert main(["eval", "--run", str(run), *FAST_FLAGS]) == 2
         assert "split_test.csv missing" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("table, command, producer", [
+        ("split_train", ["levels"], "preprocess"),
+        ("augmented", ["train-clf"], "augment")])
+    def test_table_without_its_record_fails_cleanly(self, bench_csv, tmp_path, capsys,
+                                                    table, command, producer):
+        run = tmp_path / "run"
+        assert main(["preprocess", "--dataset", str(bench_csv), "--out", str(run),
+                     *FAST_FLAGS]) == 0
+        assert main(["augment", "--run", str(run), "--method", "smote", *FAST_FLAGS]) == 0
+        (run / f"{table}.tbl").unlink()
+        assert main([*command, "--run", str(run), *FAST_FLAGS]) == 2
+        assert f"{table}.tbl missing; run {producer} first" in capsys.readouterr().err
+
+    def test_repeated_column_names_parse_only_the_input(self, bench_csv, tmp_path,
+                                                        monkeypatch):
+        # the CICIDS2017 header repeats a column name (Fwd Header Length)
+        header, rest = bench_csv.read_text().split("\n", 1)
+        assert header.startswith("f0,f1,f2,f3,f4,f5,")
+        repeated = tmp_path / "repeated.csv"
+        repeated.write_text(header.replace("f5,", "f4,", 1) + "\n" + rest)
+        calls = []
+        original = dataio.load_dataset
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(dataio, "load_dataset", counting)
+        run = str(tmp_path / "run")
+        assert main(["preprocess", "--dataset", str(repeated), "--out", run,
+                     *FAST_FLAGS]) == 0
+        for argv in (["levels"], ["augment", "--method", "smote"], ["train-clf"], ["eval"]):
+            assert main([*argv, "--run", run, *FAST_FLAGS]) == 0, argv
+        for name in ("split_train", "split_test", "augmented"):
+            assert os.path.exists(os.path.join(run, f"{name}.tbl")), name
+        assert len(calls) == 1
+
 
 class TestRunAllChain:
     """run-all runs the staged commands, so what they write is what it writes."""
@@ -277,6 +314,27 @@ class TestRunAllChain:
         for name in ["san.ckpt", "augmented.csv", "classifier.ckpt",
                      "metrics/metrics.json", *checkpoints]:
             assert (used / name).read_bytes() == (fresh / name).read_bytes(), name
+
+    def test_rerun_clears_the_earlier_stage_outputs(self, tmp_path):
+        bench = tmp_path / "bench.csv"
+        assert main(["synthbench", "--out", str(bench), "--counts", "400,40,30",
+                     "--dim", "3"]) == 0
+        fast = ["--dataset", str(bench), "--san-epochs", "2", "--scgan-epochs", "3",
+                "--clf-epochs", "1", "--scarce-min-ir", "5", "--eta", "0.3"]
+        # class_2 is scarce, then rare (no generator), then scarce again
+        last = [["run-all", "--seed", "2", "--rare-min-ir", "12", *fast],
+                ["augment", "--method", "s2cgan", "--seed", "2", "--rare-min-ir", "50", *fast]]
+        used, fresh = tmp_path / "used", tmp_path / "fresh"
+        assert main(["run-all", "--out", str(used), "--method", "s2cgan", "--seed", "1",
+                     "--rare-min-ir", "50", *fast]) == 0
+        (used / "notes.txt").write_text("kept")
+        for run in (used, fresh):
+            assert main([*last[0], "--out", str(run)]) == 0
+            assert not (run / "scgan_2.ckpt").exists()
+            assert main([*last[1], "--run", str(run)]) == 0
+        for name in ("scgan_2.ckpt", "augmented.csv"):
+            assert (used / name).read_bytes() == (fresh / name).read_bytes(), name
+        assert (used / "notes.txt").read_text() == "kept"
 
     def test_failing_stage_is_named(self, bench_csv, tmp_path, capsys):
         code = run_all(bench_csv, tmp_path / "run", method="s2cgan",

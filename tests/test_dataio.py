@@ -12,12 +12,13 @@ from idsaug import dataio
 from idsaug.errors import (
     ConfigError,
     DataError,
-    IdsAugError,
+    FormatError,
     InputDataError,
     MappingError,
     SchemaError,
     ShapeError,
 )
+from idsaug.nncore.checkpoint import read_record, write_record
 
 
 def write_csv(path, text):
@@ -333,19 +334,19 @@ def tables(draw, values=finite, min_rows=0):
     return dataset, provenance, () if provenance is None else ("provenance",)
 
 
-def parsed(path, label_column="Label", ignore=()):
-    """load_dataset's dataset, or the type of error it raises."""
-    try:
-        return dataio.load_dataset(path, label_column, ignore_columns=ignore)[0]
-    except IdsAugError as exc:
-        return type(exc)
+def parses_back(dataset, provenance):
+    """Whether ``load_dataset`` reads the CSV twin of ``dataset`` back: rows,
+    all finite, and distinct column and label names that ``.strip()`` leaves
+    alone."""
+    header = list(dataset.feature_names) + ["Label"] + ([] if provenance is None
+                                                       else ["provenance"])
+    return (dataset.n_rows > 0 and bool(np.isfinite(dataset.features).all())
+            and all(len(set(n)) == len(n) and all(x == x.strip() for x in n)
+                    for n in (header, list(dataset.label_names.values()))))
 
 
-def table_loaded(path, label_column="Label", ignore=()):
-    try:
-        return dataio.load_table(path, label_column, ignore)
-    except IdsAugError as exc:
-        return type(exc)
+def refuse_parsing(*args, **kwargs):
+    raise AssertionError("a run table is read from its record, never parsed")
 
 
 def assert_same(a, b):
@@ -394,27 +395,27 @@ class TestVectorisedWriter:
 
 class TestTableCompanion:
     @settings(max_examples=120, deadline=None)
+    @given(tables(values=any_float, min_rows=0))
+    def test_load_table_returns_what_save_table_was_given(self, table):
+        dataset, provenance, _ = table
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dataio, "load_dataset", refuse_parsing)
+            path = os.path.join(tmp, "t.csv")
+            dataio.save_table(path, dataset, provenance=provenance)
+            assert_same(dataio.load_table(path), dataset)
+
+    @settings(max_examples=120, deadline=None)
     @given(tables(min_rows=1))
     def test_load_table_equals_load_dataset(self, table):
+        # the CSV twin parses back to the record's table wherever it can
         dataset, provenance, ignore = table
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "t.csv")
             dataio.save_table(path, dataset, provenance=provenance)
-            expected = parsed(path, ignore=ignore)
-            if os.path.exists(os.path.join(tmp, "t.tbl")):
-                # a usable companion means the CSV is not parsed at all
-                with pytest.MonkeyPatch.context() as mp:
-                    mp.setattr(dataio, "load_dataset", None)
-                    got = table_loaded(path, ignore=ignore)
-            else:
-                got = table_loaded(path, ignore=ignore)
-            assert_same(got, expected)
-            if not isinstance(expected, type):
-                # a reference dictionary with a class the table lacks, as for a split
-                names = set(expected.label_names.values()) | {"zz"}
-                reference = dict(enumerate(sorted(names)))
-                conformed = [dataio.conform_labels(d, reference) for d in (got, expected)]
-                assert_same(*conformed)
+            if parses_back(dataset, provenance):
+                got = dataio.load_table(path)
+                parsed = dataio.load_dataset(path, ignore_columns=ignore)[0]
+                assert_same(got, dataio.conform_labels(parsed, got.label_names))
 
     def test_companion_written_for_a_clean_table(self, tmp_path):
         dataset = _dataset_with_counts([3, 2], seed=1)
@@ -422,34 +423,20 @@ class TestTableCompanion:
         assert (tmp_path / "t.tbl").exists()
         assert not (tmp_path / "t.tbl.tmp").exists()
 
-    def test_non_finite_row_gets_no_companion_and_loads_as_before(self, tmp_path):
-        dataset = _dataset_with_counts([3, 2], seed=2)
-        dataio.save_table(tmp_path / "t.csv", dataset)
-        dataset.features[1, 0] = np.nan
-        dataio.save_table(tmp_path / "t.csv", dataset)
-        assert not (tmp_path / "t.tbl").exists()
-        loaded = dataio.load_table(tmp_path / "t.csv")
-        assert loaded.n_rows == 4
-        assert_same(loaded, dataio.load_dataset(tmp_path / "t.csv")[0])
-
     @pytest.mark.parametrize("change", [
         "edit_csv", "truncate_csv", "append_csv", "delete_tbl", "truncate_tbl",
-        "corrupt_tbl_payload", "corrupt_tbl_metadata", "empty_tbl", "label_column",
-        "ignore_set"])
-    def test_changes_fall_back_to_parsing(self, tmp_path, change, monkeypatch):
-        base = _dataset_with_counts([4, 3], dim=3, seed=3)
-        # numeric label names, so any column can be read as the label
-        dataset = dataio.Dataset(base.features, base.labels, {0: "10", 1: "20"})
+        "corrupt_tbl_payload", "corrupt_tbl_metadata", "empty_tbl"])
+    def test_changes_are_refused(self, tmp_path, change, monkeypatch):
+        dataset = _dataset_with_counts([4, 3], dim=3, seed=3)
         csv_path, tbl = tmp_path / "t.csv", tmp_path / "t.tbl"
         dataio.save_table(csv_path, dataset)
         text, blob = csv_path.read_text(), tbl.read_bytes()
-        label_column, ignore = "Label", ()
         if change == "edit_csv":
             csv_path.write_text(text.replace(repr(float(dataset.features[0, 0])), "7.5", 1))
         elif change == "truncate_csv":
             csv_path.write_text("".join(text.splitlines(keepends=True)[:-1]))
         elif change == "append_csv":
-            csv_path.write_text(text + "1.0,2.0,3.0,20\r\n")
+            csv_path.write_text(text + "1.0,2.0,3.0,b\r\n")
         elif change == "delete_tbl":
             tbl.unlink()
         elif change == "truncate_tbl":
@@ -459,25 +446,21 @@ class TestTableCompanion:
         elif change == "corrupt_tbl_metadata":
             at = blob.index(b'"f1"')
             tbl.write_bytes(blob[:at] + b'"g1"' + blob[at + 4:])
-        elif change == "empty_tbl":
-            tbl.write_bytes(b"")
-        elif change == "label_column":
-            label_column = "f0"
         else:
-            ignore = ("f1",)
-        calls = []
-        original = dataio.load_dataset
+            tbl.write_bytes(b"")
+        monkeypatch.setattr(dataio, "load_dataset", refuse_parsing)
+        with pytest.raises((FormatError, OSError)) as caught:
+            dataio.load_table(csv_path)
+        if change.endswith("_csv"):
+            assert "t.csv no longer matches the fingerprint in its .tbl record" in str(
+                caught.value)
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(dataio, "load_dataset", counting)
-        got = dataio.load_table(csv_path, label_column, ignore)
-        assert len(calls) == 1
-        assert_same(got, original(csv_path, label_column, ignore_columns=ignore)[0])
-        if change in ("edit_csv", "truncate_csv", "append_csv"):
-            assert got.features.tobytes() != dataset.features.tobytes()
+    def test_parent_format_record_is_refused_by_its_magic(self, tmp_path):
+        dataio.save_table(tmp_path / "t.csv", _dataset_with_counts([2, 2], seed=6))
+        meta, arrays = read_record(tmp_path / "t.tbl", dataio.TABLE_MAGIC, 2)
+        write_record(tmp_path / "t.tbl", b"IDSAUG-TABLE-1\n", meta, arrays)
+        with pytest.raises(FormatError, match="expected IDSAUG-TABLE-2"):
+            dataio.load_table(tmp_path / "t.csv")
 
     def test_missing_csv_raises_like_load_dataset(self, tmp_path):
         dataio.save_table(tmp_path / "t.csv", _dataset_with_counts([2, 2], seed=4))
