@@ -13,6 +13,10 @@ import numpy as np
 from ..errors import ConfigError, ShapeError, StateError
 from .layers import Layer, check_batch
 
+# rows per eval-mode block: large enough to keep BLAS efficient, small enough
+# that a block's activations stay a few MB for any batch size
+EVAL_BLOCK = 4096
+
 
 class Network:
     def __init__(self, layers: list[Layer], mode: str = "train"):
@@ -51,16 +55,33 @@ class Network:
         return [p for layer in self.layers for p in layer.params()]
 
     def forward(self, x) -> np.ndarray:
-        """Run the stack. Train mode stores a tape; eval mode mutates nothing."""
+        """Run the stack. Train mode stores a tape; eval mode mutates nothing.
+
+        Eval mode runs the layers over consecutive slices of ``EVAL_BLOCK``
+        rows, writes each into one preallocated output and drops every
+        layer's cache, so its peak memory is a block's activations plus the
+        output. Blocking is valid because every eval-mode layer is row-wise:
+        Dense, BatchNorm on its running statistics, LayerNorm, the
+        activations and Softmax each map a row on its own. A block size can
+        still change BLAS's summation order, so results may differ from one
+        pass in the last bits. Train mode cannot block: BatchNorm normalizes
+        over the whole batch.
+        """
         x = check_batch(x, self.in_dim, "forward")
-        train = self.mode == "train"
-        caches = []
-        for layer in self.layers:
-            x, cache = layer.forward(x, train)
-            caches.append(cache)
-        if train:
+        if self.mode == "train":
+            caches = []
+            for layer in self.layers:
+                x, cache = layer.forward(x, True)
+                caches.append(cache)
             self._tape = caches
-        return x
+            return x
+        out = np.empty((x.shape[0], self.out_dim))
+        for start in range(0, x.shape[0], EVAL_BLOCK):
+            block = x[start:start + EVAL_BLOCK]
+            for layer in self.layers:
+                block, _ = layer.forward(block, False)
+            out[start:start + EVAL_BLOCK] = block
+        return out
 
     def take_tape(self):
         """Detach and return the tape from the last train-mode forward."""

@@ -221,6 +221,25 @@ def train_scgan(class_data, class_id, san_model: SanModel,
     return model.eval(), history
 
 
+def _class_codes(model: ScganModel, san_model: SanModel, class_samples) -> np.ndarray:
+    """Check that ``model`` can synthesize for these rows; return their codes."""
+    if not model.trained:
+        raise StateError("generate requires a trained model")
+    samples = np.asarray(class_samples, dtype=np.float64)
+    if samples.shape[0] == 0:
+        raise DataError("generate needs at least one real sample to condition on")
+    return encode(san_model, samples)
+
+
+def _draw(model: ScganModel, codes: np.ndarray, n: int,
+          rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    picks = rng.integers(0, codes.shape[0], size=n)
+    conditions = codes[picks]
+    noise = rng.standard_normal((n, model.noise_dim))
+    candidates = model.generator.forward(np.concatenate([conditions, noise], axis=1))
+    return candidates, conditions
+
+
 def generate(model: ScganModel, san_model: SanModel, class_samples, n: int,
              seed) -> tuple[np.ndarray, np.ndarray]:
     """Draw ``n`` candidates: condition on the code of a uniformly chosen
@@ -228,22 +247,10 @@ def generate(model: ScganModel, san_model: SanModel, class_samples, n: int,
 
     Returns (candidates, conditions), row aligned.
     """
-    if not model.trained:
-        raise StateError("generate requires a trained model")
-    samples = np.asarray(class_samples, dtype=np.float64)
-    if samples.shape[0] == 0:
-        raise DataError("generate needs at least one real sample to condition on")
     if n < 0:
         raise ConfigError("sample count must be non-negative")
-    if n == 0:
-        return (np.empty((0, model.feature_dim)), np.empty((0, model.code_dim)))
-    rng = as_generator(seed)
-    codes = encode(san_model, samples)
-    picks = rng.integers(0, samples.shape[0], size=n)
-    conditions = codes[picks]
-    noise = rng.standard_normal((n, model.noise_dim))
-    candidates = model.generator.forward(np.concatenate([conditions, noise], axis=1))
-    return candidates, conditions
+    codes = _class_codes(model, san_model, class_samples)
+    return _draw(model, codes, n, as_generator(seed))
 
 
 def filter_generated(model: ScganModel, candidates, conditions,
@@ -269,6 +276,8 @@ def synthesize_to_target(model: ScganModel, san_model: SanModel, class_samples,
                          seed) -> SynthesisResult:
     """Generate in batches until exactly ``target_new`` rows pass the filter.
 
+    The class's rows are encoded once; each round draws from their codes.
+
     Fails with the observed acceptance rate once total attempts exceed
     ``max_attempt_factor * target_new``.
     """
@@ -277,6 +286,7 @@ def synthesize_to_target(model: ScganModel, san_model: SanModel, class_samples,
     if target_new == 0:
         return SynthesisResult(np.empty((0, model.feature_dim)),
                                np.empty((0, model.code_dim)), np.empty(0), 0, 1.0)
+    codes = _class_codes(model, san_model, class_samples)
     rng = as_generator(seed)
     budget = policy.max_attempt_factor * target_new
     kept_samples, kept_conditions, kept_scores = [], [], []
@@ -292,7 +302,7 @@ def synthesize_to_target(model: ScganModel, san_model: SanModel, class_samples,
                 acceptance_rate=rate,
             )
         n_round = min(remaining_budget, max(64, 2 * (target_new - kept)))
-        candidates, conditions = generate(model, san_model, class_samples, n_round, rng)
+        candidates, conditions = _draw(model, codes, n_round, rng)
         accepted, scores = filter_generated(model, candidates, conditions, policy)
         mask = scores >= policy.eta
         kept_samples.append(accepted)

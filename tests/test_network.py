@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -184,3 +185,64 @@ def test_read_network_from_stream():
     loaded = read_network(buf)
     x = np.array([[0.3, -0.4]])
     assert np.array_equal(net.forward(x), loaded.forward(x))
+
+
+def _batchnorm_generator(rng):
+    return Network([Dense(6, 8, rng), BatchNorm(8), LeakyReLU(8), Dense(8, 5, rng), Sigmoid(5)])
+
+
+def _layernorm_discriminator(rng):
+    return Network([Dense(7, 8, rng), LayerNorm(8), LeakyReLU(8), Dense(8, 1, rng), Sigmoid(1)])
+
+
+def _softmax_classifier(rng):
+    return Network([Dense(5, 8, rng), ReLU(8), Dense(8, 4, rng), Softmax(4)])
+
+
+def _layer_state(net):
+    return [a for layer in net.layers for a in layer.params()
+            + [getattr(layer, name) for name in ("running_mean", "running_var")
+               if hasattr(layer, name)]]
+
+
+@pytest.mark.parametrize("n", [1, 6, 7, 8, 15])
+@pytest.mark.parametrize("build", [_batchnorm_generator, _layernorm_discriminator,
+                                   _softmax_classifier])
+def test_blocked_eval_forward_matches_one_pass(monkeypatch, build, n):
+    rng = np.random.default_rng(10)
+    net = build(rng)
+    for _ in range(3):  # train-mode passes give batchnorm non-trivial running stats
+        net.forward(rng.standard_normal((16, net.in_dim)))
+    net.eval()
+    state = [a.copy() for a in _layer_state(net)]
+    x = 2.0 * rng.standard_normal((n, net.in_dim))
+    monkeypatch.setattr("idsaug.nncore.network.EVAL_BLOCK", n)
+    one_pass = net.forward(x)
+    monkeypatch.setattr("idsaug.nncore.network.EVAL_BLOCK", 7)
+    blocked = net.forward(x)
+    # a block size may change BLAS's summation order, so ask for closeness
+    np.testing.assert_allclose(blocked, one_pass, rtol=1e-12, atol=0.0)
+    assert np.array_equal(net.forward(x), blocked)
+    with pytest.raises(StateError):
+        net.backward(np.zeros((n, net.out_dim)))
+    assert all(np.array_equal(a, b) for a, b in zip(state, _layer_state(net)))
+
+
+def test_eval_forward_memory_is_bounded_by_its_output():
+    # a desk-shaped generator (36 -> 32 -> 64 -> 128 -> 20) over one
+    # synthesis round; one unblocked pass with caches peaks near 177 MiB
+    rng = np.random.default_rng(11)
+    widths = [36, 32, 64, 128]
+    layers = []
+    for width_in, width_out in zip(widths, widths[1:]):
+        layers += [Dense(width_in, width_out, rng), BatchNorm(width_out), LeakyReLU(width_out)]
+    net = Network(layers + [Dense(128, 20, rng), Sigmoid(20)], mode="eval")
+    x = rng.standard_normal((32768, 36))
+    tracemalloc.start()
+    try:
+        out = net.forward(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (32768, 20)
+    assert peak <= 2 * out.nbytes + 16 * 2**20

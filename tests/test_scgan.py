@@ -3,7 +3,7 @@ import pytest
 
 from idsaug.errors import ConfigError, DataError, StateError, YieldError
 from idsaug.nncore import adversarial_losses
-from idsaug.san import SanConfig, train_san
+from idsaug.san import SanConfig, encode, train_san
 from idsaug.scgan import (
     FilterPolicy,
     ScganConfig,
@@ -205,6 +205,30 @@ class TestSynthesizeToTarget:
         a = synthesize_to_target(model, san_model, scarce, 40, FilterPolicy(), seed=4)
         b = synthesize_to_target(model, san_model, scarce, 40, FilterPolicy(), seed=4)
         assert np.array_equal(a.samples, b.samples)
+
+    def test_class_is_encoded_once_across_rounds(self, trained, monkeypatch):
+        scarce, san_model, model, _ = trained
+        calls = []
+
+        def counting_encode(san, data):
+            calls.append(len(data))
+            return encode(san, data)
+
+        monkeypatch.setattr("idsaug.scgan.encode", counting_encode)
+        # eta 1.0 accepts nothing, so the budget of 200 runs two 100-row rounds
+        policy = FilterPolicy(eta=1.0, max_attempt_factor=4)
+        with pytest.raises(YieldError):
+            synthesize_to_target(model, san_model, scarce, 50, policy, seed=3)
+        assert calls == [len(scarce)]
+
+    def test_rounds_draw_like_generate(self, trained):
+        # one round takes the same picks-then-noise draws as generate
+        scarce, san_model, model, _ = trained
+        result = synthesize_to_target(model, san_model, scarce, 10,
+                                      FilterPolicy(eta=0.0), seed=5)
+        candidates, conditions = generate(model, san_model, scarce, 64, seed=5)
+        assert np.array_equal(result.samples, candidates[:10])
+        assert np.array_equal(result.conditions, conditions[:10])
 
 
 class TestAlternation:
