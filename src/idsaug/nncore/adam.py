@@ -1,4 +1,4 @@
-"""Adam optimizer with bias correction."""
+"""Adam optimizer with bias correction (Kingma & Ba, arXiv:1412.6980, §2)."""
 
 from __future__ import annotations
 
@@ -8,10 +8,16 @@ from ..errors import ConfigError, ShapeError
 
 
 class Adam:
-    """Holds per-parameter first/second moment accumulators.
+    """Holds the first and second moments of a parameter list as flat vectors.
 
-    ``step`` updates the given parameter arrays in place; their shapes must
-    match the list the optimizer was built from.
+    Both moments are one float64 vector each over all parameters, in list
+    order, with preallocated scratch of the same length. ``step`` gathers the
+    gradients into one flat buffer, runs the update as whole-vector in-place
+    ufuncs and subtracts each parameter's slice from that parameter in place.
+    Every operation is the per-parameter one in the same order, so the result
+    is elementwise bit-identical to updating each array on its own.
+    Parameters stay the caller's arrays: their shapes must match the list the
+    optimizer was built from.
     """
 
     def __init__(self, params: list[np.ndarray], lr: float = 1e-3,
@@ -28,8 +34,15 @@ class Adam:
         self.epsilon = float(epsilon)
         self.step_count = 0
         self._shapes = [p.shape for p in params]
-        self.first = [np.zeros_like(p) for p in params]
-        self.second = [np.zeros_like(p) for p in params]
+        total = sum(p.size for p in params)
+        self.first = np.zeros(total)
+        self.second = np.zeros(total)
+        # the step's gradients, then its update; plus one scratch vector
+        self._flat = np.empty(total)
+        self._scratch = np.empty(total)
+        bounds = np.cumsum([0] + [p.size for p in params])
+        self._views = [self._flat[a:b].reshape(shape)
+                       for a, b, shape in zip(bounds, bounds[1:], self._shapes)]
 
     def step(self, params: list[np.ndarray], grads: list[np.ndarray]):
         if len(params) != len(self._shapes) or len(grads) != len(self._shapes):
@@ -41,11 +54,22 @@ class Adam:
         t = self.step_count
         correct1 = 1.0 - self.beta1**t
         correct2 = 1.0 - self.beta2**t
-        for p, g, m, v in zip(params, grads, self.first, self.second):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            m_hat = m / correct1
-            v_hat = v / correct2
-            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.epsilon)
+        for view, g in zip(self._views, grads):
+            view[...] = g
+        flat, s, m, v = self._flat, self._scratch, self.first, self.second
+        m *= self.beta1
+        np.multiply(flat, 1.0 - self.beta1, out=s)
+        m += s
+        v *= self.beta2
+        np.multiply(flat, 1.0 - self.beta2, out=s)
+        s *= flat
+        v += s
+        # the gradients are spent: flat now holds lr * m_hat / (sqrt(v_hat) + eps)
+        np.divide(m, correct1, out=flat)
+        flat *= self.lr
+        np.divide(v, correct2, out=s)
+        np.sqrt(s, out=s)
+        s += self.epsilon
+        flat /= s
+        for p, update in zip(params, self._views):
+            p -= update

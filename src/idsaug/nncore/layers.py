@@ -56,7 +56,9 @@ class Dense(Layer):
         return [self.weights, self.bias]
 
     def forward(self, x, train):
-        return x @ self.weights + self.bias, (x,)
+        out = x @ self.weights
+        out += self.bias
+        return out, (x,)
 
     def backward(self, grad_out, cache, train):
         (x,) = cache
@@ -157,33 +159,40 @@ class LayerNorm(Activation):
 
 
 class LeakyReLU(Activation):
+    """``max(x, slope * x)``, which is the leaky ReLU for a slope in [0, 1]."""
+
     kind = "leakyrelu"
 
     def __init__(self, dim: int, slope: float = 0.01):
         super().__init__(dim)
-        if slope < 0.0:
-            raise ConfigError("leakyrelu slope must be non-negative")
+        if not 0.0 <= slope <= 1.0:
+            raise ConfigError(f"leakyrelu slope must lie in [0, 1], got {slope}")
         self.slope = float(slope)
 
     def forward(self, x, train):
-        positive = x > 0.0
-        return np.where(positive, x, self.slope * x), (positive,)
+        y = self.slope * x
+        np.maximum(x, y, out=y)
+        return y, (y,)
 
     def backward(self, grad_out, cache, train):
-        (positive,) = cache
-        return grad_out * np.where(positive, 1.0, self.slope), []
+        # y > 0 exactly where x > 0; the factor is 1.0 there and the slope elsewhere
+        (y,) = cache
+        factor = np.maximum(y > 0.0, self.slope)
+        factor *= grad_out
+        return factor, []
 
 
 class ReLU(Activation):
     kind = "relu"
 
     def forward(self, x, train):
-        positive = x > 0.0
-        return np.where(positive, x, 0.0), (positive,)
+        y = np.maximum(x, 0.0)
+        return y, (y,)
 
     def backward(self, grad_out, cache, train):
-        (positive,) = cache
-        return grad_out * positive, []
+        # y > 0 exactly where x > 0
+        (y,) = cache
+        return grad_out * (y > 0.0), []
 
 
 class Sigmoid(Activation):

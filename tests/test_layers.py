@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from idsaug.errors import ConfigError, InputDataError
 from idsaug.nncore import BatchNorm, Dense, LayerNorm, LeakyReLU, ReLU, Sigmoid, Softmax
@@ -107,8 +110,52 @@ def test_layernorm_is_mode_independent():
 
 
 def test_leakyrelu_rejects_negative_slope():
-    with pytest.raises(ConfigError):
-        LeakyReLU(3, slope=-0.1)
+    # max(x, slope * x) is the leaky ReLU only for a slope in [0, 1]
+    for slope in (-0.1, 1.5, float("nan")):
+        with pytest.raises(ConfigError):
+            LeakyReLU(3, slope=slope)
+    for slope in (0.0, 1.0):
+        assert LeakyReLU(3, slope=slope).slope == slope
+
+
+# pairs of same-shape finite float64 batches (input, upstream gradient) whose
+# elements include +-0.0 and subnormals
+finite_values = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308]))
+finite_pairs = st.tuples(st.integers(1, 8), st.integers(1, 12)).flatmap(
+    lambda shape: st.tuples(*[arrays(np.float64, shape, elements=finite_values)
+                              for _ in range(2)]))
+
+
+def _same_bytes(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(finite_pairs)
+def test_relu_matches_the_where_form_byte_for_byte(pair):
+    x, g = pair
+    layer = ReLU(x.shape[1])
+    held = x.copy()
+    out, cache = layer.forward(x, train=True)
+    grad, _ = layer.backward(g, cache, train=True)
+    assert _same_bytes(out, np.where(x > 0.0, x, 0.0))
+    assert _same_bytes(grad, g * (x > 0.0))
+    assert _same_bytes(x, held)
+
+
+@settings(max_examples=80, deadline=None)
+@given(finite_pairs, st.sampled_from([0.0, 0.01, 0.5, 1.0]))
+def test_leakyrelu_matches_the_where_form_byte_for_byte(pair, slope):
+    x, g = pair
+    layer = LeakyReLU(x.shape[1], slope=slope)
+    held = x.copy()
+    out, cache = layer.forward(x, train=True)
+    grad, _ = layer.backward(g, cache, train=True)
+    assert _same_bytes(out, np.where(x > 0.0, x, slope * x))
+    assert _same_bytes(grad, g * np.where(x > 0.0, 1.0, slope))
+    assert _same_bytes(x, held)
 
 
 def _random_input(kind, rng, rows, dim):
