@@ -6,7 +6,9 @@ float64 arrays in row-major little-endian order (running statistics included
 for norm layers). A bundle file is a model-kind magic string, a JSON metadata
 record, then its networks in order. A record file is a kind magic string, a
 JSON metadata record and float64 arrays, closed by the sha256 of everything
-before it. Round trips are bit-exact.
+before it. Round trips are bit-exact. Float32 parameters are stored widened to
+float64, which is exact; ``read_network`` returns float64 arrays, and a caller
+that trains in float32 narrows them back to the same bits.
 """
 
 from __future__ import annotations

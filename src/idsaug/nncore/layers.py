@@ -1,9 +1,13 @@
 """Dense feed-forward layers with explicit forward and backward passes.
 
-Every layer maps a (batch, in_dim) float64 array to (batch, out_dim) and
+Every layer maps a (batch, in_dim) float array to (batch, out_dim) and
 returns a cache that its own ``backward`` consumes. ``backward`` returns the
 gradient with respect to the input plus one gradient per entry of
-``params()``, in the same order. All math is float64 throughout.
+``params()``, in the same order; with ``input_grad=False`` a layer may return
+None for the input gradient and skip computing it. Layers compute in the
+dtype of their input, which must be the dtype of their parameters: no
+float64 constant widens a float32 batch, and every output and gradient comes
+back in the input's dtype. New parameters are float64.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ class Layer:
     def forward(self, x: np.ndarray, train: bool):
         raise NotImplementedError
 
-    def backward(self, grad_out: np.ndarray, cache, train: bool):
+    def backward(self, grad_out: np.ndarray, cache, train: bool, input_grad: bool = True):
         raise NotImplementedError
 
 
@@ -60,11 +64,12 @@ class Dense(Layer):
         out += self.bias
         return out, (x,)
 
-    def backward(self, grad_out, cache, train):
+    def backward(self, grad_out, cache, train, input_grad=True):
         (x,) = cache
         grad_w = x.T @ grad_out
         grad_b = grad_out.sum(axis=0)
-        return grad_out @ self.weights.T, [grad_w, grad_b]
+        grad_in = grad_out @ self.weights.T if input_grad else None
+        return grad_in, [grad_w, grad_b]
 
 
 class BatchNorm(Activation):
@@ -106,7 +111,7 @@ class BatchNorm(Activation):
             x_hat = (x - self.running_mean) * inv_std
         return self.scale * x_hat + self.shift, (x_hat, inv_std)
 
-    def backward(self, grad_out, cache, train):
+    def backward(self, grad_out, cache, train, input_grad=True):
         x_hat, inv_std = cache
         grad_scale = (grad_out * x_hat).sum(axis=0)
         grad_shift = grad_out.sum(axis=0)
@@ -144,7 +149,7 @@ class LayerNorm(Activation):
         x_hat = (x - mean) * inv_std
         return self.scale * x_hat + self.shift, (x_hat, inv_std)
 
-    def backward(self, grad_out, cache, train):
+    def backward(self, grad_out, cache, train, input_grad=True):
         x_hat, inv_std = cache
         d = self.out_dim
         grad_scale = (grad_out * x_hat).sum(axis=0)
@@ -174,10 +179,10 @@ class LeakyReLU(Activation):
         np.maximum(x, y, out=y)
         return y, (y,)
 
-    def backward(self, grad_out, cache, train):
+    def backward(self, grad_out, cache, train, input_grad=True):
         # y > 0 exactly where x > 0; the factor is 1.0 there and the slope elsewhere
         (y,) = cache
-        factor = np.maximum(y > 0.0, self.slope)
+        factor = np.maximum(y > 0.0, self.slope, dtype=y.dtype)
         factor *= grad_out
         return factor, []
 
@@ -189,7 +194,7 @@ class ReLU(Activation):
         y = np.maximum(x, 0.0)
         return y, (y,)
 
-    def backward(self, grad_out, cache, train):
+    def backward(self, grad_out, cache, train, input_grad=True):
         # y > 0 exactly where x > 0
         (y,) = cache
         return grad_out * (y > 0.0), []
@@ -197,9 +202,6 @@ class ReLU(Activation):
 
 class Sigmoid(Activation):
     kind = "sigmoid"
-
-    _LOW = np.nextafter(0.0, 1.0)
-    _HIGH = np.nextafter(1.0, 0.0)
 
     def forward(self, x, train):
         # split by sign so exp never overflows; outputs stay strictly inside
@@ -209,10 +211,13 @@ class Sigmoid(Activation):
         y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
         ex = np.exp(x[~pos])
         y[~pos] = ex / (1.0 + ex)
-        np.clip(y, self._LOW, self._HIGH, out=y)
+        # the bounds are the floats next to 0 and 1 in the input's own dtype:
+        # float64 ones round to exactly 0.0 and 1.0 in float32
+        info = np.finfo(y.dtype)
+        np.clip(y, info.smallest_subnormal, 1.0 - info.epsneg, out=y)
         return y, (y,)
 
-    def backward(self, grad_out, cache, train):
+    def backward(self, grad_out, cache, train, input_grad=True):
         (y,) = cache
         return grad_out * y * (1.0 - y), []
 
@@ -226,7 +231,7 @@ class Softmax(Activation):
         y = e / e.sum(axis=1, keepdims=True)
         return y, (y,)
 
-    def backward(self, grad_out, cache, train):
+    def backward(self, grad_out, cache, train, input_grad=True):
         (y,) = cache
         inner = (grad_out * y).sum(axis=1, keepdims=True)
         return y * (grad_out - inner), []
@@ -237,9 +242,10 @@ LAYER_KINDS = {
 }
 
 
-def check_batch(x, in_dim: int, context: str) -> np.ndarray:
-    """Validate a batch: 2-d, right width, finite. Returns float64 view/copy."""
-    x = np.asarray(x, dtype=np.float64)
+def check_batch(x, in_dim: int, context: str, dtype) -> np.ndarray:
+    """Validate a batch: 2-d, right width, finite. Returns a view or copy in
+    ``dtype``."""
+    x = np.asarray(x, dtype=dtype)
     if x.ndim != 2:
         raise ShapeError(f"{context}: expected a 2-d batch, got shape {x.shape}")
     if x.shape[1] != in_dim:

@@ -100,10 +100,13 @@ def cross_entropy_loss(probs, targets):
 
     Returns (loss, grad_wrt_probs), both batch means. Chained through a
     softmax layer's backward pass the gradient reduces to
-    (probs - targets) / batch.
+    (probs - targets) / batch. The math runs in the dtype of float ``probs``
+    (float64 for any other input); ``targets`` are cast to it.
     """
-    probs = np.asarray(probs, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
+    probs = np.asarray(probs)
+    if probs.dtype.kind != "f":
+        probs = probs.astype(np.float64)
+    targets = np.asarray(targets, dtype=probs.dtype)
     _check_same_shape(probs, targets, "cross_entropy_loss")
     batch = probs.shape[0]
     clamped = np.clip(probs, LOG_EPS, None)

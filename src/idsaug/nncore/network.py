@@ -4,6 +4,9 @@
 per-layer caches that ``backward`` consumes. ``take_tape`` hands the tape to
 the caller instead, which lets shared-parameter models run several forward
 passes before backpropagating each one.
+
+A network computes in the dtype of its parameters: ``forward`` casts its
+input to that dtype and ``backward`` its upstream gradient.
 """
 
 from __future__ import annotations
@@ -54,6 +57,14 @@ class Network:
     def parameters(self) -> list[np.ndarray]:
         return [p for layer in self.layers for p in layer.params()]
 
+    @property
+    def dtype(self) -> np.dtype:
+        """The compute dtype: that of the first parameter, float64 if none."""
+        for layer in self.layers:
+            for p in layer.params():
+                return p.dtype
+        return np.dtype(np.float64)
+
     def forward(self, x) -> np.ndarray:
         """Run the stack. Train mode stores a tape; eval mode mutates nothing.
 
@@ -67,7 +78,7 @@ class Network:
         pass in the last bits. Train mode cannot block: BatchNorm normalizes
         over the whole batch.
         """
-        x = check_batch(x, self.in_dim, "forward")
+        x = check_batch(x, self.in_dim, "forward", self.dtype)
         if self.mode == "train":
             caches = []
             for layer in self.layers:
@@ -75,7 +86,7 @@ class Network:
                 caches.append(cache)
             self._tape = caches
             return x
-        out = np.empty((x.shape[0], self.out_dim))
+        out = np.empty((x.shape[0], self.out_dim), dtype=x.dtype)
         for start in range(0, x.shape[0], EVAL_BLOCK):
             block = x[start:start + EVAL_BLOCK]
             for layer in self.layers:
@@ -91,18 +102,20 @@ class Network:
             raise StateError("no forward tape available; run a train-mode forward first")
         return tape
 
-    def backward(self, grad_out, tape=None):
+    def backward(self, grad_out, tape=None, input_grad=True):
         """Backpropagate ``grad_out`` through the last forward pass.
 
         Returns (grad_wrt_input, param_grads) with param_grads aligned with
         ``parameters()``. With no explicit tape, consumes the stored one.
+        With ``input_grad=False`` the first layer skips its input gradient
+        and the returned one is None.
         """
         if tape is None:
             tape = self._tape
             self._tape = None
             if tape is None:
                 raise StateError("backward called without a cached forward pass")
-        grad_out = np.asarray(grad_out, dtype=np.float64)
+        grad_out = np.asarray(grad_out, dtype=self.dtype)
         if grad_out.ndim != 2 or grad_out.shape[1] != self.out_dim:
             raise ShapeError(
                 f"upstream gradient shape {grad_out.shape} does not match output width "
@@ -111,12 +124,13 @@ class Network:
         train = self.mode == "train"
         per_layer: list[list[np.ndarray]] = []
         grad = grad_out
-        for layer, cache in zip(reversed(self.layers), reversed(tape)):
-            grad, param_grads = layer.backward(grad, cache, train)
+        for i in range(len(self.layers) - 1, -1, -1):
+            grad, param_grads = self.layers[i].backward(grad, tape[i], train,
+                                                        input_grad=input_grad or i > 0)
             per_layer.append(param_grads)
         per_layer.reverse()
         flat = [g for grads in per_layer for g in grads]
-        return grad, flat
+        return (grad if input_grad else None), flat
 
 
 def add_grads(a: list[np.ndarray], b: list[np.ndarray]) -> list[np.ndarray]:

@@ -47,7 +47,7 @@ PROV_SCGAN = "scgan"
 PROV_SKN = "skn"
 PROV_ROS = "ros"
 
-CLASSIFIER_MAGIC = b"IDSAUG-CLF-1\n"
+CLASSIFIER_MAGIC = b"IDSAUG-CLF-2\n"
 RUN_FORMAT = "idsaug-run-1"
 
 
@@ -325,7 +325,10 @@ class ClassifierConfig:
 
 
 class ClassifierModel:
-    """Softmax network whose output width covers the full label dictionary."""
+    """Softmax network whose output width covers the full label dictionary.
+
+    Its parameters are float32, so it trains and predicts in float32.
+    """
 
     def __init__(self, net: Network, class_ids: list[int]):
         if net.out_dim != len(class_ids):
@@ -334,8 +337,19 @@ class ClassifierModel:
         self.class_ids = [int(c) for c in class_ids]
 
 
+def _float32(net: Network) -> Network:
+    """Narrow every array a layer holds to float32, so the network computes
+    in float32."""
+    for layer in net.layers:
+        for name, value in list(vars(layer).items()):
+            if isinstance(value, np.ndarray):
+                setattr(layer, name, value.astype(np.float32))
+    return net
+
+
 def build_classifier(input_dim: int, class_ids: list[int], config: ClassifierConfig,
                      rng: np.random.Generator | None = None) -> ClassifierModel:
+    """Draw the weights in float64 from ``rng``, then narrow them to float32."""
     rng = rng if rng is not None else np.random.default_rng(config.seed)
     layers = []
     prev = input_dim
@@ -343,7 +357,7 @@ def build_classifier(input_dim: int, class_ids: list[int], config: ClassifierCon
         layers += [Dense(prev, width, rng), ReLU(width)]
         prev = width
     layers += [Dense(prev, len(class_ids), rng), Softmax(len(class_ids))]
-    return ClassifierModel(Network(layers), class_ids)
+    return ClassifierModel(_float32(Network(layers)), class_ids)
 
 
 def train_classifier(data: Dataset, config: ClassifierConfig) -> tuple[ClassifierModel, list[float]]:
@@ -359,8 +373,9 @@ def train_classifier(data: Dataset, config: ClassifierConfig) -> tuple[Classifie
         model.net.eval()
         return model, []
 
+    features = data.features.astype(np.float32)
     col = {c: i for i, c in enumerate(class_ids)}
-    targets = np.zeros((data.n_rows, len(class_ids)))
+    targets = np.zeros((data.n_rows, len(class_ids)), dtype=np.float32)
     targets[np.arange(data.n_rows), [col[int(c)] for c in data.labels]] = 1.0
 
     optimizer = Adam(model.net.parameters(), lr=config.lr)
@@ -372,13 +387,13 @@ def train_classifier(data: Dataset, config: ClassifierConfig) -> tuple[Classifie
         losses = []
         for start in range(0, data.n_rows, config.batch_size):
             idx = order[start:start + config.batch_size]
-            probs = model.net.forward(data.features[idx])
+            probs = model.net.forward(features[idx])
             loss, grad = cross_entropy_loss(probs, targets[idx])
             if not np.isfinite(loss):
                 raise TrainingDivergedError(
                     f"classifier loss became non-finite at epoch {epoch + 1}",
                     epoch=epoch + 1)
-            _, param_grads = model.net.backward(grad)
+            _, param_grads = model.net.backward(grad, input_grad=False)
             optimizer.step(model.net.parameters(), param_grads)
             losses.append(loss)
         epoch_loss = float(np.mean(losses))
@@ -409,7 +424,7 @@ def save_classifier(path, model: ClassifierModel):
 
 def load_classifier(path) -> ClassifierModel:
     meta, (net,) = read_bundle(path, CLASSIFIER_MAGIC, 1)
-    return ClassifierModel(net, meta["class_ids"])
+    return ClassifierModel(_float32(net), meta["class_ids"])
 
 
 def save_run(run_dir, *, config_text=None, norm_params=None,

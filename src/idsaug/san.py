@@ -186,8 +186,10 @@ def _loss_and_grads(model: SanModel, batch: PairBatch):
 
     grad_e1_dec, dec_grads1 = dec.backward(grad_r1, tape_d1)
     grad_e2_dec, dec_grads2 = dec.backward(grad_r2, tape_d2)
-    _, enc_grads1 = enc.backward(grad_e1_dec + model.alpha * grad_e1c, tape_e1)
-    _, enc_grads2 = enc.backward(grad_e2_dec + model.alpha * grad_e2c, tape_e2)
+    _, enc_grads1 = enc.backward(grad_e1_dec + model.alpha * grad_e1c, tape_e1,
+                                 input_grad=False)
+    _, enc_grads2 = enc.backward(grad_e2_dec + model.alpha * grad_e2c, tape_e2,
+                                 input_grad=False)
     return loss, add_grads(enc_grads1, enc_grads2), add_grads(dec_grads1, dec_grads2)
 
 

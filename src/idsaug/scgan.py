@@ -185,8 +185,8 @@ def train_scgan(class_data, class_id, san_model: SanModel,
 
             d_loss, _ = adversarial_losses(d_real, d_fake)
             grad_real, grad_fake = discriminator_score_grads(d_real, d_fake)
-            _, disc_grads_real = disc.backward(grad_real, tape_real)
-            _, disc_grads_fake = disc.backward(grad_fake, tape_fake)
+            _, disc_grads_real = disc.backward(grad_real, tape_real, input_grad=False)
+            _, disc_grads_fake = disc.backward(grad_fake, tape_fake, input_grad=False)
             opt_d.step(disc.parameters(), add_grads(disc_grads_real, disc_grads_fake))
             if observer is not None:
                 observer("d-updated", model)
@@ -197,7 +197,8 @@ def train_scgan(class_data, class_id, san_model: SanModel,
             _, g_loss = adversarial_losses(d_real, d_fake2)
             grad_scores = generator_score_grad(d_fake2)
             grad_disc_in, _ = disc.backward(grad_scores, tape_fake2)
-            _, gen_grads = gen.backward(grad_disc_in[:, :model.feature_dim], tape_gen)
+            _, gen_grads = gen.backward(grad_disc_in[:, :model.feature_dim], tape_gen,
+                                        input_grad=False)
             opt_g.step(gen.parameters(), gen_grads)
             if observer is not None:
                 observer("g-updated", model)

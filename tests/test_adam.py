@@ -91,23 +91,29 @@ param_shapes = st.lists(
 @settings(max_examples=60, deadline=None)
 @given(param_shapes, st.floats(1e-5, 0.5), st.floats(0.01, 0.99), st.floats(0.5, 0.9999),
        st.floats(1e-12, 1e-2), st.integers(1, 60),
-       st.sampled_from([1e-150, 1e-3, 1.0, 1e3]), st.integers(0, 2**31))
+       st.sampled_from([1e-150, 1e-3, 1.0, 1e3]), st.integers(0, 2**31),
+       st.sampled_from([np.float64, np.float32]))
 def test_flat_update_is_bit_identical_to_the_per_parameter_oracle(
-        shapes, lr, beta1, beta2, epsilon, n_steps, scale, seed):
+        shapes, lr, beta1, beta2, epsilon, n_steps, scale, seed, dtype):
     rng = np.random.default_rng(seed)
-    start = [np.array(rng.standard_normal(s)) for s in shapes]
+    start = [np.array(rng.standard_normal(s), dtype=dtype) for s in shapes]
     ours = [p.copy() for p in start]
+    held = list(ours)
     theirs = [p.copy() for p in start]
     hyper = dict(lr=lr, beta1=beta1, beta2=beta2, epsilon=epsilon)
     opt, oracle = Adam(ours, **hyper), ReferenceAdam(theirs, **hyper)
     for _ in range(n_steps):
         # some exact zeros, as a ReLU's masked gradients have
-        grads = [np.array(rng.standard_normal(s) * scale * (rng.random(s) > 0.2))
+        grads = [np.array(rng.standard_normal(s) * scale * (rng.random(s) > 0.2), dtype=dtype)
                  for s in shapes]
         opt.step(ours, grads)
         oracle.step(theirs, grads)
         for a, b in zip(ours, theirs):
             assert a.tobytes() == b.tobytes()
+    # the parameters are updated in place and keep their dtype; the moments
+    # are float64 whatever it is
+    assert all(a is b and a.dtype == dtype for a, b in zip(ours, held))
+    assert opt.first.dtype == opt.second.dtype == np.float64
     flat = np.concatenate([m.ravel() for m in oracle.first])
     assert opt.first.tobytes() == flat.tobytes()
     flat = np.concatenate([v.ravel() for v in oracle.second])

@@ -6,6 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from idsaug.errors import ConfigError, InputDataError
 from idsaug.nncore import BatchNorm, Dense, LayerNorm, LeakyReLU, ReLU, Sigmoid, Softmax
+from idsaug.nncore.layers import LAYER_KINDS
 
 from _gradcheck import layer_gradcheck
 
@@ -194,3 +195,44 @@ def test_batchnorm_eval_mode_gradients():
         layer.forward(rng.standard_normal((16, 4)), train=True)
     x = rng.standard_normal((6, 4))
     assert layer_gradcheck(layer, x, rng, train=False) < 1e-4
+
+
+def _in_dtype(layer, dtype):
+    """The layer with every array it holds cast to ``dtype``, as a network
+    whose parameters are in ``dtype`` has them."""
+    for name, value in list(vars(layer).items()):
+        if isinstance(value, np.ndarray):
+            setattr(layer, name, value.astype(dtype))
+    return layer
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(sorted(LAYER_KINDS)), st.sampled_from([np.float32, np.float64]),
+       st.integers(2, 9), st.integers(1, 7), st.sampled_from([1e-3, 1.0, 1e3]),
+       st.integers(0, 2**31))
+def test_every_layer_computes_in_its_input_dtype(kind, dtype, rows, dim, scale, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "dense":
+        layer = Dense(dim, dim + 1, rng)
+    else:
+        layer = LAYER_KINDS[kind](dim)
+    # new layers hold float64 arrays
+    assert all(p.dtype == np.float64 for p in layer.params())
+    layer = _in_dtype(layer, dtype)
+    x = (rng.standard_normal((rows, dim)) * scale).astype(dtype)
+    for train in (True, False):
+        out, cache = layer.forward(x, train)
+        assert out.dtype == dtype
+        g = rng.standard_normal(out.shape).astype(dtype)
+        grad_in, param_grads = layer.backward(g, cache, train)
+        assert grad_in.dtype == dtype
+        assert [p.dtype for p in param_grads] == [dtype] * len(layer.params())
+    # running statistics too keep the layer's dtype
+    assert all(value.dtype == dtype for value in vars(layer).values()
+               if isinstance(value, np.ndarray))
+    if kind == "sigmoid":
+        big = np.finfo(dtype).max
+        extreme = np.array([[-big, -200.0, 200.0, big]], dtype=dtype)
+        out, _ = Sigmoid(4).forward(extreme, train=False)
+        assert out.dtype == dtype
+        assert np.all(out > 0.0) and np.all(out < 1.0)

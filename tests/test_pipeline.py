@@ -5,6 +5,7 @@ from idsaug import leveling, pipeline
 from idsaug.dataio import Dataset
 from idsaug.errors import ConfigError, DataError, FormatError, PipelineError
 from idsaug.nncore import Softmax
+from idsaug.nncore.checkpoint import write_bundle
 from idsaug.san import SanConfig
 from idsaug.scgan import FilterPolicy, ScganConfig
 from idsaug.skn import SknConfig
@@ -225,6 +226,17 @@ class TestPredict:
         assert predicted.shape == (13,)
         assert probs.shape == (13, 2)
 
+    def test_predicts_in_float32_whatever_the_input_dtype(self):
+        data = separable_dataset(seed=15)
+        model, _ = pipeline.train_classifier(
+            data, pipeline.ClassifierConfig(hidden=(8,), epochs=2, seed=4))
+        assert all(p.dtype == np.float32 for p in model.net.parameters())
+        ids64, probs64 = pipeline.predict(model, data.features)
+        ids32, probs32 = pipeline.predict(model, data.features.astype(np.float32))
+        assert probs64.dtype == probs32.dtype == np.float32
+        assert np.array_equal(ids64, ids32)
+        assert probs64.tobytes() == probs32.tobytes()
+
     def test_argmax_invariant_to_positive_logit_scaling(self):
         rng = np.random.default_rng(8)
         logits = rng.standard_normal((50, 4))
@@ -276,6 +288,26 @@ class TestSaveLoadRun:
         b_ids, b_probs = pipeline.predict(loaded, probe)
         assert np.array_equal(a_ids, b_ids)
         assert np.array_equal(a_probs, b_probs)
+
+    def test_classifier_checkpoint_round_trips_float32_bit_for_bit(self, tmp_path):
+        data = separable_dataset(seed=13)
+        model, _ = pipeline.train_classifier(
+            data, pipeline.ClassifierConfig(hidden=(8, 4), epochs=3, seed=2))
+        path = tmp_path / "classifier.ckpt"
+        pipeline.save_classifier(path, model)
+        loaded = pipeline.load_classifier(path)
+        assert loaded.class_ids == model.class_ids
+        for a, b in zip(model.net.parameters(), loaded.net.parameters()):
+            assert a.dtype == b.dtype == np.float32
+            assert a.tobytes() == b.tobytes()
+
+    def test_float64_classifier_checkpoint_refused(self, tmp_path):
+        model, _ = pipeline.train_classifier(
+            separable_dataset(seed=14), pipeline.ClassifierConfig(hidden=(4,), epochs=0))
+        path = tmp_path / "classifier.ckpt"
+        write_bundle(path, b"IDSAUG-CLF-1\n", {"class_ids": model.class_ids}, [model.net])
+        with pytest.raises(FormatError, match="bad checkpoint magic, expected IDSAUG-CLF-2"):
+            pipeline.load_classifier(path)
 
     def test_norm_params_round_trip(self, tmp_path):
         from idsaug import dataio
