@@ -302,14 +302,15 @@ def save_table(path, dataset: Dataset, provenance: np.ndarray | None = None):
     csv_sha256 = save_dataset(path, dataset, provenance=provenance)
     metadata = {"csv_sha256": csv_sha256, "feature_names": list(dataset.feature_names),
                 "label_names": {str(k): v for k, v in dataset.label_names.items()}}
-    write_record(_record_path(path), TABLE_MAGIC, metadata, [dataset.features, dataset.labels])
+    write_record(_record_path(path), TABLE_MAGIC, metadata,
+                 arrays=[dataset.features, dataset.labels])
 
 
 def load_table(path) -> Dataset:
     """The dataset ``save_table`` wrote for the CSV at ``path``, read from its
     record. The CSV is never parsed: one changed since it was written is
     refused."""
-    meta, (features, labels) = read_record(_record_path(path), TABLE_MAGIC, 2)
+    meta, _, (features, labels) = read_record(_record_path(path), TABLE_MAGIC, n_arrays=2)
     if _file_sha256(path) != meta["csv_sha256"]:
         raise FormatError(f"{path} no longer matches the fingerprint in its .tbl record")
     return Dataset(features, labels.astype(np.int64),

@@ -1,18 +1,24 @@
-"""Binary checkpoint format for networks and model bundles.
+"""The one binary record format behind every checkpoint and run table.
 
-Network layout: a versioned magic string, then a uint32 layer count and mode
-tag, then one record per layer: kind tag, in/out dims, and the layer's
-float64 arrays in row-major little-endian order (running statistics included
-for norm layers). A bundle file is a model-kind magic string, a JSON metadata
-record, then its networks in order. A record file is a kind magic string, a
-JSON metadata record and float64 arrays, closed by the sha256 of everything
-before it. Round trips are bit-exact. Float32 parameters are stored widened to
-float64, which is exact; ``read_network`` returns float64 arrays, and a caller
-that trains in float32 narrows them back to the same bits.
+A record file is a kind magic line, a JSON metadata string, then its
+networks, then its float64 arrays, closed by the sha256 of everything before
+it. It is written to a temporary file and moved into place with
+``os.replace``, so a reader sees the old file or the new one, never a part.
+A reader refuses a record of another kind or of an older format by its magic
+line, then any record whose checksum does not match.
+
+A network is a JSON spec of its mode and layers (kind, dims and constructor
+settings), then each layer's arrays in the order ``LAYER_STATE`` names them,
+running statistics included for batchnorm. An array is its shape, then its
+values as row-major little-endian float64. On load each array's shape must
+match its layer. Round trips are bit-exact. Float32 parameters are stored
+widened to float64, which is exact; ``read_network`` returns float64 arrays,
+and a caller that trains in float32 narrows them back to the same bits.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import io
 import json
@@ -23,10 +29,21 @@ from typing import BinaryIO
 import numpy as np
 
 from ..errors import FormatError
-from .layers import BatchNorm, Dense, LayerNorm, LeakyReLU, ReLU, Sigmoid, Softmax
+from .layers import LAYER_KINDS, Activation
 from .network import Network
 
-NETWORK_MAGIC = b"IDSAUG-NET-1\n"
+NETWORK_MAGIC = b"IDSAUG-NET-2\n"
+
+# layer kind -> (constructor settings, arrays) a checkpoint stores
+LAYER_STATE = {
+    "dense": ((), ("weights", "bias")),
+    "batchnorm": (("epsilon", "momentum"), ("scale", "shift", "running_mean", "running_var")),
+    "layernorm": (("epsilon",), ("scale", "shift")),
+    "leakyrelu": (("slope",), ()),
+    "relu": ((), ()),
+    "sigmoid": ((), ()),
+    "softmax": ((), ()),
+}
 
 
 def _write_u32(fh: BinaryIO, value: int):
@@ -72,103 +89,53 @@ def _read_array(fh: BinaryIO) -> np.ndarray:
     return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
 
 
-def _write_float(fh: BinaryIO, value: float):
-    fh.write(struct.pack("<d", value))
-
-
-def _read_float(fh: BinaryIO) -> float:
-    raw = fh.read(8)
-    if len(raw) != 8:
-        raise FormatError("truncated checkpoint: expected float64 scalar")
-    return struct.unpack("<d", raw)[0]
-
-
-def _read_magic(fh: BinaryIO, magic: bytes, source):
-    if fh.read(len(magic)) != magic:
-        kind = magic.decode("ascii").strip()
-        raise FormatError(f"{source}: bad checkpoint magic, expected {kind}")
-
-
 def write_network(fh: BinaryIO, net: Network):
-    fh.write(NETWORK_MAGIC)
-    _write_u32(fh, len(net.layers))
-    _write_str(fh, net.mode)
+    specs = []
     for layer in net.layers:
-        _write_str(fh, layer.kind)
-        _write_u32(fh, layer.in_dim)
-        _write_u32(fh, layer.out_dim)
-        if layer.kind == "dense":
-            _write_array(fh, layer.weights)
-            _write_array(fh, layer.bias)
-        elif layer.kind == "batchnorm":
-            _write_float(fh, layer.epsilon)
-            _write_float(fh, layer.momentum)
-            _write_array(fh, layer.scale)
-            _write_array(fh, layer.shift)
-            _write_array(fh, layer.running_mean)
-            _write_array(fh, layer.running_var)
-        elif layer.kind == "layernorm":
-            _write_float(fh, layer.epsilon)
-            _write_array(fh, layer.scale)
-            _write_array(fh, layer.shift)
-        elif layer.kind == "leakyrelu":
-            _write_float(fh, layer.slope)
-        elif layer.kind in ("relu", "sigmoid", "softmax"):
-            pass
-        else:
+        if layer.kind not in LAYER_STATE:
             raise FormatError(f"cannot serialize layer kind {layer.kind!r}")
+        settings, _ = LAYER_STATE[layer.kind]
+        dims = [layer.in_dim] if isinstance(layer, Activation) else [layer.in_dim, layer.out_dim]
+        specs.append({"kind": layer.kind, "dims": dims,
+                      **{name: getattr(layer, name) for name in settings}})
+    write_metadata(fh, {"mode": net.mode, "layers": specs})
+    for layer in net.layers:
+        for name in LAYER_STATE[layer.kind][1]:
+            _write_array(fh, getattr(layer, name))
 
 
 def read_network(fh: BinaryIO) -> Network:
-    _read_magic(fh, NETWORK_MAGIC, getattr(fh, "name", "<stream>"))
-    n_layers = _read_u32(fh)
-    mode = _read_str(fh)
+    spec = read_metadata(fh)
     layers = []
-    for _ in range(n_layers):
-        kind = _read_str(fh)
-        in_dim = _read_u32(fh)
-        out_dim = _read_u32(fh)
-        if kind == "dense":
-            layer = Dense(in_dim, out_dim, rng=np.random.default_rng(0))
-            layer.weights = _read_array(fh)
-            layer.bias = _read_array(fh)
-            if layer.weights.shape != (in_dim, out_dim):
-                raise FormatError("dense weight shape does not match recorded dims")
-        elif kind == "batchnorm":
-            epsilon = _read_float(fh)
-            momentum = _read_float(fh)
-            layer = BatchNorm(in_dim, epsilon=epsilon, momentum=momentum)
-            layer.scale = _read_array(fh)
-            layer.shift = _read_array(fh)
-            layer.running_mean = _read_array(fh)
-            layer.running_var = _read_array(fh)
-        elif kind == "layernorm":
-            epsilon = _read_float(fh)
-            layer = LayerNorm(in_dim, epsilon=epsilon)
-            layer.scale = _read_array(fh)
-            layer.shift = _read_array(fh)
-        elif kind == "leakyrelu":
-            layer = LeakyReLU(in_dim, slope=_read_float(fh))
-        elif kind == "relu":
-            layer = ReLU(in_dim)
-        elif kind == "sigmoid":
-            layer = Sigmoid(in_dim)
-        elif kind == "softmax":
-            layer = Softmax(in_dim)
-        else:
-            raise FormatError(f"unknown layer kind {kind!r} in checkpoint")
-        layers.append(layer)
+    try:
+        for layer_spec in spec["layers"]:
+            kind = layer_spec["kind"]
+            if kind not in LAYER_STATE:
+                raise FormatError(f"unknown layer kind {kind!r} in checkpoint")
+            settings, _ = LAYER_STATE[kind]
+            layers.append(LAYER_KINDS[kind](*layer_spec["dims"],
+                                            **{name: layer_spec[name] for name in settings}))
+        mode = spec["mode"]
+    except (KeyError, TypeError) as exc:
+        raise FormatError(f"bad network spec in checkpoint: {exc!r}") from exc
+    for layer in layers:
+        for name in LAYER_STATE[layer.kind][1]:
+            arr = _read_array(fh)
+            expected = getattr(layer, name).shape
+            if arr.shape != expected:
+                raise FormatError(f"{layer.kind} {name} shape {arr.shape} does not match "
+                                  f"its layer's {expected}")
+            setattr(layer, name, arr)
     return Network(layers, mode=mode)
 
 
 def save_network(path, net: Network):
-    with open(path, "wb") as fh:
-        write_network(fh, net)
+    write_record(path, NETWORK_MAGIC, {}, networks=[net])
 
 
 def load_network(path) -> Network:
-    with open(path, "rb") as fh:
-        return read_network(fh)
+    _, (net,), _ = read_record(path, NETWORK_MAGIC, n_networks=1)
+    return net
 
 
 def write_metadata(fh: BinaryIO, metadata: dict):
@@ -180,21 +147,6 @@ def read_metadata(fh: BinaryIO) -> dict:
         return json.loads(_read_str(fh))
     except (ValueError, FormatError) as exc:
         raise FormatError(f"bad checkpoint metadata: {exc}") from exc
-
-
-def write_bundle(path, magic: bytes, metadata: dict, networks: list[Network]):
-    with open(path, "wb") as fh:
-        fh.write(magic)
-        write_metadata(fh, metadata)
-        for net in networks:
-            write_network(fh, net)
-
-
-def read_bundle(path, magic: bytes, n_networks: int) -> tuple[dict, list[Network]]:
-    with open(path, "rb") as fh:
-        _read_magic(fh, magic, path)
-        metadata = read_metadata(fh)
-        return metadata, [read_network(fh) for _ in range(n_networks)]
 
 
 class _HashingWriter:
@@ -209,31 +161,43 @@ class _HashingWriter:
         self.fh.write(data)
 
 
-def write_record(path, magic: bytes, metadata: dict, arrays: list[np.ndarray]):
+def write_record(path, magic: bytes, metadata: dict, networks=(), arrays=()):
     """Write a record file atomically: a temporary file, then ``os.replace``."""
     tmp = f"{os.fspath(path)}.tmp"
-    with open(tmp, "wb") as raw:
-        fh = _HashingWriter(raw)
-        fh.write(magic)
-        write_metadata(fh, metadata)
-        for arr in arrays:
-            _write_array(fh, arr)
-        raw.write(fh.digest.digest())
+    try:
+        with open(tmp, "wb") as raw:
+            fh = _HashingWriter(raw)
+            fh.write(magic)
+            write_metadata(fh, metadata)
+            for net in networks:
+                write_network(fh, net)
+            for arr in arrays:
+                _write_array(fh, arr)
+            raw.write(fh.digest.digest())
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
     os.replace(tmp, path)
 
 
-def read_record(path, magic: bytes, n_arrays: int) -> tuple[dict, list[np.ndarray]]:
+def read_record(path, magic: bytes, n_networks: int = 0,
+                n_arrays: int = 0) -> tuple[dict, list[Network], list[np.ndarray]]:
     """Read a record file; a FormatError means it is not one whole, unaltered
-    record of this kind."""
+    record of this kind and format."""
     with open(path, "rb") as fh:
         data = fh.read()
+    if not data.startswith(magic):
+        kind = magic.decode("ascii").strip()
+        raise FormatError(f"{path}: bad checkpoint magic, expected {kind}")
     size = len(data) - hashlib.sha256().digest_size
-    if size < 0 or hashlib.sha256(memoryview(data)[:size]).digest() != data[size:]:
+    if size < len(magic) or hashlib.sha256(memoryview(data)[:size]).digest() != data[size:]:
         raise FormatError(f"{path}: record checksum mismatch")
     fh = io.BytesIO(data)
-    _read_magic(fh, magic, path)
+    fh.seek(len(magic))
     metadata = read_metadata(fh)
+    networks = [read_network(fh) for _ in range(n_networks)]
     arrays = [_read_array(fh) for _ in range(n_arrays)]
     if fh.tell() != size:
-        raise FormatError(f"{path}: record length does not match its arrays")
-    return metadata, arrays
+        raise FormatError(f"{path}: record length does not match its contents")
+    return metadata, networks, arrays

@@ -21,7 +21,6 @@ from . import leveling, san, scgan, skn
 from .dataio import (
     Dataset,
     _check_unit_range,
-    load_normalization,
     save_dataset,  # noqa: F401  perfbench's tracer test checks this binding
     save_normalization,
     save_table,
@@ -39,7 +38,7 @@ from .errors import (
     TrainingDivergedError,
 )
 from .nncore import Adam, Dense, Network, ReLU, Softmax, cross_entropy_loss
-from .nncore.checkpoint import read_bundle, write_bundle
+from .nncore.checkpoint import read_record, write_record
 from .seeding import derive_seed, substream
 
 PROV_ORIGINAL = "original"
@@ -47,7 +46,7 @@ PROV_SCGAN = "scgan"
 PROV_SKN = "skn"
 PROV_ROS = "ros"
 
-CLASSIFIER_MAGIC = b"IDSAUG-CLF-2\n"
+CLASSIFIER_MAGIC = b"IDSAUG-CLF-3\n"
 RUN_FORMAT = "idsaug-run-1"
 
 
@@ -419,11 +418,11 @@ def predict(model: ClassifierModel, data) -> tuple[np.ndarray, np.ndarray]:
 
 
 def save_classifier(path, model: ClassifierModel):
-    write_bundle(path, CLASSIFIER_MAGIC, {"class_ids": model.class_ids}, [model.net])
+    write_record(path, CLASSIFIER_MAGIC, {"class_ids": model.class_ids}, networks=[model.net])
 
 
 def load_classifier(path) -> ClassifierModel:
-    meta, (net,) = read_bundle(path, CLASSIFIER_MAGIC, 1)
+    meta, (net,), _ = read_record(path, CLASSIFIER_MAGIC, n_networks=1)
     return ClassifierModel(_float32(net), meta["class_ids"])
 
 
@@ -483,27 +482,18 @@ def check_run_format(run_dir):
 
 
 def load_run(run_dir) -> dict:
-    """Reload whatever artifacts exist in a run directory."""
+    """The checkpoints a staged augment reuses, as far as they exist: the SAN
+    (``san_model``) and the SCGAN of each class (``scgan_models``)."""
     check_run_format(run_dir)
     out: dict = {}
-    path = os.path.join(run_dir, "config.txt")
-    if os.path.exists(path):
-        with open(path, encoding="utf-8") as fh:
-            out["config_text"] = fh.read()
-    path = os.path.join(run_dir, "norm.json")
-    if os.path.exists(path):
-        out["norm_params"] = load_normalization(path)
     path = os.path.join(run_dir, "san.ckpt")
     if os.path.exists(path):
         out["san_model"] = san.load_san(path)
-    path = os.path.join(run_dir, "classifier.ckpt")
-    if os.path.exists(path):
-        out["classifier"] = load_classifier(path)
     scgans = {}
     for name in sorted(os.listdir(run_dir)):
         if name.startswith("scgan_") and name.endswith(".ckpt"):
-            model, meta = scgan.load_scgan(os.path.join(run_dir, name))
-            scgans[meta.get("class_id")] = model
+            model = scgan.load_scgan(os.path.join(run_dir, name))
+            scgans[model.class_id] = model
     if scgans:
         out["scgan_models"] = scgans
     return out

@@ -25,10 +25,10 @@ from .nncore import (
     contrastive_loss,
     reconstruction_loss,
 )
-from .nncore.checkpoint import read_bundle, write_bundle
+from .nncore.checkpoint import read_record, write_record
 from .seeding import as_generator
 
-SAN_MAGIC = b"IDSAUG-SAN-1\n"
+SAN_MAGIC = b"IDSAUG-SAN-2\n"
 
 
 @dataclass
@@ -250,10 +250,10 @@ def encode(model: SanModel, data) -> np.ndarray:
 
 
 def save_san(path, model: SanModel):
-    write_bundle(path, SAN_MAGIC, {"margin": model.margin, "alpha": model.alpha},
-                 [model.encoder, model.decoder])
+    write_record(path, SAN_MAGIC, {"margin": model.margin, "alpha": model.alpha},
+                 networks=[model.encoder, model.decoder])
 
 
 def load_san(path) -> SanModel:
-    meta, (encoder, decoder) = read_bundle(path, SAN_MAGIC, 2)
+    meta, (encoder, decoder), _ = read_record(path, SAN_MAGIC, n_networks=2)
     return SanModel(encoder, decoder, margin=meta["margin"], alpha=meta["alpha"])

@@ -34,11 +34,11 @@ from .nncore import (
     discriminator_score_grads,
     generator_score_grad,
 )
-from .nncore.checkpoint import read_bundle, write_bundle
+from .nncore.checkpoint import read_record, write_record
 from .san import SanModel, encode
 from .seeding import as_generator
 
-SCGAN_MAGIC = b"IDSAUG-GAN-1\n"
+SCGAN_MAGIC = b"IDSAUG-GAN-2\n"
 
 
 @dataclass
@@ -317,20 +317,17 @@ def synthesize_to_target(model: ScganModel, san_model: SanModel, class_samples,
     return SynthesisResult(samples, conditions, scores, attempts, kept / attempts)
 
 
-def save_scgan(path, model: ScganModel, eta: float | None = None):
-    write_bundle(path, SCGAN_MAGIC, {
+def save_scgan(path, model: ScganModel):
+    write_record(path, SCGAN_MAGIC, {
         "noise_dim": model.noise_dim,
         "code_dim": model.code_dim,
         "feature_dim": model.feature_dim,
         "class_id": model.class_id,
         "trained": model.trained,
-        "eta": eta,
-    }, [model.generator, model.discriminator])
+    }, networks=[model.generator, model.discriminator])
 
 
-def load_scgan(path) -> tuple[ScganModel, dict]:
-    meta, (generator, discriminator) = read_bundle(path, SCGAN_MAGIC, 2)
-    model = ScganModel(generator, discriminator, meta["noise_dim"], meta["code_dim"],
-                       meta["feature_dim"], class_id=meta.get("class_id"),
-                       trained=bool(meta.get("trained", False)))
-    return model, meta
+def load_scgan(path) -> ScganModel:
+    meta, (generator, discriminator), _ = read_record(path, SCGAN_MAGIC, n_networks=2)
+    return ScganModel(generator, discriminator, meta["noise_dim"], meta["code_dim"],
+                      meta["feature_dim"], class_id=meta["class_id"], trained=meta["trained"])

@@ -233,6 +233,25 @@ class TestStageCommands:
         assert main(["eval", "--run", str(out), *FAST_FLAGS]) == 2
         assert "classifier.ckpt missing; run train-clf first" in capsys.readouterr().err
 
+    def test_eval_refuses_a_damaged_classifier(self, bench_csv, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run_all(bench_csv, out) == 0
+        capsys.readouterr()
+        blob = (out / "classifier.ckpt").read_bytes()
+        at = len(blob) - 40  # a bias byte of the output layer
+        (out / "classifier.ckpt").write_bytes(blob[:at] + bytes([blob[at] ^ 1]) + blob[at + 1:])
+        assert main(["eval", "--run", str(out), *FAST_FLAGS]) == 1
+        assert "classifier.ckpt: record checksum mismatch" in capsys.readouterr().err
+
+    def test_augment_reads_only_the_san_and_scgans(self, bench_csv, tmp_path, monkeypatch):
+        out = tmp_path / "run"
+        assert run_all(bench_csv, out, method="s2cgan") == 0
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("augment needs only san.ckpt and scgan_<id>.ckpt")
+
+        monkeypatch.setattr(pipeline, "load_classifier", refuse)
+        assert main(["augment", "--run", str(out), "--method", "s2cgan", *FAST_FLAGS]) == 0
 
     def test_train_scgan_reads_only_the_san(self, bench_csv, tmp_path, monkeypatch):
         out = tmp_path / "run"

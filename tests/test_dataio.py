@@ -457,8 +457,8 @@ class TestTableCompanion:
 
     def test_parent_format_record_is_refused_by_its_magic(self, tmp_path):
         dataio.save_table(tmp_path / "t.csv", _dataset_with_counts([2, 2], seed=6))
-        meta, arrays = read_record(tmp_path / "t.tbl", dataio.TABLE_MAGIC, 2)
-        write_record(tmp_path / "t.tbl", b"IDSAUG-TABLE-1\n", meta, arrays)
+        meta, _, arrays = read_record(tmp_path / "t.tbl", dataio.TABLE_MAGIC, n_arrays=2)
+        write_record(tmp_path / "t.tbl", b"IDSAUG-TABLE-1\n", meta, arrays=arrays)
         with pytest.raises(FormatError, match="expected IDSAUG-TABLE-2"):
             dataio.load_table(tmp_path / "t.csv")
 

@@ -176,6 +176,26 @@ def test_checkpoint_rejects_truncation(tmp_path):
         load_network(path)
 
 
+@pytest.mark.parametrize("index, name", [(0, "bias"), (1, "running_var"), (4, "shift")])
+def test_checkpoint_rejects_an_array_of_the_wrong_shape(tmp_path, index, name):
+    net = _full_zoo_network(np.random.default_rng(11))
+    layer = net.layers[index]
+    setattr(layer, name, np.zeros(layer.out_dim + 1))
+    path = tmp_path / "net.ckpt"
+    save_network(path, net)
+    with pytest.raises(FormatError, match=f"{layer.kind} {name} shape"):
+        load_network(path)
+
+
+def test_unserializable_layer_leaves_no_file(tmp_path):
+    class Identity(ReLU):
+        kind = "identity"
+
+    with pytest.raises(FormatError, match="cannot serialize layer kind 'identity'"):
+        save_network(tmp_path / "net.ckpt", Network([Dense(2, 2), Identity(2)]))
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_read_network_from_stream():
     rng = np.random.default_rng(9)
     net = Network([Dense(2, 2, rng), Sigmoid(2)])

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from idsaug import leveling, pipeline
+from idsaug import dataio, leveling, pipeline, san, scgan
 from idsaug.dataio import Dataset
 from idsaug.errors import ConfigError, DataError, FormatError, PipelineError
 from idsaug.nncore import Softmax
-from idsaug.nncore.checkpoint import write_bundle
+from idsaug.nncore.checkpoint import read_record, write_record
 from idsaug.san import SanConfig
 from idsaug.scgan import FilterPolicy, ScganConfig
 from idsaug.skn import SknConfig
@@ -274,6 +274,22 @@ class TestModelReuse:
         assert again.san_history == full.san_history
 
 
+def _save_checkpoint(path):
+    """Save a freshly built model of the kind the run-directory file ``path``
+    names; return its loader, its magic and its number of networks."""
+    name = path.name
+    if name == "san.ckpt":
+        san.save_san(path, san.build_san(6, SanConfig(hidden_dims=(5,), code_dim=3)))
+        return san.load_san, san.SAN_MAGIC, 2
+    if name.startswith("scgan_"):
+        config = ScganConfig(noise_dim=2, gen_hidden=(5,), disc_hidden=(4,))
+        scgan.save_scgan(path, scgan.build_scgan(6, 3, config, class_id=1))
+        return scgan.load_scgan, scgan.SCGAN_MAGIC, 2
+    model = pipeline.build_classifier(6, [0, 1], pipeline.ClassifierConfig(hidden=(4,)))
+    pipeline.save_classifier(path, model)
+    return pipeline.load_classifier, pipeline.CLASSIFIER_MAGIC, 1
+
+
 class TestSaveLoadRun:
     def test_classifier_round_trip_predicts_identically(self, tmp_path):
         data = separable_dataset(seed=9)
@@ -281,8 +297,7 @@ class TestSaveLoadRun:
             data, pipeline.ClassifierConfig(epochs=5, seed=1))
         run_dir = tmp_path / "run"
         pipeline.save_run(run_dir, classifier=model, histories={"clf": history})
-        artifacts = pipeline.load_run(run_dir)
-        loaded = artifacts["classifier"]
+        loaded = pipeline.load_classifier(run_dir / "classifier.ckpt")
         probe = data.features[:17]
         a_ids, a_probs = pipeline.predict(model, probe)
         b_ids, b_probs = pipeline.predict(loaded, probe)
@@ -301,20 +316,33 @@ class TestSaveLoadRun:
             assert a.dtype == b.dtype == np.float32
             assert a.tobytes() == b.tobytes()
 
-    def test_float64_classifier_checkpoint_refused(self, tmp_path):
-        model, _ = pipeline.train_classifier(
-            separable_dataset(seed=14), pipeline.ClassifierConfig(hidden=(4,), epochs=0))
-        path = tmp_path / "classifier.ckpt"
-        write_bundle(path, b"IDSAUG-CLF-1\n", {"class_ids": model.class_ids}, [model.net])
-        with pytest.raises(FormatError, match="bad checkpoint magic, expected IDSAUG-CLF-2"):
-            pipeline.load_classifier(path)
+    @pytest.mark.parametrize("name, old_magic", [
+        ("san.ckpt", "IDSAUG-SAN-1"), ("scgan_1.ckpt", "IDSAUG-GAN-1"),
+        ("classifier.ckpt", "IDSAUG-CLF-2")])
+    def test_older_checkpoint_magic_refused(self, tmp_path, name, old_magic):
+        path = tmp_path / name
+        load, magic, n_networks = _save_checkpoint(path)
+        meta, networks, _ = read_record(path, magic, n_networks=n_networks)
+        write_record(path, f"{old_magic}\n".encode(), meta, networks=networks)
+        expected = magic.decode().strip()
+        with pytest.raises(FormatError, match=f"bad checkpoint magic, expected {expected}"):
+            load(path)
+
+    @pytest.mark.parametrize("name", ["san.ckpt", "scgan_1.ckpt", "classifier.ckpt"])
+    def test_damaged_checkpoint_refused(self, tmp_path, name):
+        path = tmp_path / name
+        load, magic, _ = _save_checkpoint(path)
+        blob = path.read_bytes()
+        at = len(magic) + (len(blob) - len(magic)) // 2
+        path.write_bytes(blob[:at] + bytes([blob[at] ^ 1]) + blob[at + 1:])
+        with pytest.raises(FormatError, match="record checksum mismatch"):
+            load(path)
 
     def test_norm_params_round_trip(self, tmp_path):
-        from idsaug import dataio
         params = dataio.fit_minmax(np.random.default_rng(10).random((20, 6)) * 100)
         run_dir = tmp_path / "run"
         pipeline.save_run(run_dir, norm_params=params)
-        loaded = pipeline.load_run(run_dir)["norm_params"]
+        loaded = dataio.load_normalization(run_dir / "norm.json")
         probe = np.random.default_rng(11).random((5, 6)) * 100
         assert np.array_equal(dataio.apply_minmax(params, probe),
                               dataio.apply_minmax(loaded, probe))

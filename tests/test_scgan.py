@@ -260,10 +260,9 @@ class TestAlternation:
 def test_checkpoint_round_trip(tmp_path, trained):
     scarce, san_model, model, _ = trained
     path = tmp_path / "gan.ckpt"
-    save_scgan(path, model, eta=0.45)
-    loaded, meta = load_scgan(path)
-    assert meta["eta"] == 0.45
-    assert meta["class_id"] == 1
+    save_scgan(path, model)
+    loaded = load_scgan(path)
+    assert loaded.class_id == 1
     assert loaded.trained
     a, _ = generate(model, san_model, scarce, 25, seed=6)
     b, _ = generate(loaded, san_model, scarce, 25, seed=6)
