@@ -9,6 +9,7 @@ import io
 import json
 import math
 import os
+import re
 import warnings
 from dataclasses import dataclass, field
 
@@ -163,22 +164,44 @@ def _label_ids(label_strings: list[str]) -> tuple[np.ndarray, dict[int, str]]:
     return ids, {i: name for name, i in name_to_id.items()}
 
 
+class _DecodeWatch:
+    """The lines of a text file opened with ``errors="surrogateescape"``,
+    counting those that held an undecodable byte (now a lone surrogate)."""
+
+    _SURROGATE = re.compile("[\udc80-\udcff]")
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.undecodable = 0
+
+    def __iter__(self):
+        for line in self.fh:
+            # isascii is a flag check on CPython strings, so clean lines cost
+            # no search
+            if not line.isascii() and self._SURROGATE.search(line):
+                self.undecodable += 1
+            yield line
+
+
 def load_dataset(path, label_column: str = DEFAULT_LABEL_COLUMN,
                  drop_non_finite: bool = True,
                  ignore_columns: tuple[str, ...] = ()) -> tuple[Dataset, IngestReport]:
     """Read a header-bearing CSV of numeric features plus one label column.
 
-    Rows with non-numeric or non-finite feature values are dropped and
-    counted when ``drop_non_finite`` is set, and rejected otherwise.
-    Columns named in ``ignore_columns`` (like a provenance column) are
-    skipped entirely.
+    Rows with non-numeric or non-finite feature values, or with a byte that
+    is not UTF-8 in any cell (``undecodable``), are dropped and counted when
+    ``drop_non_finite`` is set, and rejected otherwise. Columns named in
+    ``ignore_columns`` (like a provenance column) are skipped entirely.
     """
     report = IngestReport()
-    with open(path, newline="", encoding="utf-8", errors="replace") as fh:
-        reader = csv.reader(fh)
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
+        lines = _DecodeWatch(fh)
+        reader = csv.reader(lines)
         header = next(reader, None)
         if header is None:
             raise SchemaError(f"{path}: empty file, no header row")
+        if lines.undecodable:
+            raise SchemaError(f"{path}: header row holds a byte that is not UTF-8")
         names = [h.strip() for h in header]
         if label_column not in names:
             raise SchemaError(f"{path}: label column {label_column!r} not found")
@@ -188,10 +211,18 @@ def load_dataset(path, label_column: str = DEFAULT_LABEL_COLUMN,
 
         rows: list[list[float]] = []
         labels: list[str] = []
+        undecodable_seen = 0
         for raw in reader:
             if not raw:
                 continue
             report.rows_read += 1
+            if lines.undecodable != undecodable_seen:
+                undecodable_seen = lines.undecodable
+                if not drop_non_finite:
+                    raise InputDataError(
+                        f"{path}: row {report.rows_read} holds a byte that is not UTF-8")
+                report.drop("undecodable")
+                continue
             if len(raw) != len(names):
                 if not drop_non_finite:
                     raise InputDataError(f"{path}: row {report.rows_read} has wrong field count")
@@ -382,7 +413,11 @@ def apply_minmax(params: NormalizationParams, data) -> np.ndarray:
 
 
 def _check_unit_range(features, context: str):
-    """Reject features outside [0, 1]: the models expect min-max scaled input."""
+    """Reject features that are not finite or lie outside [0, 1]: the models
+    expect min-max scaled input. This is the one input check of a training
+    call; its batches are slices of the checked matrix."""
+    if features.size and not np.isfinite(features).all():
+        raise InputDataError(f"{context}: features contain NaN or Inf")
     if features.size and (features.min() < -1e-12 or features.max() > 1.0 + 1e-12):
         raise InputDataError(f"{context}: expected features normalized to [0, 1]")
 

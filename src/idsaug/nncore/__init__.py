@@ -19,7 +19,7 @@ from .losses import (
     generator_score_grad,
     reconstruction_loss,
 )
-from .network import Network, add_grads
+from .network import Network
 
 __all__ = [
     "Adam",
@@ -31,7 +31,6 @@ __all__ = [
     "ReLU",
     "Sigmoid",
     "Softmax",
-    "add_grads",
     "adversarial_losses",
     "contrastive_loss",
     "cross_entropy_loss",

@@ -8,6 +8,17 @@ None for the input gradient and skip computing it. Layers compute in the
 dtype of their input, which must be the dtype of their parameters: no
 float64 constant widens a float32 batch, and every output and gradient comes
 back in the input's dtype. New parameters are float64.
+
+Buffers. ``forward(x, train, ws)`` writes its output and every intermediate
+into arrays it keeps in ``ws``, a dict of named buffers, and its cache holds
+``ws`` so that ``backward`` writes its gradients into the same dict. A buffer
+is made the first time a name is asked for and reused on every later call
+with the same ``ws``, so the caller must pass one ``ws`` per batch shape and
+dtype, and must not pass it to another forward while a cache that holds it
+is still to be backpropagated: ``Network`` gives each live tape its own.
+With no ``ws`` a call gets a fresh dict, so its outputs are new arrays.
+``backward(..., grads)`` writes the parameter gradients into the given
+arrays (views into a network's flat gradient) instead of new ones.
 """
 
 from __future__ import annotations
@@ -17,6 +28,32 @@ import math
 import numpy as np
 
 from ..errors import ConfigError, InputDataError, ShapeError
+
+
+def _buffer(ws: dict, name: str, shape, dtype) -> np.ndarray:
+    buf = ws.get(name)
+    if buf is None:
+        buf = ws[name] = np.empty(shape, dtype)
+    return buf
+
+
+def _ones(ws: dict, n: int, dtype) -> np.ndarray:
+    ones = ws.get(("ones", n))
+    if ones is None:
+        ones = ws[("ones", n)] = np.ones(n, dtype)
+    return ones
+
+
+# Sums over the rows or the columns of a small matrix run as a BLAS
+# matrix-vector product with a ones vector: numpy's own reduction along either
+# axis of a (batch, width) array costs several times more at these sizes.
+def _column_sums(a: np.ndarray, out: np.ndarray, ws: dict):
+    np.matmul(_ones(ws, a.shape[0], a.dtype), a, out=out)
+
+
+def _row_sums(a: np.ndarray, out: np.ndarray, ws: dict):
+    """Row sums of ``a`` into ``out`` of shape (rows, 1)."""
+    np.matmul(a, _ones(ws, a.shape[1], a.dtype), out=out[:, 0])
 
 
 class Layer:
@@ -31,11 +68,17 @@ class Layer:
     def params(self) -> list[np.ndarray]:
         return []
 
-    def forward(self, x: np.ndarray, train: bool):
+    def forward(self, x: np.ndarray, train: bool, ws: dict | None = None):
         raise NotImplementedError
 
-    def backward(self, grad_out: np.ndarray, cache, train: bool, input_grad: bool = True):
+    def backward(self, grad_out: np.ndarray, cache, train: bool, input_grad: bool = True,
+                 grads: list[np.ndarray] | None = None):
         raise NotImplementedError
+
+    def _param_grads(self, grads, dtype) -> list[np.ndarray]:
+        if grads is None:
+            grads = [np.empty(p.shape, dtype) for p in self.params()]
+        return grads
 
 
 class Activation(Layer):
@@ -59,17 +102,23 @@ class Dense(Layer):
     def params(self):
         return [self.weights, self.bias]
 
-    def forward(self, x, train):
-        out = x @ self.weights
+    def forward(self, x, train, ws=None):
+        ws = {} if ws is None else ws
+        out = _buffer(ws, "out", (x.shape[0], self.out_dim), x.dtype)
+        np.matmul(x, self.weights, out=out)
         out += self.bias
-        return out, (x,)
+        return out, (x, ws)
 
-    def backward(self, grad_out, cache, train, input_grad=True):
-        (x,) = cache
-        grad_w = x.T @ grad_out
-        grad_b = grad_out.sum(axis=0)
-        grad_in = grad_out @ self.weights.T if input_grad else None
-        return grad_in, [grad_w, grad_b]
+    def backward(self, grad_out, cache, train, input_grad=True, grads=None):
+        x, ws = cache
+        grad_w, grad_b = grads = self._param_grads(grads, grad_out.dtype)
+        np.matmul(x.T, grad_out, out=grad_w)
+        _column_sums(grad_out, grad_b, ws)
+        if not input_grad:
+            return None, grads
+        grad_in = _buffer(ws, "grad_in", x.shape, grad_out.dtype)
+        np.matmul(grad_out, self.weights.T, out=grad_in)
+        return grad_in, grads
 
 
 class BatchNorm(Activation):
@@ -93,37 +142,72 @@ class BatchNorm(Activation):
     def params(self):
         return [self.scale, self.shift]
 
-    def forward(self, x, train):
+    def forward(self, x, train, ws=None):
+        ws = {} if ws is None else ws
+        n, d = x.shape
+        x_hat = _buffer(ws, "x_hat", x.shape, x.dtype)
+        inv_std = _buffer(ws, "inv_std", d, x.dtype)
         if train:
-            n = x.shape[0]
             if n < 2:
                 raise InputDataError("batchnorm needs a batch of at least 2 rows in train mode")
-            mean = x.mean(axis=0)
-            var = x.var(axis=0)
-            inv_std = 1.0 / np.sqrt(var + self.epsilon)
-            x_hat = (x - mean) * inv_std
+            mean = _buffer(ws, "mean", d, x.dtype)
+            var = _buffer(ws, "var", d, x.dtype)
+            _column_sums(x, mean, ws)
+            mean /= n
+            np.subtract(x, mean, out=x_hat)
+            out = _buffer(ws, "out", x.shape, x.dtype)
+            np.multiply(x_hat, x_hat, out=out)
+            _column_sums(out, var, ws)
+            var /= n
+            np.add(var, self.epsilon, out=inv_std)
+            np.sqrt(inv_std, out=inv_std)
+            np.divide(1.0, inv_std, out=inv_std)
+            x_hat *= inv_std
             m = self.momentum
-            self.running_mean = (1.0 - m) * self.running_mean + m * mean
+            self.running_mean *= 1.0 - m
+            np.multiply(mean, m, out=mean)
+            self.running_mean += mean
             # running variance tracks the unbiased estimate
-            self.running_var = (1.0 - m) * self.running_var + m * var * (n / (n - 1.0))
+            self.running_var *= 1.0 - m
+            np.multiply(var, m, out=var)
+            var *= n / (n - 1.0)
+            self.running_var += var
         else:
-            inv_std = 1.0 / np.sqrt(self.running_var + self.epsilon)
-            x_hat = (x - self.running_mean) * inv_std
-        return self.scale * x_hat + self.shift, (x_hat, inv_std)
+            np.add(self.running_var, self.epsilon, out=inv_std)
+            np.sqrt(inv_std, out=inv_std)
+            np.divide(1.0, inv_std, out=inv_std)
+            np.subtract(x, self.running_mean, out=x_hat)
+            x_hat *= inv_std
+            out = _buffer(ws, "out", x.shape, x.dtype)
+        np.multiply(x_hat, self.scale, out=out)
+        out += self.shift
+        return out, (x_hat, inv_std, ws)
 
-    def backward(self, grad_out, cache, train, input_grad=True):
-        x_hat, inv_std = cache
-        grad_scale = (grad_out * x_hat).sum(axis=0)
-        grad_shift = grad_out.sum(axis=0)
-        grad_hat = grad_out * self.scale
+    def backward(self, grad_out, cache, train, input_grad=True, grads=None):
+        x_hat, inv_std, ws = cache
+        n, d = x_hat.shape
+        grad_scale, grad_shift = grads = self._param_grads(grads, grad_out.dtype)
+        tmp = _buffer(ws, "tmp", x_hat.shape, x_hat.dtype)
+        np.multiply(grad_out, x_hat, out=tmp)
+        _column_sums(tmp, grad_scale, ws)
+        _column_sums(grad_out, grad_shift, ws)
+        if not input_grad:
+            return None, grads
+        # with k = scale * inv_std, the input gradient is k * grad_out, less
+        # in train mode the batch terms (k / n) * (grad_shift + x_hat * grad_scale)
+        k = _buffer(ws, "k", d, x_hat.dtype)
+        np.multiply(self.scale, inv_std, out=k)
+        grad_in = _buffer(ws, "grad_in", x_hat.shape, x_hat.dtype)
+        np.multiply(grad_out, k, out=grad_in)
         if train:
-            n = x_hat.shape[0]
-            grad_in = (inv_std / n) * (
-                n * grad_hat - grad_hat.sum(axis=0) - x_hat * (grad_hat * x_hat).sum(axis=0)
-            )
-        else:
-            grad_in = grad_hat * inv_std
-        return grad_in, [grad_scale, grad_shift]
+            k /= n
+            term = _buffer(ws, "term", d, x_hat.dtype)
+            np.multiply(k, grad_shift, out=term)
+            grad_in -= term
+            np.multiply(k, grad_scale, out=term)
+            np.multiply(x_hat, term, out=tmp)
+            grad_in -= tmp
+        return grad_in, grads
 
 
 class LayerNorm(Activation):
@@ -142,25 +226,52 @@ class LayerNorm(Activation):
     def params(self):
         return [self.scale, self.shift]
 
-    def forward(self, x, train):
-        mean = x.mean(axis=1, keepdims=True)
-        var = x.var(axis=1, keepdims=True)
-        inv_std = 1.0 / np.sqrt(var + self.epsilon)
-        x_hat = (x - mean) * inv_std
-        return self.scale * x_hat + self.shift, (x_hat, inv_std)
+    def forward(self, x, train, ws=None):
+        ws = {} if ws is None else ws
+        n, d = x.shape
+        x_hat = _buffer(ws, "x_hat", x.shape, x.dtype)
+        out = _buffer(ws, "out", x.shape, x.dtype)
+        inv_std = _buffer(ws, "inv_std", (n, 1), x.dtype)
+        _row_sums(x, inv_std, ws)
+        inv_std /= d
+        np.subtract(x, inv_std, out=x_hat)
+        np.multiply(x_hat, x_hat, out=out)
+        _row_sums(out, inv_std, ws)
+        inv_std /= d
+        inv_std += self.epsilon
+        np.sqrt(inv_std, out=inv_std)
+        np.divide(1.0, inv_std, out=inv_std)
+        x_hat *= inv_std
+        np.multiply(x_hat, self.scale, out=out)
+        out += self.shift
+        return out, (x_hat, inv_std, ws)
 
-    def backward(self, grad_out, cache, train, input_grad=True):
-        x_hat, inv_std = cache
-        d = self.out_dim
-        grad_scale = (grad_out * x_hat).sum(axis=0)
-        grad_shift = grad_out.sum(axis=0)
-        grad_hat = grad_out * self.scale
-        grad_in = (inv_std / d) * (
-            d * grad_hat
-            - grad_hat.sum(axis=1, keepdims=True)
-            - x_hat * (grad_hat * x_hat).sum(axis=1, keepdims=True)
-        )
-        return grad_in, [grad_scale, grad_shift]
+    def backward(self, grad_out, cache, train, input_grad=True, grads=None):
+        x_hat, inv_std, ws = cache
+        n, d = x_hat.shape
+        grad_scale, grad_shift = grads = self._param_grads(grads, grad_out.dtype)
+        tmp = _buffer(ws, "tmp", x_hat.shape, x_hat.dtype)
+        np.multiply(grad_out, x_hat, out=tmp)
+        _column_sums(tmp, grad_scale, ws)
+        _column_sums(grad_out, grad_shift, ws)
+        if not input_grad:
+            return None, grads
+        # (inv_std / d) * (d * grad_hat - rowsum(grad_hat) - x_hat * rowsum(grad_hat * x_hat))
+        grad_hat = _buffer(ws, "grad_hat", x_hat.shape, x_hat.dtype)
+        grad_in = _buffer(ws, "grad_in", x_hat.shape, x_hat.dtype)
+        dot = _buffer(ws, "dot", (n, 1), x_hat.dtype)
+        total = _buffer(ws, "total", (n, 1), x_hat.dtype)
+        np.multiply(grad_out, self.scale, out=grad_hat)
+        np.multiply(grad_hat, x_hat, out=tmp)
+        _row_sums(tmp, dot, ws)
+        _row_sums(grad_hat, total, ws)
+        np.multiply(grad_hat, d, out=grad_in)
+        grad_in -= total
+        np.multiply(x_hat, dot, out=tmp)
+        grad_in -= tmp
+        np.divide(inv_std, d, out=total)
+        grad_in *= total
+        return grad_in, grads
 
 
 class LeakyReLU(Activation):
@@ -174,67 +285,103 @@ class LeakyReLU(Activation):
             raise ConfigError(f"leakyrelu slope must lie in [0, 1], got {slope}")
         self.slope = float(slope)
 
-    def forward(self, x, train):
-        y = self.slope * x
+    def forward(self, x, train, ws=None):
+        ws = {} if ws is None else ws
+        y = _buffer(ws, "out", x.shape, x.dtype)
+        np.multiply(x, self.slope, out=y)
         np.maximum(x, y, out=y)
-        return y, (y,)
+        return y, (y, ws)
 
-    def backward(self, grad_out, cache, train, input_grad=True):
+    def backward(self, grad_out, cache, train, input_grad=True, grads=None):
         # y > 0 exactly where x > 0; the factor is 1.0 there and the slope elsewhere
-        (y,) = cache
-        factor = np.maximum(y > 0.0, self.slope, dtype=y.dtype)
-        factor *= grad_out
-        return factor, []
+        y, ws = cache
+        mask = _buffer(ws, "mask", y.shape, bool)
+        grad_in = _buffer(ws, "grad_in", y.shape, y.dtype)
+        np.greater(y, 0.0, out=mask)
+        np.maximum(mask, self.slope, out=grad_in, dtype=y.dtype)
+        grad_in *= grad_out
+        return grad_in, []
 
 
 class ReLU(Activation):
     kind = "relu"
 
-    def forward(self, x, train):
-        y = np.maximum(x, 0.0)
-        return y, (y,)
+    def forward(self, x, train, ws=None):
+        ws = {} if ws is None else ws
+        y = _buffer(ws, "out", x.shape, x.dtype)
+        np.maximum(x, 0.0, out=y)
+        return y, (y, ws)
 
-    def backward(self, grad_out, cache, train, input_grad=True):
+    def backward(self, grad_out, cache, train, input_grad=True, grads=None):
         # y > 0 exactly where x > 0
-        (y,) = cache
-        return grad_out * (y > 0.0), []
+        y, ws = cache
+        mask = _buffer(ws, "mask", y.shape, bool)
+        grad_in = _buffer(ws, "grad_in", y.shape, y.dtype)
+        np.greater(y, 0.0, out=mask)
+        np.multiply(grad_out, mask, out=grad_in)
+        return grad_in, []
 
 
 class Sigmoid(Activation):
     kind = "sigmoid"
 
-    def forward(self, x, train):
-        # split by sign so exp never overflows; outputs stay strictly inside
-        # (0, 1) even when the exponential underflows
-        y = np.empty_like(x)
-        pos = x >= 0.0
-        y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        ex = np.exp(x[~pos])
-        y[~pos] = ex / (1.0 + ex)
+    def forward(self, x, train, ws=None):
+        # 1 / (1 + e) for x >= 0 and e / (1 + e) below, with e = exp(-|x|), so
+        # exp never overflows; outputs stay strictly inside (0, 1) even when
+        # the exponential underflows
+        ws = {} if ws is None else ws
+        y = _buffer(ws, "out", x.shape, x.dtype)
+        e = _buffer(ws, "exp", x.shape, x.dtype)
+        mask = _buffer(ws, "mask", x.shape, bool)
+        np.abs(x, out=e)
+        np.negative(e, out=e)
+        np.exp(e, out=e)
+        np.add(e, 1.0, out=y)
+        np.greater_equal(x, 0.0, out=mask)
+        np.copyto(e, 1.0, where=mask)
+        np.divide(e, y, out=y)
         # the bounds are the floats next to 0 and 1 in the input's own dtype:
         # float64 ones round to exactly 0.0 and 1.0 in float32
         info = np.finfo(y.dtype)
         np.clip(y, info.smallest_subnormal, 1.0 - info.epsneg, out=y)
-        return y, (y,)
+        return y, (y, ws)
 
-    def backward(self, grad_out, cache, train, input_grad=True):
-        (y,) = cache
-        return grad_out * y * (1.0 - y), []
+    def backward(self, grad_out, cache, train, input_grad=True, grads=None):
+        y, ws = cache
+        grad_in = _buffer(ws, "grad_in", y.shape, y.dtype)
+        np.multiply(grad_out, y, out=grad_in)
+        np.subtract(1.0, y, out=ws["exp"])
+        grad_in *= ws["exp"]
+        return grad_in, []
 
 
 class Softmax(Activation):
     kind = "softmax"
 
-    def forward(self, x, train):
-        shifted = x - x.max(axis=1, keepdims=True)
-        e = np.exp(shifted)
-        y = e / e.sum(axis=1, keepdims=True)
-        return y, (y,)
+    def forward(self, x, train, ws=None):
+        ws = {} if ws is None else ws
+        y = _buffer(ws, "out", x.shape, x.dtype)
+        row = _buffer(ws, "row", (x.shape[0], 1), x.dtype)
+        # the row maxima as the column maxima of a transposed copy, which
+        # numpy reduces several times faster than the rows of x
+        xt = _buffer(ws, "transposed", x.shape[::-1], x.dtype)
+        np.copyto(xt, x.T)
+        np.maximum.reduce(xt, 0, None, row[:, 0])
+        np.subtract(x, row, out=y)
+        np.exp(y, out=y)
+        _row_sums(y, row, ws)
+        y /= row
+        return y, (y, ws)
 
-    def backward(self, grad_out, cache, train, input_grad=True):
-        (y,) = cache
-        inner = (grad_out * y).sum(axis=1, keepdims=True)
-        return y * (grad_out - inner), []
+    def backward(self, grad_out, cache, train, input_grad=True, grads=None):
+        y, ws = cache
+        grad_in = _buffer(ws, "grad_in", y.shape, y.dtype)
+        row = ws["row"]
+        np.multiply(grad_out, y, out=grad_in)
+        _row_sums(grad_in, row, ws)
+        np.subtract(grad_out, row, out=grad_in)
+        grad_in *= y
+        return grad_in, []
 
 
 LAYER_KINDS = {

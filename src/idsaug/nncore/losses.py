@@ -95,21 +95,34 @@ def generator_score_grad(d_fake):
     return -1.0 / (fake.size * np.clip(fake, LOG_EPS, 1.0 - LOG_EPS))
 
 
-def cross_entropy_loss(probs, targets):
+def cross_entropy_loss(probs, targets, wrt: str = "probs"):
     """Categorical cross-entropy over probability rows and one-hot targets.
 
-    Returns (loss, grad_wrt_probs), both batch means. Chained through a
-    softmax layer's backward pass the gradient reduces to
-    (probs - targets) / batch. The math runs in the dtype of float ``probs``
-    (float64 for any other input); ``targets`` are cast to it.
+    Returns (loss, grad), both batch means. With ``wrt="probs"`` the
+    gradient is with respect to ``probs``. With ``wrt="logits"``, ``probs``
+    must be a softmax's output and the gradient is with respect to its input
+    logits: chaining the softmax's backward pass through the probability
+    gradient reduces to (probs - targets) / batch for targets that sum to one
+    per row, which is returned directly. That fused gradient is the one of
+    the unclamped loss, so it differs from the chained one on a row whose
+    target probability lies below LOG_EPS. The math runs in the dtype of
+    float ``probs`` (float64 for any other input); ``targets`` are cast to it.
     """
+    if wrt not in ("probs", "logits"):
+        raise ConfigError(f"cross_entropy_loss: unknown wrt {wrt!r}")
     probs = np.asarray(probs)
     if probs.dtype.kind != "f":
         probs = probs.astype(np.float64)
     targets = np.asarray(targets, dtype=probs.dtype)
     _check_same_shape(probs, targets, "cross_entropy_loss")
     batch = probs.shape[0]
-    clamped = np.clip(probs, LOG_EPS, None)
-    loss = float(-(targets * np.log(clamped)).sum() / batch)
-    grad = -targets / (batch * clamped)
+    clamped = np.maximum(probs, LOG_EPS)
+    if wrt == "logits":
+        grad = probs - targets
+        grad /= batch
+    else:
+        grad = -targets / (batch * clamped)
+    np.log(clamped, out=clamped)
+    clamped *= targets
+    loss = float(-clamped.sum() / batch)
     return loss, grad

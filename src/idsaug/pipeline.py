@@ -38,6 +38,7 @@ from .errors import (
     TrainingDivergedError,
 )
 from .nncore import Adam, Dense, Network, ReLU, Softmax, cross_entropy_loss
+from .nncore.layers import check_batch
 from .nncore.checkpoint import read_record, write_record
 from .seeding import derive_seed, substream
 
@@ -372,12 +373,15 @@ def train_classifier(data: Dataset, config: ClassifierConfig) -> tuple[Classifie
         model.net.eval()
         return model, []
 
-    features = data.features.astype(np.float32)
+    net = model.net
+    # the one input check of the call: every batch is a slice of this matrix
+    features = check_batch(data.features, net.in_dim, "train_classifier", net.dtype)
     col = {c: i for i, c in enumerate(class_ids)}
-    targets = np.zeros((data.n_rows, len(class_ids)), dtype=np.float32)
+    targets = np.zeros((data.n_rows, len(class_ids)), dtype=net.dtype)
     targets[np.arange(data.n_rows), [col[int(c)] for c in data.labels]] = 1.0
 
-    optimizer = Adam(model.net.parameters(), lr=config.lr)
+    params = net.parameters()
+    optimizer = Adam(params, lr=config.lr)
     history: list[float] = []
     best = np.inf
     stale = 0
@@ -386,14 +390,15 @@ def train_classifier(data: Dataset, config: ClassifierConfig) -> tuple[Classifie
         losses = []
         for start in range(0, data.n_rows, config.batch_size):
             idx = order[start:start + config.batch_size]
-            probs = model.net.forward(features[idx])
-            loss, grad = cross_entropy_loss(probs, targets[idx])
+            probs = net.forward(features[idx], check=False)
+            # softmax and cross-entropy backward fused: (probs - targets) / batch
+            loss, grad = cross_entropy_loss(probs, targets[idx], wrt="logits")
             if not np.isfinite(loss):
                 raise TrainingDivergedError(
                     f"classifier loss became non-finite at epoch {epoch + 1}",
                     epoch=epoch + 1)
-            _, param_grads = model.net.backward(grad, input_grad=False)
-            optimizer.step(model.net.parameters(), param_grads)
+            net.backward(grad, input_grad=False, skip_last=True)
+            optimizer.step(params, net.grad)
             losses.append(loss)
         epoch_loss = float(np.mean(losses))
         history.append(epoch_loss)

@@ -21,7 +21,6 @@ from .nncore import (
     Dense,
     LeakyReLU,
     Network,
-    add_grads,
     contrastive_loss,
     reconstruction_loss,
 )
@@ -168,15 +167,18 @@ def sample_pairs(features, labels, pair_count: int, dissimilar_fraction: float,
 
 
 def _loss_and_grads(model: SanModel, batch: PairBatch):
-    """Combined loss plus parameter gradients for both shared networks."""
+    """Combined loss plus parameter gradients for both shared networks.
+
+    Each network's gradients over both twins are summed in its ``grad``; the
+    returned per-parameter lists are views of it."""
     enc, dec = model.encoder, model.decoder
-    e1 = enc.forward(batch.x1)
+    e1 = enc.forward(batch.x1, check=False)
     tape_e1 = enc.take_tape()
-    r1 = dec.forward(e1)
+    r1 = dec.forward(e1, check=False)
     tape_d1 = dec.take_tape()
-    e2 = enc.forward(batch.x2)
+    e2 = enc.forward(batch.x2, check=False)
     tape_e2 = enc.take_tape()
-    r2 = dec.forward(e2)
+    r2 = dec.forward(e2, check=False)
     tape_d2 = dec.take_tape()
 
     loss_r1, grad_r1 = reconstruction_loss(batch.x1, r1)
@@ -184,13 +186,13 @@ def _loss_and_grads(model: SanModel, batch: PairBatch):
     loss_c, grad_e1c, grad_e2c = contrastive_loss(e1, e2, batch.y, model.margin)
     loss = loss_r1 + loss_r2 + model.alpha * loss_c
 
-    grad_e1_dec, dec_grads1 = dec.backward(grad_r1, tape_d1)
-    grad_e2_dec, dec_grads2 = dec.backward(grad_r2, tape_d2)
-    _, enc_grads1 = enc.backward(grad_e1_dec + model.alpha * grad_e1c, tape_e1,
-                                 input_grad=False)
-    _, enc_grads2 = enc.backward(grad_e2_dec + model.alpha * grad_e2c, tape_e2,
-                                 input_grad=False)
-    return loss, add_grads(enc_grads1, enc_grads2), add_grads(dec_grads1, dec_grads2)
+    grad_e1_dec, _ = dec.backward(grad_r1, tape_d1)
+    grad_e2_dec, _ = dec.backward(grad_r2, tape_d2, accumulate=True)
+    grad_e1_dec += model.alpha * grad_e1c
+    grad_e2_dec += model.alpha * grad_e2c
+    enc.backward(grad_e1_dec, tape_e1, input_grad=False)
+    _, enc_grads = enc.backward(grad_e2_dec, tape_e2, input_grad=False, accumulate=True)
+    return loss, enc_grads, dec.grads
 
 
 def san_loss(model: SanModel, batch: PairBatch) -> float:
@@ -217,8 +219,10 @@ def train_san(features, labels, config: SanConfig) -> tuple[SanModel, list[float
     if config.epochs == 0:
         return model.eval(), []
 
-    opt_enc = Adam(model.encoder.parameters(), lr=config.lr)
-    opt_dec = Adam(model.decoder.parameters(), lr=config.lr)
+    enc_params = model.encoder.parameters()
+    dec_params = model.decoder.parameters()
+    opt_enc = Adam(enc_params, lr=config.lr)
+    opt_dec = Adam(dec_params, lr=config.lr)
     history = []
     for epoch in range(config.epochs):
         pairs = sample_pairs(features, labels, config.pairs_per_epoch,
@@ -229,14 +233,14 @@ def train_san(features, labels, config: SanConfig) -> tuple[SanModel, list[float
             if stop - start < 2:
                 continue
             sub = PairBatch(pairs.x1[start:stop], pairs.x2[start:stop], pairs.y[start:stop])
-            loss, enc_grads, dec_grads = _loss_and_grads(model, sub)
+            loss, _, _ = _loss_and_grads(model, sub)
             if not np.isfinite(loss):
                 raise TrainingDivergedError(
                     f"siamese autoencoder loss became non-finite at epoch {epoch + 1}",
                     epoch=epoch + 1,
                 )
-            opt_enc.step(model.encoder.parameters(), enc_grads)
-            opt_dec.step(model.decoder.parameters(), dec_grads)
+            opt_enc.step(enc_params, model.encoder.grad)
+            opt_dec.step(dec_params, model.decoder.grad)
             losses.append(loss)
         history.append(float(np.mean(losses)))
     return model.eval(), history

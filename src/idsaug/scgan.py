@@ -29,7 +29,6 @@ from .nncore import (
     LeakyReLU,
     Network,
     Sigmoid,
-    add_grads,
     adversarial_losses,
     discriminator_score_grads,
     generator_score_grad,
@@ -161,8 +160,9 @@ def train_scgan(class_data, class_id, san_model: SanModel,
 
     codes = encode(san_model, data)
     gen, disc = model.generator, model.discriminator
-    opt_g = Adam(gen.parameters(), lr=config.lr)
-    opt_d = Adam(disc.parameters(), lr=config.lr)
+    gen_params, disc_params = gen.parameters(), disc.parameters()
+    opt_g = Adam(gen_params, lr=config.lr)
+    opt_d = Adam(disc_params, lr=config.lr)
     steps = 0
     for epoch in range(config.epochs):
         order = rng_train.permutation(data.shape[0])
@@ -175,31 +175,30 @@ def train_scgan(class_data, class_id, san_model: SanModel,
             cond = codes[batch_idx]
             noise = rng_train.standard_normal((batch_idx.size, config.noise_dim))
 
-            fake = gen.forward(np.concatenate([cond, noise], axis=1))
+            fake = gen.forward(np.concatenate([cond, noise], axis=1), check=False)
             tape_gen = gen.take_tape()
 
-            d_real = disc.forward(np.concatenate([real, cond], axis=1))
+            d_real = disc.forward(np.concatenate([real, cond], axis=1), check=False)
             tape_real = disc.take_tape()
-            d_fake = disc.forward(np.concatenate([fake, cond], axis=1))
+            d_fake = disc.forward(np.concatenate([fake, cond], axis=1), check=False)
             tape_fake = disc.take_tape()
 
             d_loss, _ = adversarial_losses(d_real, d_fake)
             grad_real, grad_fake = discriminator_score_grads(d_real, d_fake)
-            _, disc_grads_real = disc.backward(grad_real, tape_real, input_grad=False)
-            _, disc_grads_fake = disc.backward(grad_fake, tape_fake, input_grad=False)
-            opt_d.step(disc.parameters(), add_grads(disc_grads_real, disc_grads_fake))
+            disc.backward(grad_real, tape_real, input_grad=False)
+            disc.backward(grad_fake, tape_fake, input_grad=False, accumulate=True)
+            opt_d.step(disc_params, disc.grad)
             if observer is not None:
                 observer("d-updated", model)
 
             # generator step against the updated, frozen discriminator
-            d_fake2 = disc.forward(np.concatenate([fake, cond], axis=1))
+            d_fake2 = disc.forward(np.concatenate([fake, cond], axis=1), check=False)
             tape_fake2 = disc.take_tape()
             _, g_loss = adversarial_losses(d_real, d_fake2)
             grad_scores = generator_score_grad(d_fake2)
             grad_disc_in, _ = disc.backward(grad_scores, tape_fake2)
-            _, gen_grads = gen.backward(grad_disc_in[:, :model.feature_dim], tape_gen,
-                                        input_grad=False)
-            opt_g.step(gen.parameters(), gen_grads)
+            gen.backward(grad_disc_in[:, :model.feature_dim], tape_gen, input_grad=False)
+            opt_g.step(gen_params, gen.grad)
             if observer is not None:
                 observer("g-updated", model)
 

@@ -65,6 +65,33 @@ class TestLoad:
         ds, _ = dataio.load_dataset(write_csv(tmp_path / "t.csv", "a,Label\n1,  x \n2,x\n"))
         assert list(ds.label_names.values()) == ["x"]
 
+    @pytest.mark.parametrize("row, cell", [(b"3,4,A\xff\n", "label"),
+                                           (b"3,4\xfe,B\n", "feature")])
+    def test_row_with_an_undecodable_byte_dropped_and_counted(self, tmp_path, row, cell):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"a,b,Label\n1,2,A\n" + row + b"5,6,B\n")
+        ds, report = dataio.load_dataset(path)
+        # no replacement character makes a new class of a damaged label
+        assert ds.label_names == {0: "A", 1: "B"}, cell
+        assert ds.features.tolist() == [[1.0, 2.0], [5.0, 6.0]]
+        assert (report.rows_read, report.rows_kept) == (3, 2)
+        assert report.dropped == {"undecodable": 1}
+        with pytest.raises(InputDataError, match="not UTF-8"):
+            dataio.load_dataset(path, drop_non_finite=False)
+
+    def test_undecodable_header_is_a_schema_error(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"a\xff,b,Label\n1,2,A\n")
+        with pytest.raises(SchemaError, match="not UTF-8"):
+            dataio.load_dataset(path)
+
+    def test_valid_non_ascii_text_is_kept(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes("a,Label\n1,Web Attack \u2013 XSS\n2,B\n".encode("utf-8"))
+        ds, report = dataio.load_dataset(path)
+        assert sorted(ds.label_names.values()) == ["B", "Web Attack \u2013 XSS"]
+        assert report.rows_dropped == 0
+
     def test_ignore_columns(self, tmp_path):
         text = "a,b,Label,provenance\n1,2,x,original\n3,4,y,scgan\n"
         ds, _ = dataio.load_dataset(write_csv(tmp_path / "t.csv", text),
@@ -165,6 +192,13 @@ class TestMinMax:
         out = dataio.apply_minmax(params, train)
         assert out.min() == 0.0 and out.max() == 1.0
         assert dataio.apply_minmax(params, np.array([[4.0]]))[0, 0] == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_unit_range_check_refuses_non_finite_values(self, bad):
+        features = np.array([[0.5, 0.1], [0.2, 0.3]])
+        features[0, 1] = bad
+        with pytest.raises(InputDataError, match="NaN or Inf"):
+            dataio._check_unit_range(features, "t")
 
     def test_out_of_range_values_clamp(self):
         params = dataio.fit_minmax(np.array([[2.0], [6.0]]))

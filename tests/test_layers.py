@@ -236,3 +236,67 @@ def test_every_layer_computes_in_its_input_dtype(kind, dtype, rows, dim, scale, 
         out, _ = Sigmoid(4).forward(extreme, train=False)
         assert out.dtype == dtype
         assert np.all(out > 0.0) and np.all(out < 1.0)
+
+
+def _reference(kind, layer, x, g, train):
+    """The layer's forward output, input gradient and parameter gradients in
+    their textbook NumPy form: whole-array expressions and NumPy reductions."""
+    if kind == "dense":
+        return x @ layer.weights + layer.bias, g @ layer.weights.T, [x.T @ g, g.sum(axis=0)]
+    if kind in ("batchnorm", "layernorm"):
+        axis = 0 if kind == "batchnorm" else 1
+        if kind == "batchnorm" and not train:
+            mean, var = layer.running_mean, layer.running_var
+        else:
+            mean, var = x.mean(axis=axis, keepdims=True), x.var(axis=axis, keepdims=True)
+        inv_std = 1.0 / np.sqrt(var + layer.epsilon)
+        x_hat = (x - mean) * inv_std
+        grad_hat = g * layer.scale
+        n = x.shape[axis]
+        if kind == "batchnorm" and not train:
+            grad_in = grad_hat * inv_std
+        else:
+            grad_in = (inv_std / n) * (n * grad_hat - grad_hat.sum(axis=axis, keepdims=True)
+                                       - x_hat * (grad_hat * x_hat).sum(axis=axis, keepdims=True))
+        return (layer.scale * x_hat + layer.shift, grad_in,
+                [(g * x_hat).sum(axis=0), g.sum(axis=0)])
+    if kind == "leakyrelu":
+        return (np.where(x > 0.0, x, layer.slope * x),
+                g * np.where(x > 0.0, 1.0, layer.slope), [])
+    if kind == "relu":
+        return np.where(x > 0.0, x, 0.0), g * (x > 0.0), []
+    if kind == "sigmoid":
+        y = 1.0 / (1.0 + np.exp(-np.clip(x, -500.0, 500.0)))
+        return y, g * y * (1.0 - y), []
+    e = np.exp(x - x.max(axis=1, keepdims=True))
+    y = e / e.sum(axis=1, keepdims=True)
+    return y, y * (g - (g * y).sum(axis=1, keepdims=True)), []
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(sorted(LAYER_KINDS)), st.sampled_from([np.float32, np.float64]),
+       st.integers(2, 9), st.integers(1, 7), st.booleans(), st.integers(0, 2**31))
+def test_every_layer_matches_its_textbook_form(kind, dtype, rows, dim, train, seed):
+    # the layers sum through BLAS and reuse buffers, so they may differ from
+    # the textbook form in the last bits: the tolerance is set by the dtype
+    rng = np.random.default_rng(seed)
+    if kind == "dense":
+        layer = Dense(dim, dim + 1, rng)
+    else:
+        layer = LAYER_KINDS[kind](dim)
+    for name in ("scale", "shift", "running_mean"):
+        if hasattr(layer, name):
+            setattr(layer, name, rng.uniform(-2.0, 2.0, dim))
+    if hasattr(layer, "running_var"):
+        layer.running_var = rng.uniform(0.5, 2.0, dim)
+    layer = _in_dtype(layer, dtype)
+    x = (rng.standard_normal((rows, dim)) * 3.0).astype(dtype)
+    out, cache = layer.forward(x, train)
+    g = rng.standard_normal(out.shape).astype(dtype)
+    grad_in, param_grads = layer.backward(g, cache, train)
+    wide = _in_dtype(layer, np.float64)
+    expected = _reference(kind, wide, x.astype(np.float64), g.astype(np.float64), train)
+    tol = dict(rtol=1e-4, atol=1e-4) if dtype == np.float32 else dict(rtol=1e-9, atol=1e-9)
+    for ours, theirs in zip([out, grad_in, *param_grads],
+                            [expected[0], expected[1], *expected[2]]):
+        np.testing.assert_allclose(ours, theirs, **tol)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from idsaug.errors import ConfigError, ShapeError
 from idsaug.nncore import (
@@ -175,6 +177,54 @@ class TestCrossEntropy:
 
         numeric = fd_gradient(objective, logits)
         assert max_rel_err(grad_logits, numeric) < 1e-5
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 8), st.integers(2, 6), st.sampled_from([1.0, 10.0, 40.0]),
+       st.sampled_from([np.float32, np.float64]), st.integers(0, 2**31))
+def test_fused_logits_gradient_matches_the_chained_softmax_gradient(rows, classes, scale,
+                                                                    dtype, seed):
+    from idsaug.nncore import Softmax
+
+    rng = np.random.default_rng(seed)
+    logits = rng.standard_normal((rows, classes)) * scale
+    targets = np.eye(classes)[rng.integers(0, classes, size=rows)]
+    # one row whose other classes' probabilities lie far below the clamp
+    logits = np.vstack([logits, np.eye(classes)[0] * 50.0]).astype(dtype)
+    targets = np.vstack([targets, np.eye(classes)[0]])
+    probs, cache = Softmax(classes).forward(logits, train=True)
+    assert (probs[-1, 1:] < LOG_EPS).all()
+    loss, grad_probs = cross_entropy_loss(probs, targets)
+    chained, _ = Softmax(classes).backward(grad_probs, cache, train=True)
+    fused_loss, fused = cross_entropy_loss(probs, targets, wrt="logits")
+    assert fused_loss == loss
+    assert fused.dtype == dtype
+    np.testing.assert_array_equal(fused, (probs - targets.astype(dtype)) / (rows + 1))
+    # the identity holds where the target's own probability is not clamped
+    kept = (probs * targets).sum(axis=1) >= LOG_EPS
+    np.testing.assert_allclose(fused[kept], chained[kept], rtol=1e-5, atol=1e-6)
+
+
+def test_fused_gradient_is_the_unclamped_one_where_the_target_probability_is_clamped():
+    from idsaug.nncore import Softmax
+
+    layer = Softmax(2)
+    probs, cache = layer.forward(np.array([[0.0, 30.0]]), train=True)
+    targets = np.array([[1.0, 0.0]])
+    assert probs[0, 0] < LOG_EPS
+    loss, fused = cross_entropy_loss(probs, targets, wrt="logits")
+    assert loss == pytest.approx(-math.log(LOG_EPS))
+    unclamped, _ = layer.backward(-targets / probs, cache, train=True)
+    np.testing.assert_allclose(fused, unclamped, rtol=1e-12)
+    # chained through the clamped probability gradient, the pull almost vanishes
+    _, grad_probs = cross_entropy_loss(probs, targets)
+    chained, _ = layer.backward(grad_probs, cache, train=True)
+    assert abs(chained[0, 0]) < 1e-5 < abs(fused[0, 0])
+
+
+def test_cross_entropy_rejects_an_unknown_wrt():
+    with pytest.raises(ConfigError):
+        cross_entropy_loss(np.full((1, 2), 0.5), np.eye(2)[:1], wrt="inputs")
 
 
 class TestNonNegativity:

@@ -3,8 +3,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from idsaug.errors import FormatError, InputDataError, ShapeError, StateError
+from idsaug.errors import ConfigError, FormatError, InputDataError, ShapeError, StateError
 from idsaug.nncore import (
     BatchNorm,
     Dense,
@@ -266,3 +268,117 @@ def test_eval_forward_memory_is_bounded_by_its_output():
         tracemalloc.stop()
     assert out.shape == (32768, 20)
     assert peak <= 2 * out.nbytes + 16 * 2**20
+
+
+# a random stack of Dense blocks, each with an optional norm and activation,
+# maybe closed by a softmax; rebuilt from its spec and seed as often as needed
+_NORMS = {"none": None, "batchnorm": BatchNorm, "layernorm": LayerNorm}
+_ACTIVATIONS = {"none": None, "relu": ReLU, "leakyrelu": LeakyReLU, "sigmoid": Sigmoid}
+stack_specs = st.tuples(
+    st.integers(1, 5),
+    st.lists(st.tuples(st.integers(1, 6), st.sampled_from(sorted(_NORMS)),
+                       st.sampled_from(sorted(_ACTIVATIONS))), min_size=1, max_size=3),
+    st.booleans())
+
+
+def _build_stack(spec, seed, dtype):
+    in_dim, blocks, softmax = spec
+    rng = np.random.default_rng(seed)
+    layers, prev = [], in_dim
+    for width, norm, activation in blocks:
+        layers.append(Dense(prev, width, rng))
+        for cls in (_NORMS[norm], _ACTIVATIONS[activation]):
+            if cls is not None:
+                layers.append(cls(width))
+        prev = width
+    if softmax:
+        layers.append(Softmax(prev))
+    net = Network(layers)
+    for layer in net.layers:
+        for name, value in list(vars(layer).items()):
+            if isinstance(value, np.ndarray):
+                setattr(layer, name, value.astype(dtype))
+    return net
+
+
+@settings(max_examples=60, deadline=None)
+@given(stack_specs, st.lists(st.sampled_from([2, 3, 5]), min_size=1, max_size=4),
+       st.randoms(use_true_random=False), st.booleans(),
+       st.sampled_from([np.float64, np.float32]), st.integers(0, 2**31))
+def test_live_tapes_never_share_buffers(spec, rows, order_rng, accumulate, dtype, seed):
+    """k forwards with take_tape, then backwards in any order: every output,
+    input gradient and parameter gradient equals that of a fresh network."""
+    rng = np.random.default_rng(seed)
+    net = _build_stack(spec, seed, dtype)
+    xs = [rng.standard_normal((n, net.in_dim)) for n in rows]
+    gs = [rng.standard_normal((n, net.out_dim)) for n in rows]
+    outs, tapes = [], []
+    for x in xs:
+        outs.append(net.forward(x))
+        tapes.append(net.take_tape())
+    order = list(range(len(rows)))
+    order_rng.shuffle(order)
+    reference = []
+    for x, g in zip(xs, gs):
+        fresh = _build_stack(spec, seed, dtype)
+        out = fresh.forward(x)
+        grad_in, grads = fresh.backward(g)
+        reference.append((out, grad_in, np.concatenate([p.ravel() for p in grads])))
+    expected = None
+    for position, j in enumerate(order):
+        add = accumulate and position > 0
+        grad_in, grads = net.backward(gs[j], tapes[j], accumulate=add)
+        ref_out, ref_grad_in, ref_flat = reference[j]
+        assert grad_in.tobytes() == ref_grad_in.tobytes()
+        expected = expected + ref_flat if add else ref_flat
+        assert net.grad.tobytes() == expected.tobytes()
+        assert all(g.base is net.grad or g.size == 0 for g in grads)
+    # outputs are the caller's: later passes never wrote over them
+    for out, (ref_out, _, _) in zip(outs, reference):
+        assert out.dtype == dtype and out.tobytes() == ref_out.tobytes()
+    with pytest.raises(StateError):
+        net.backward(gs[order[0]], tapes[order[0]])
+
+
+def test_eval_forward_keeps_no_workspace():
+    rng = np.random.default_rng(12)
+    net = _batchnorm_generator(rng)
+    x = rng.standard_normal((4096, net.in_dim))
+    g = rng.standard_normal((4096, net.out_dim))
+    tracemalloc.start()
+    try:
+        for _ in range(2):
+            net.forward(x)
+            net.backward(g)
+        trained, _ = tracemalloc.get_traced_memory()
+        net.eval()
+        idle, _ = tracemalloc.get_traced_memory()
+        out = net.forward(x)
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the train workspace (several 4096-row buffers per layer) is freed by
+    # eval(), and an eval forward holds on to nothing but its output
+    assert trained - idle >= 10 * 4096 * 8 * 8
+    assert after - idle <= out.nbytes + 4096
+
+
+def test_skip_last_starts_below_a_parameter_free_last_layer():
+    from idsaug.nncore import cross_entropy_loss
+
+    rng = np.random.default_rng(13)
+    net = _softmax_classifier(rng)
+    x = rng.standard_normal((6, net.in_dim))
+    targets = np.eye(net.out_dim)[rng.integers(0, net.out_dim, size=6)]
+    probs = net.forward(x)
+    _, grad_probs = cross_entropy_loss(probs, targets)
+    net.backward(grad_probs)
+    chained = net.grad.copy()
+    net.forward(x)
+    _, grad_logits = cross_entropy_loss(probs, targets, wrt="logits")
+    net.backward(grad_logits, skip_last=True)
+    np.testing.assert_allclose(net.grad, chained, rtol=1e-10, atol=1e-14)
+    dense_last = Network([Dense(3, 2, rng)])
+    dense_last.forward(rng.standard_normal((2, 3)))
+    with pytest.raises(ConfigError, match="skip_last"):
+        dense_last.backward(np.zeros((2, 2)), skip_last=True)

@@ -3,8 +3,8 @@ import pytest
 
 from idsaug import dataio, leveling, pipeline, san, scgan
 from idsaug.dataio import Dataset
-from idsaug.errors import ConfigError, DataError, FormatError, PipelineError
-from idsaug.nncore import Softmax
+from idsaug.errors import ConfigError, DataError, FormatError, InputDataError, PipelineError
+from idsaug.nncore import Adam, Network, Softmax
 from idsaug.nncore.checkpoint import read_record, write_record
 from idsaug.san import SanConfig
 from idsaug.scgan import FilterPolicy, ScganConfig
@@ -113,6 +113,29 @@ class TestBuildAugmented:
         from idsaug.errors import InputDataError
         with pytest.raises(InputDataError):
             pipeline.build_augmented(bad, fast_config())
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("trainer", ["classifier", "san", "scgan"])
+def test_non_finite_features_refused_before_any_step(monkeypatch, trainer, bad):
+    train = leveled_dataset(seed=7, n_ample=40, n_scarce=12, n_rare=4)
+    san_model = san.build_san(train.n_features, SanConfig(), np.random.default_rng(0)).eval()
+    features = train.features.copy()
+    features[40, 1] = bad  # the first scarce row
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("a training step ran")
+
+    monkeypatch.setattr(Network, "forward", no_step)
+    monkeypatch.setattr(Adam, "step", no_step)
+    with pytest.raises(InputDataError, match="NaN or Inf"):
+        if trainer == "classifier":
+            pipeline.train_classifier(Dataset(features, train.labels, dict(train.label_names)),
+                                      pipeline.ClassifierConfig(epochs=1))
+        elif trainer == "san":
+            san.train_san(features, train.labels, SanConfig(epochs=1))
+        else:
+            scgan.train_scgan(features[train.labels == 1], 1, san_model, ScganConfig(epochs=1))
 
 
 class TestBaselines:
