@@ -6,6 +6,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -111,8 +112,9 @@ class IngestReport:
     rows_kept: int = 0
     dropped: dict[str, int] = field(default_factory=dict)
 
-    def drop(self, reason: str):
-        self.dropped[reason] = self.dropped.get(reason, 0) + 1
+    def drop(self, reason: str, count: int = 1):
+        if count:
+            self.dropped[reason] = self.dropped.get(reason, 0) + count
 
     @property
     def rows_dropped(self) -> int:
@@ -164,23 +166,161 @@ def _label_ids(label_strings: list[str]) -> tuple[np.ndarray, dict[int, str]]:
     return ids, {i: name for name, i in name_to_id.items()}
 
 
-class _DecodeWatch:
-    """The lines of a text file opened with ``errors="surrogateescape"``,
-    counting those that held an undecodable byte (now a lone surrogate)."""
+# input lines per ingest block: numpy converts a block's feature cells in one
+# call, so ingest holds one block of text besides the arrays it returns
+INGEST_BLOCK = 1024
 
-    _SURROGATE = re.compile("[\udc80-\udcff]")
+_SURROGATE = re.compile("[\udc80-\udcff]")
+# lines that csv.reader reads as no record at all
+_BLANK_LINES = frozenset(("\n", "\r", "\r\n"))
+# characters that numpy would read otherwise than csv.reader and float(): a
+# quote (csv quoting), NUL (refused by csv.reader before Python 3.11) and the
+# separators \x1c-\x1f, which numpy strips from around a number and float()
+# does not
+_PER_ROW_CHARS = ('"', "\0", "\x1c", "\x1d", "\x1e", "\x1f")
+_REFUSALS = {"undecodable": "holds a byte that is not UTF-8",
+             "wrong_field_count": "has wrong field count",
+             "non_numeric": "has a non_numeric feature value",
+             "non_finite": "has a non_finite feature value"}
 
-    def __init__(self, fh):
-        self.fh = fh
-        self.undecodable = 0
+
+def _undecodable(line: str) -> bool:
+    """Whether a line read with ``errors="surrogateescape"`` held a byte that
+    is not UTF-8 (now a lone surrogate). isascii is a flag check on CPython
+    strings, so a clean line costs no search."""
+    return not line.isascii() and _SURROGATE.search(line) is not None
+
+
+class _Lines:
+    """The lines of an iterator, counted, flagging any undecodable one."""
+
+    def __init__(self, lines):
+        self.lines = lines
+        self.read = 0
+        self.undecodable = False
 
     def __iter__(self):
-        for line in self.fh:
-            # isascii is a flag check on CPython strings, so clean lines cost
-            # no search
-            if not line.isascii() and self._SURROGATE.search(line):
-                self.undecodable += 1
+        for line in self.lines:
+            self.read += 1
+            self.undecodable = self.undecodable or _undecodable(line)
             yield line
+
+
+class _Ingest:
+    """The rows ``load_dataset`` has kept so far, block by block, and its report."""
+
+    def __init__(self, path, n_fields: int, label_idx: int, feature_cols: list[int],
+                 drop_non_finite: bool):
+        self.path = path
+        self.n_fields = n_fields
+        self.label_idx = label_idx
+        self.feature_cols = feature_cols
+        self.drop_non_finite = drop_non_finite
+        self.report = IngestReport()
+        self.features: list[np.ndarray] = []
+        self.label_ids: list[np.ndarray] = []
+        self.label_index: dict[str, int] = {}  # label -> id in order of first sight
+
+    def keep(self, features: np.ndarray, labels: list[str]):
+        if labels:
+            index = self.label_index
+            self.features.append(features)
+            self.label_ids.append(np.array([index.setdefault(s, len(index)) for s in labels],
+                                           dtype=np.int64))
+
+    def bulk(self, block: list[str]) -> bool:
+        """Convert the rows of ``block`` in one numpy call. False, with nothing
+        recorded, when numpy refuses the block or it needs the per-row rules."""
+        text = "".join(block)
+        if any(c in text for c in _PER_ROW_CHARS):
+            return False
+        rows = [line for line in block if line not in _BLANK_LINES]
+        n_read = len(rows)
+        if not text.isascii():
+            rows = [line for line in rows if not _undecodable(line)]
+        n_undecodable = n_read - len(rows)
+        if n_undecodable and not self.drop_non_finite:
+            return False
+        if any(line.count(",") != self.n_fields - 1 for line in rows):
+            return False
+        if rows and self.feature_cols:
+            try:
+                features = np.loadtxt(rows, dtype=np.float64, delimiter=",", comments=None,
+                                      usecols=self.feature_cols, ndmin=2)
+            except ValueError:
+                return False
+        else:
+            features = np.empty((len(rows), len(self.feature_cols)))
+        finite = np.isfinite(features).all(axis=1)
+        n_non_finite = len(rows) - int(np.count_nonzero(finite))
+        if n_non_finite:
+            if not self.drop_non_finite:
+                return False
+            features = features[finite]
+            rows = list(itertools.compress(rows, finite.tolist()))
+        # a quote-free row of n_fields fields: the label is the back-th from the end
+        back = self.n_fields - self.label_idx
+        self.keep(features, [line.rsplit(",", back)[-back].strip() for line in rows])
+        self.report.rows_read += n_read
+        self.report.drop("undecodable", n_undecodable)
+        self.report.drop("non_finite", n_non_finite)
+        return True
+
+    def per_row(self, block: list[str], rest):
+        """The rules one csv record at a time, in file order, over the records
+        of ``block``; one that a quote carries past the block reads on into
+        ``rest``."""
+        lines = _Lines(itertools.chain(block, rest))
+        rows: list[list[float]] = []
+        labels: list[str] = []
+        report = self.report
+        for raw in csv.reader(lines):
+            if raw:
+                report.rows_read += 1
+                reason, values = self._check(raw, lines.undecodable)
+                if reason is None:
+                    rows.append(values)
+                    labels.append(raw[self.label_idx].strip())
+                elif self.drop_non_finite:
+                    report.drop(reason)
+                else:
+                    raise InputDataError(
+                        f"{self.path}: row {report.rows_read} {_REFUSALS[reason]}")
+            lines.undecodable = False
+            if lines.read >= len(block):
+                break
+        self.keep(np.array(rows, dtype=np.float64).reshape(len(rows), len(self.feature_cols)),
+                  labels)
+
+    def _check(self, raw: list[str], undecodable: bool):
+        """A record's drop reason and None, or None and its feature values;
+        the first bad cell in column order names the reason."""
+        if undecodable:
+            return "undecodable", None
+        if len(raw) != self.n_fields:
+            return "wrong_field_count", None
+        values = []
+        for i in self.feature_cols:
+            try:
+                value = float(raw[i])
+            except ValueError:
+                return "non_numeric", None
+            if not math.isfinite(value):
+                return "non_finite", None
+            values.append(value)
+        return None, values
+
+    def result(self, feature_names: list[str]) -> tuple[Dataset, IngestReport]:
+        if not self.features:
+            raise DataError(f"{self.path}: no rows left after filtering")
+        names = sorted(self.label_index)
+        # ids in order of first sight -> ids in sorted-name order
+        ids = np.empty(len(names), dtype=np.int64)
+        ids[[self.label_index[name] for name in names]] = np.arange(len(names))
+        features = np.concatenate(self.features)
+        self.report.rows_kept = len(features)
+        return (Dataset(features, ids[np.concatenate(self.label_ids)], dict(enumerate(names)),
+                        feature_names), self.report)
 
 
 def load_dataset(path, label_column: str = DEFAULT_LABEL_COLUMN,
@@ -191,13 +331,19 @@ def load_dataset(path, label_column: str = DEFAULT_LABEL_COLUMN,
     Rows with non-numeric or non-finite feature values, or with a byte that
     is not UTF-8 in any cell (``undecodable``), are dropped and counted when
     ``drop_non_finite`` is set, and rejected otherwise. Columns named in
-    ``ignore_columns`` (like a provenance column) are skipped entirely.
+    ``ignore_columns`` (like a provenance column) are skipped entirely. A
+    leading UTF-8 byte-order mark is skipped.
+
+    The rows are read in blocks of ``INGEST_BLOCK`` lines, and numpy converts
+    a block's feature cells in one call: lines with an undecodable byte are
+    dropped before it, rows holding NaN or +-Inf by a mask after it. Only a
+    block that numpy refuses (a non-numeric cell, a wrong field count, a
+    quote, a whitespace-only line) takes the per-row rules, record by record
+    in file order, so every block gives the same rows, counts and errors.
     """
-    report = IngestReport()
-    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
-        lines = _DecodeWatch(fh)
-        reader = csv.reader(lines)
-        header = next(reader, None)
+    with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
+        lines = _Lines(fh)
+        header = next(csv.reader(lines), None)
         if header is None:
             raise SchemaError(f"{path}: empty file, no header row")
         if lines.undecodable:
@@ -207,57 +353,12 @@ def load_dataset(path, label_column: str = DEFAULT_LABEL_COLUMN,
             raise SchemaError(f"{path}: label column {label_column!r} not found")
         label_idx = names.index(label_column)
         skip = {label_idx} | {i for i, n in enumerate(names) if n in ignore_columns}
-        feature_names = [n for i, n in enumerate(names) if i not in skip]
-
-        rows: list[list[float]] = []
-        labels: list[str] = []
-        undecodable_seen = 0
-        for raw in reader:
-            if not raw:
-                continue
-            report.rows_read += 1
-            if lines.undecodable != undecodable_seen:
-                undecodable_seen = lines.undecodable
-                if not drop_non_finite:
-                    raise InputDataError(
-                        f"{path}: row {report.rows_read} holds a byte that is not UTF-8")
-                report.drop("undecodable")
-                continue
-            if len(raw) != len(names):
-                if not drop_non_finite:
-                    raise InputDataError(f"{path}: row {report.rows_read} has wrong field count")
-                report.drop("wrong_field_count")
-                continue
-            values = []
-            bad_reason = None
-            for i, cell in enumerate(raw):
-                if i in skip:
-                    continue
-                try:
-                    value = float(cell)
-                except ValueError:
-                    bad_reason = "non_numeric"
-                    break
-                if not math.isfinite(value):
-                    bad_reason = "non_finite"
-                    break
-                values.append(value)
-            if bad_reason is not None:
-                if not drop_non_finite:
-                    raise InputDataError(
-                        f"{path}: row {report.rows_read} has a {bad_reason} feature value"
-                    )
-                report.drop(bad_reason)
-                continue
-            rows.append(values)
-            labels.append(raw[label_idx].strip())
-
-    if not rows:
-        raise DataError(f"{path}: no rows left after filtering")
-    report.rows_kept = len(rows)
-    ids, label_names = _label_ids(labels)
-    features = np.array(rows, dtype=np.float64)
-    return Dataset(features, ids, label_names, feature_names), report
+        feature_cols = [i for i in range(len(names)) if i not in skip]
+        ingest = _Ingest(path, len(names), label_idx, feature_cols, drop_non_finite)
+        while block := list(itertools.islice(fh, INGEST_BLOCK)):
+            if not ingest.bulk(block):
+                ingest.per_row(block, fh)
+    return ingest.result([names[i] for i in feature_cols])
 
 
 def _csv_line(fields) -> str:

@@ -4,10 +4,12 @@ Every layer maps a (batch, in_dim) float array to (batch, out_dim) and
 returns a cache that its own ``backward`` consumes. ``backward`` returns the
 gradient with respect to the input plus one gradient per entry of
 ``params()``, in the same order; with ``input_grad=False`` a layer may return
-None for the input gradient and skip computing it. Layers compute in the
-dtype of their input, which must be the dtype of their parameters: no
-float64 constant widens a float32 batch, and every output and gradient comes
-back in the input's dtype. New parameters are float64.
+None for the input gradient and skip computing it, and with
+``param_grad=False`` it returns None for the parameter gradients and leaves
+``grads`` untouched. Layers compute in the dtype of their input, which must
+be the dtype of their parameters: no float64 constant widens a float32
+batch, and every output and gradient comes back in the input's dtype. New
+parameters are float64.
 
 Buffers. ``forward(x, train, ws)`` writes its output and every intermediate
 into arrays it keeps in ``ws``, a dict of named buffers, and its cache holds
@@ -72,7 +74,7 @@ class Layer:
         raise NotImplementedError
 
     def backward(self, grad_out: np.ndarray, cache, train: bool, input_grad: bool = True,
-                 grads: list[np.ndarray] | None = None):
+                 grads: list[np.ndarray] | None = None, param_grad: bool = True):
         raise NotImplementedError
 
     def _param_grads(self, grads, dtype) -> list[np.ndarray]:
@@ -109,11 +111,14 @@ class Dense(Layer):
         out += self.bias
         return out, (x, ws)
 
-    def backward(self, grad_out, cache, train, input_grad=True, grads=None):
+    def backward(self, grad_out, cache, train, input_grad=True, grads=None, param_grad=True):
         x, ws = cache
-        grad_w, grad_b = grads = self._param_grads(grads, grad_out.dtype)
-        np.matmul(x.T, grad_out, out=grad_w)
-        _column_sums(grad_out, grad_b, ws)
+        if param_grad:
+            grad_w, grad_b = grads = self._param_grads(grads, grad_out.dtype)
+            np.matmul(x.T, grad_out, out=grad_w)
+            _column_sums(grad_out, grad_b, ws)
+        else:
+            grads = None
         if not input_grad:
             return None, grads
         grad_in = _buffer(ws, "grad_in", x.shape, grad_out.dtype)
@@ -183,10 +188,16 @@ class BatchNorm(Activation):
         out += self.shift
         return out, (x_hat, inv_std, ws)
 
-    def backward(self, grad_out, cache, train, input_grad=True, grads=None):
+    def backward(self, grad_out, cache, train, input_grad=True, grads=None, param_grad=True):
         x_hat, inv_std, ws = cache
         n, d = x_hat.shape
-        grad_scale, grad_shift = grads = self._param_grads(grads, grad_out.dtype)
+        if param_grad:
+            grad_scale, grad_shift = grads = self._param_grads(grads, grad_out.dtype)
+        else:
+            # the input gradient still needs both column sums
+            grads = None
+            grad_scale, grad_shift = (_buffer(ws, name, d, x_hat.dtype)
+                                      for name in ("grad_scale", "grad_shift"))
         tmp = _buffer(ws, "tmp", x_hat.shape, x_hat.dtype)
         np.multiply(grad_out, x_hat, out=tmp)
         _column_sums(tmp, grad_scale, ws)
@@ -246,14 +257,17 @@ class LayerNorm(Activation):
         out += self.shift
         return out, (x_hat, inv_std, ws)
 
-    def backward(self, grad_out, cache, train, input_grad=True, grads=None):
+    def backward(self, grad_out, cache, train, input_grad=True, grads=None, param_grad=True):
         x_hat, inv_std, ws = cache
         n, d = x_hat.shape
-        grad_scale, grad_shift = grads = self._param_grads(grads, grad_out.dtype)
         tmp = _buffer(ws, "tmp", x_hat.shape, x_hat.dtype)
-        np.multiply(grad_out, x_hat, out=tmp)
-        _column_sums(tmp, grad_scale, ws)
-        _column_sums(grad_out, grad_shift, ws)
+        if param_grad:
+            grad_scale, grad_shift = grads = self._param_grads(grads, grad_out.dtype)
+            np.multiply(grad_out, x_hat, out=tmp)
+            _column_sums(tmp, grad_scale, ws)
+            _column_sums(grad_out, grad_shift, ws)
+        else:
+            grads = None
         if not input_grad:
             return None, grads
         # (inv_std / d) * (d * grad_hat - rowsum(grad_hat) - x_hat * rowsum(grad_hat * x_hat))
@@ -292,7 +306,7 @@ class LeakyReLU(Activation):
         np.maximum(x, y, out=y)
         return y, (y, ws)
 
-    def backward(self, grad_out, cache, train, input_grad=True, grads=None):
+    def backward(self, grad_out, cache, train, input_grad=True, grads=None, param_grad=True):
         # y > 0 exactly where x > 0; the factor is 1.0 there and the slope elsewhere
         y, ws = cache
         mask = _buffer(ws, "mask", y.shape, bool)
@@ -312,7 +326,7 @@ class ReLU(Activation):
         np.maximum(x, 0.0, out=y)
         return y, (y, ws)
 
-    def backward(self, grad_out, cache, train, input_grad=True, grads=None):
+    def backward(self, grad_out, cache, train, input_grad=True, grads=None, param_grad=True):
         # y > 0 exactly where x > 0
         y, ws = cache
         mask = _buffer(ws, "mask", y.shape, bool)
@@ -346,7 +360,7 @@ class Sigmoid(Activation):
         np.clip(y, info.smallest_subnormal, 1.0 - info.epsneg, out=y)
         return y, (y, ws)
 
-    def backward(self, grad_out, cache, train, input_grad=True, grads=None):
+    def backward(self, grad_out, cache, train, input_grad=True, grads=None, param_grad=True):
         y, ws = cache
         grad_in = _buffer(ws, "grad_in", y.shape, y.dtype)
         np.multiply(grad_out, y, out=grad_in)
@@ -373,7 +387,7 @@ class Softmax(Activation):
         y /= row
         return y, (y, ws)
 
-    def backward(self, grad_out, cache, train, input_grad=True, grads=None):
+    def backward(self, grad_out, cache, train, input_grad=True, grads=None, param_grad=True):
         y, ws = cache
         grad_in = _buffer(ws, "grad_in", y.shape, y.dtype)
         row = ws["row"]

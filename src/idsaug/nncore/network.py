@@ -167,7 +167,7 @@ class Network:
         return views
 
     def backward(self, grad_out, tape: Tape | None = None, input_grad: bool = True,
-                 accumulate: bool = False, skip_last: bool = False):
+                 param_grad: bool = True, accumulate: bool = False, skip_last: bool = False):
         """Backpropagate ``grad_out`` through the last forward pass.
 
         Returns (grad_wrt_input, param_grads): param_grads are views of
@@ -175,7 +175,11 @@ class Network:
         backward. With no explicit tape, consumes the stored one; a tape can
         be backpropagated once. With ``input_grad=False`` the first layer
         skips its input gradient and the returned one is None. With
-        ``accumulate=True`` the parameter gradients are added to ``grad``.
+        ``param_grad=False`` no layer computes its parameter gradients,
+        ``grad`` is left as it was and the returned param_grads are None: a
+        pass that needs only the input gradient, like a generator step
+        through a frozen discriminator. With ``accumulate=True`` the
+        parameter gradients are added to ``grad``.
         With ``skip_last=True``, ``grad_out`` is the gradient of the last
         layer's input and that layer, which must hold no parameters, is
         skipped: a softmax output trained with ``cross_entropy_loss(...,
@@ -198,21 +202,23 @@ class Network:
                 f"upstream gradient shape {grad_out.shape} does not match the forward "
                 f"pass's {(tape.key[0], self.layers[top].out_dim)}"
             )
-        if self.grad is None or self.grad.dtype != dtype:
-            self.grad = np.zeros(sum(p.size for p in self.parameters()), dtype)
-            self._layer_grads = self._grad_views(self.grad)
-            self.grads = [g for views in self._layer_grads for g in views]
-            self._extra = None
-        if accumulate and self._extra is None:
-            self._extra = np.empty_like(self.grad)
-            self._extra_grads = self._grad_views(self._extra)
-        layer_grads = self._extra_grads if accumulate else self._layer_grads
+        layer_grads = [None] * len(self.layers)
+        if param_grad:
+            if self.grad is None or self.grad.dtype != dtype:
+                self.grad = np.zeros(sum(p.size for p in self.parameters()), dtype)
+                self._layer_grads = self._grad_views(self.grad)
+                self.grads = [g for views in self._layer_grads for g in views]
+                self._extra = None
+            if accumulate and self._extra is None:
+                self._extra = np.empty_like(self.grad)
+                self._extra_grads = self._grad_views(self._extra)
+            layer_grads = self._extra_grads if accumulate else self._layer_grads
         train = self.mode == "train"
         grad = grad_out
         for i in range(top, -1, -1):
-            grad, _ = self.layers[i].backward(grad, tape.caches[i], train,
-                                              input_grad or i > 0, layer_grads[i])
-        if accumulate:
+            grad, _ = self.layers[i].backward(grad, tape.caches[i], train, input_grad or i > 0,
+                                              layer_grads[i], param_grad)
+        if accumulate and param_grad:
             self.grad += self._extra
         self._release(tape)
-        return (grad.copy() if input_grad else None), self.grads
+        return (grad.copy() if input_grad else None), (self.grads if param_grad else None)

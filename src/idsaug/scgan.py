@@ -196,7 +196,7 @@ def train_scgan(class_data, class_id, san_model: SanModel,
             tape_fake2 = disc.take_tape()
             _, g_loss = adversarial_losses(d_real, d_fake2)
             grad_scores = generator_score_grad(d_fake2)
-            grad_disc_in, _ = disc.backward(grad_scores, tape_fake2)
+            grad_disc_in, _ = disc.backward(grad_scores, tape_fake2, param_grad=False)
             gen.backward(grad_disc_in[:, :model.feature_dim], tape_gen, input_grad=False)
             opt_g.step(gen_params, gen.grad)
             if observer is not None:

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import os
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ from idsaug.errors import (
     ShapeError,
 )
 from idsaug.nncore.checkpoint import read_record, write_record
+
+from _ingest_oracle import load_dataset as oracle_load_dataset
 
 
 def write_csv(path, text):
@@ -97,6 +100,130 @@ class TestLoad:
         ds, _ = dataio.load_dataset(write_csv(tmp_path / "t.csv", text),
                                     ignore_columns=("provenance",))
         assert ds.n_features == 2 and ds.n_rows == 2
+
+    def test_byte_order_mark_is_skipped_before_the_label_column(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"\xef\xbb\xbfLabel,a,b\nx,1,2\ny,3,4\n")
+        ds, report = dataio.load_dataset(path)
+        assert ds.feature_names == ["a", "b"] and ds.features.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert report.rows_kept == 2
+
+    def test_byte_order_mark_is_not_part_of_the_first_feature_name(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"\xef\xbb\xbfa,b,Label\n1,2,x\n")
+        ds, _ = dataio.load_dataset(path)
+        assert ds.feature_names == ["a", "b"]
+
+
+# cells for the ingest oracle test: clean ones numpy converts, and dirty ones
+# for every drop reason or per-row rule
+CLEAN_CELLS = [b"0", b"1.5", b"-0", b" 2 ", b"\t3", b"1e-05", b".5", b"5.", b"0.1",
+               b"9007199254740993", b"-7.25e+3", b"5e-324", b"0.30000000000000004"]
+DIRTY_CELLS = [b"oops", b"", b" ", b"nan", b"NaN", b"inf", b"-inf", b"Infinity", b"1e999",
+               b"1_000", b"2\x1c", b"\x1f1", b"1\xc2\x85", b"\xd9\xa1", b"1\xff", b'"4"']
+LABEL_CELLS = [b"x", b"y", b" x ", b"Web Attack \xe2\x80\x93 XSS", b'"a,b"', b'"q""uote"',
+               b'"two\nlines"', b"", b"BENIGN", b"A\xff", b"A\x96", b"\xe2\x80\x93"]
+IGNORED_CELLS = [b"original", b"scgan", b"not a number", b'"p,q"']
+
+
+@st.composite
+def ingest_files(draw):
+    """The bytes of a CSV for ``load_dataset``, its ``ignore_columns`` and
+    its ``drop_non_finite``: mostly clean rows among dirty ones of every kind."""
+    d = draw(st.integers(0, 3))
+    names = draw(st.lists(st.sampled_from(["a", "b", " c ", "Label", "provenance"]),
+                          min_size=d, max_size=d))
+    names.insert(draw(st.integers(0, d)), "Label")
+    ignored = draw(st.booleans())
+    if ignored:
+        names.insert(draw(st.integers(0, len(names))), "provenance")
+    label_at = names.index("Label")
+    newline = draw(st.sampled_from([b"\n", b"\r\n", None]))  # None: each line picks
+    lines = [",".join(names).encode()]
+    for _ in range(draw(st.integers(0, 24))):
+        kind = draw(st.integers(0, 19))
+        if kind == 0:
+            lines.append(draw(st.sampled_from([b"", b" ", b"\t"])))
+            continue
+        cells = []
+        for i, name in enumerate(names):
+            if i == label_at:
+                pool = LABEL_CELLS if draw(st.integers(0, 3)) == 0 else [b"x", b"y"]
+            elif name == "provenance" and ignored:
+                pool = IGNORED_CELLS
+            else:
+                pool = DIRTY_CELLS if draw(st.integers(0, 9)) == 0 else CLEAN_CELLS
+            cells.append(draw(st.sampled_from(pool)))
+        if kind == 1:
+            cells.append(b"1")
+        elif kind == 2:
+            cells.pop()
+        lines.append(b",".join(cells))
+    data = b"".join(line + (newline or draw(st.sampled_from([b"\n", b"\r\n"])))
+                    for line in lines)
+    if draw(st.booleans()):
+        data = data.rstrip(b"\r\n")
+    if draw(st.booleans()):
+        data = b"\xef\xbb\xbf" + data
+    return data, ("provenance",) if ignored else (), draw(st.booleans())
+
+
+def ingest_outcome(load, path, **kwargs):
+    """Everything ``load`` returns, as bytes and plain values, or the type and
+    message of what it raised."""
+    try:
+        ds, report = load(path, **kwargs)
+    except Exception as exc:  # compared with the oracle's, whatever it is
+        return type(exc), str(exc)
+    return (ds.features.dtype, ds.features.shape, ds.features.tobytes(), ds.labels.dtype,
+            ds.labels.tobytes(), list(ds.label_names.items()), ds.feature_names,
+            report.rows_read, report.rows_kept, report.dropped)
+
+
+class TestBlockIngest:
+    @settings(max_examples=400, deadline=None)
+    @given(ingest_files(), st.integers(1, 6))
+    def test_matches_the_row_by_row_oracle(self, case, block):
+        data, ignore, drop = case
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dataio, "INGEST_BLOCK", block)
+            path = os.path.join(tmp, "t.csv")
+            with open(path, "wb") as fh:
+                fh.write(data)
+            kwargs = {"ignore_columns": ignore, "drop_non_finite": drop}
+            assert (ingest_outcome(dataio.load_dataset, path, **kwargs)
+                    == ingest_outcome(oracle_load_dataset, path, **kwargs))
+
+    def test_dirty_rows_in_later_blocks_keep_the_bulk_path(self, tmp_path, monkeypatch):
+        # undecodable and non-finite rows are dropped without the per-row rules
+        monkeypatch.setattr(dataio, "INGEST_BLOCK", 4)
+        monkeypatch.setattr(dataio._Ingest, "per_row", refuse_parsing)
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"a,b,Label\r\n" + b"1,2,x\r\n" * 5 + b"Infinity,2,x\r\n"
+                         + b"3,4,A\x96\r\n\r\n" + b"5,NaN,y\r\n" + b"6,7,y\r\n")
+        ds, report = dataio.load_dataset(path)
+        assert ds.features.tolist() == [[1.0, 2.0]] * 5 + [[6.0, 7.0]]
+        assert (report.rows_read, report.rows_kept) == (9, 6)
+        assert report.dropped == {"non_finite": 2, "undecodable": 1}
+
+    def test_memory_is_bounded_by_the_output_and_one_block(self, tmp_path):
+        # a Python float per cell, as a row-by-row reader keeps, is 4 times
+        # the returned float64 cell before the array is even built
+        rows, width = 50_000, 20
+        values = np.random.default_rng(3).integers(0, 100, size=(rows, width))
+        line = "{}" + ",{}" * (width - 1) + ",x\n"
+        path = tmp_path / "clean.csv"
+        path.write_text(",".join(f"f{i}" for i in range(width)) + ",Label\n"
+                        + "".join(line.format(*row) for row in values.tolist()))
+        block_bytes = dataio.INGEST_BLOCK * (3 * width + 2)
+        tracemalloc.start()
+        try:
+            ds, _ = dataio.load_dataset(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(ds.features, values)
+        assert peak <= 3 * ds.features.nbytes + 16 * block_bytes
 
 
 class TestRoundTrip:

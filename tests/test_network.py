@@ -382,3 +382,26 @@ def test_skip_last_starts_below_a_parameter_free_last_layer():
     dense_last.forward(rng.standard_normal((2, 3)))
     with pytest.raises(ConfigError, match="skip_last"):
         dense_last.backward(np.zeros((2, 2)), skip_last=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(stack_specs, st.sampled_from([2, 3, 5]), st.sampled_from([np.float64, np.float32]),
+       st.integers(0, 2**31))
+def test_input_gradient_alone_leaves_grad_untouched(spec, rows, dtype, seed):
+    """``param_grad=False`` gives the input gradient of a full backward, bit
+    for bit, and neither writes ``grad`` nor returns parameter gradients."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((rows, spec[0]))
+    net = _build_stack(spec, seed, dtype)
+    g = rng.standard_normal((rows, net.out_dim))
+    net.forward(x)
+    net.backward(rng.standard_normal((rows, net.out_dim)))  # some earlier gradient
+    before = net.grad.copy()
+    reference = _build_stack(spec, seed, dtype)
+    reference.forward(x)
+    expected, _ = reference.backward(g)
+    net.forward(x)
+    grad_in, grads = net.backward(g, param_grad=False)
+    assert grads is None
+    assert grad_in.dtype == dtype and grad_in.tobytes() == expected.tobytes()
+    assert net.grad.tobytes() == before.tobytes()
