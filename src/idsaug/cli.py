@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import glob
-import json
 import os
 import sys
 from dataclasses import dataclass
@@ -76,32 +74,12 @@ class RunConfig:
         if self.mapping not in ("none", "builtin") and not os.path.exists(self.mapping):
             raise ConfigError(f"mapping path {self.mapping!r} does not exist")
         # constructing the stage configs runs their own validation
-        self.thresholds()
-        self.san_config()
-        self.scgan_config()
-        self.filter_policy()
-        self.skn_config()
+        self.augment_config()
         self.classifier_config()
         return self
 
     def thresholds(self) -> leveling.LevelThresholds:
         return leveling.LevelThresholds(self.scarce_min_ir, self.rare_min_ir, self.level_mode)
-
-    def san_config(self) -> san.SanConfig:
-        return san.SanConfig(code_dim=self.san_code_dim, epochs=self.san_epochs,
-                             batch_size=self.san_batch, pairs_per_epoch=self.san_pairs,
-                             dissimilar_fraction=self.san_dissimilar_fraction,
-                             margin=self.san_margin, alpha=self.san_alpha, lr=self.san_lr)
-
-    def scgan_config(self) -> scgan.ScganConfig:
-        return scgan.ScganConfig(noise_dim=self.scgan_noise_dim, epochs=self.scgan_epochs,
-                                 batch_size=self.scgan_batch, lr=self.scgan_lr)
-
-    def filter_policy(self) -> scgan.FilterPolicy:
-        return scgan.FilterPolicy(eta=self.eta, max_attempt_factor=self.max_attempt_factor)
-
-    def skn_config(self) -> skn.SknConfig:
-        return skn.SknConfig(k=self.skn_k)
 
     def classifier_config(self) -> pipeline.ClassifierConfig:
         return pipeline.ClassifierConfig(
@@ -111,8 +89,16 @@ class RunConfig:
 
     def augment_config(self) -> pipeline.AugmentConfig:
         return pipeline.AugmentConfig(
-            thresholds=self.thresholds(), san=self.san_config(), scgan=self.scgan_config(),
-            filter_policy=self.filter_policy(), skn=self.skn_config(), seed=self.master_seed)
+            thresholds=self.thresholds(),
+            san=san.SanConfig(code_dim=self.san_code_dim, epochs=self.san_epochs,
+                              batch_size=self.san_batch, pairs_per_epoch=self.san_pairs,
+                              dissimilar_fraction=self.san_dissimilar_fraction,
+                              margin=self.san_margin, alpha=self.san_alpha, lr=self.san_lr),
+            scgan=scgan.ScganConfig(noise_dim=self.scgan_noise_dim, epochs=self.scgan_epochs,
+                                    batch_size=self.scgan_batch, lr=self.scgan_lr),
+            filter_policy=scgan.FilterPolicy(eta=self.eta,
+                                             max_attempt_factor=self.max_attempt_factor),
+            skn=skn.SknConfig(k=self.skn_k), seed=self.master_seed)
 
     def snapshot(self) -> str:
         lines = []
@@ -192,146 +178,60 @@ def _add_config_flags(parser: argparse.ArgumentParser):
 
 
 # ---------------------------------------------------------------------------
-# shared stage helpers
-
-
-def _load_table(run_dir, name: str, producer: str) -> dataio.Dataset:
-    """The run table ``name`` from its ``.tbl`` record, checked against its CSV."""
-    for ext in (".csv", ".tbl"):
-        if not os.path.exists(os.path.join(run_dir, name + ext)):
-            raise ConfigError(f"{run_dir}: {name}{ext} missing; run {producer} first")
-    return dataio.load_table(os.path.join(run_dir, name + ".csv"))
-
-
-def _load_split(run_dir, which: str) -> dataio.Dataset:
-    return _load_table(run_dir, f"split_{which}", "preprocess")
-
-
-def _load_norm(run_dir) -> dataio.NormalizationParams:
-    path = os.path.join(run_dir, "norm.json")
-    if not os.path.exists(path):
-        raise ConfigError(f"{run_dir}: norm.json missing; run preprocess first")
-    return dataio.load_normalization(path)
-
-
-def _normalized_train(run_dir) -> dataio.Dataset:
-    return dataio.normalized_dataset(_load_split(run_dir, "train"), _load_norm(run_dir))
-
-
-def _apply_mapping(dataset: dataio.Dataset, config: RunConfig) -> dataio.Dataset:
-    if config.mapping == "none":
-        return dataset
-    if config.mapping == "builtin":
-        return dataio.map_labels(dataset, dataio.DEFAULT_LABEL_MAP)
-    return dataio.map_labels(dataset, dataio.load_label_map(config.mapping))
-
-
-def _load_metrics(run_dir) -> tuple[evalreport.MetricsReport, dict[int, str]]:
-    path = os.path.join(run_dir, "metrics", "metrics.json")
-    if not os.path.exists(path):
-        raise ReportError(f"{run_dir}: metrics/metrics.json missing; run eval first")
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
-    report = evalreport.MetricsReport(
-        class_ids=[int(c) for c in raw["class_ids"]],
-        precision=np.array(raw["precision"]),
-        recall=np.array(raw["recall"]),
-        f_beta=np.array(raw["f_beta"]),
-        beta=float(raw["beta"]),
-        supports=np.array(raw["supports"]),
-        weighted=raw["weighted"],
-        macro=raw["macro"],
-    )
-    names = {int(k): v for k, v in raw["names"].items()}
-    return report, names
-
-
-def _read_fingerprint(run_dir) -> str:
-    path = os.path.join(run_dir, "test_fingerprint.txt")
-    if not os.path.exists(path):
-        raise ReportError(f"{run_dir}: test_fingerprint.txt missing")
-    with open(path, encoding="utf-8") as fh:
-        return fh.read().strip()
-
-
-# ---------------------------------------------------------------------------
 # stages: each reads its inputs from the run directory and writes its outputs
 # there, so run-all and the staged commands run the same code. The test split
 # is sealed by that boundary: only the full-scope level report (counts) and
-# eval read split_test.*
+# eval read it. pipeline.RUN_FILES names every file.
 
 
-# what the stages after preprocess write, relative to the run directory
-STAGE_OUTPUTS = ("san.ckpt", "scgan_*.ckpt", "classifier.ckpt", "history_*.csv",
-                 "augmented.csv", "augmented.tbl", "levels*.csv", "levels*.txt",
-                 "stage_report.txt", os.path.join("metrics", "*"))
-
-
-def _clear_stage_outputs(run_dir):
-    """Remove an earlier run's stage outputs from a used run directory, so no
-    later stage reuses them; files of other names are left alone."""
-    if not os.path.exists(os.path.join(run_dir, "format.txt")):
-        return
-    for pattern in STAGE_OUTPUTS:
-        for path in glob.glob(os.path.join(glob.escape(run_dir), pattern)):
-            if os.path.isfile(path):
-                os.remove(path)
+def _normalized_train(run_dir) -> dataio.Dataset:
+    return dataio.normalized_dataset(pipeline.read_split(run_dir, "train"),
+                                     pipeline.read_norm(run_dir))
 
 
 def _preprocess(config: RunConfig, run_dir):
     """Load and label-map the dataset, split it, fit min-max scaling on the
-    training side, clear an earlier run's stage outputs and write the config,
-    the scaling, the labels, the ingest report, the test fingerprint and both
-    splits."""
+    training side, and write the split with what describes it; writing the
+    split clears an earlier run's stage outputs."""
     dataset, report = dataio.load_dataset(config.dataset, config.label_column)
     # the run directory's tables add these columns to the features
     clash = sorted({dataio.DEFAULT_LABEL_COLUMN, "provenance"} & set(dataset.feature_names))
     if clash:
         raise ConfigError(f"{config.dataset}: feature column {clash[0]!r} would clash with "
                           "a column of the run directory's tables; rename it")
-    dataset = _apply_mapping(dataset, config)
+    if config.mapping != "none":
+        dataset = dataio.map_labels(dataset, None if config.mapping == "builtin"
+                                    else dataio.load_label_map(config.mapping))
     spec = dataio.SplitSpec(config.train_ratio, derive_seed(config.master_seed, "split"),
                             config.stratified)
     train, test = dataio.stratified_split(dataset, spec)
-    fingerprint = dataio.dataset_fingerprint(test)
-    _clear_stage_outputs(run_dir)
     pipeline.save_run(run_dir, config_text=config.snapshot(),
-                      norm_params=dataio.fit_minmax(train),
-                      extra_files={"ingest_report.txt": report.summary() + "\n",
-                                   "test_fingerprint.txt": fingerprint + "\n"})
-    labels = {str(k): v for k, v in sorted(dataset.label_names.items())}
-    with open(os.path.join(run_dir, "labels.json"), "w", encoding="utf-8") as fh:
-        json.dump(labels, fh, sort_keys=True)
-    dataio.save_table(os.path.join(run_dir, "split_train.csv"), train)
-    dataio.save_table(os.path.join(run_dir, "split_test.csv"), test)
+                      norm_params=dataio.fit_minmax(train), ingest_report=report,
+                      split=(train, test))
     print(f"preprocess: {train.n_rows} train rows, {test.n_rows} test rows -> {run_dir}")
 
 
 def _levels(config: RunConfig, run_dir, scope: str):
-    data = _load_split(run_dir, "train")
-    suffix = ""
+    data = pipeline.read_split(run_dir, "train")
     if scope == "full":
         # ratios over the complete dataset are the published-figure view;
         # training-scope ratios are what drive augmentation targets
-        test = _load_split(run_dir, "test")
+        test = pipeline.read_split(run_dir, "test")
         data = dataio.Dataset(
             np.concatenate([data.features, test.features]),
             np.concatenate([data.labels, test.labels]),
             dict(data.label_names), data.feature_names)
-        suffix = "_full"
     counts, part, targets = pipeline.level_training_set(data, config.thresholds())
-    text_path = os.path.join(run_dir, f"levels{suffix}.txt")
-    leveling.write_level_report(
-        os.path.join(run_dir, f"levels{suffix}.csv"), text_path,
-        leveling.build_level_report(counts, part, targets, data.label_names))
-    with open(text_path, encoding="utf-8") as fh:
-        print(fh.read(), end="")
+    rows = leveling.build_level_report(counts, part, targets, data.label_names)
+    pipeline.save_run(run_dir, levels={scope: rows})
+    print(leveling.level_report_text(rows), end="")
 
 
-def _augment(config: RunConfig, run_dir, checkpoints: dict):
-    """Top the scaled training split up by the configured method. The s2cgan
-    method reuses the SAN in ``checkpoints`` with the SCGAN models there,
-    trains whatever is missing and saves only what it trained."""
+def _augment(config: RunConfig, run_dir, reuse: bool = False):
+    """Top the scaled training split up by the configured method. With
+    ``reuse``, the s2cgan method reuses the run's SAN with its SCGAN models;
+    it trains whatever is missing and saves only what it trained."""
+    checkpoints = pipeline.load_run(run_dir) if reuse and config.method == "s2cgan" else {}
     train_norm = _normalized_train(run_dir)
     aug_config = config.augment_config()
     report = pipeline.StageReport()
@@ -342,13 +242,11 @@ def _augment(config: RunConfig, run_dir, checkpoints: dict):
         augmented, report = pipeline.synthesize_augmented(train_norm, aug_config, models,
                                                           report)
         # the models trained here are those with a loss history
-        histories = {f"scgan_{c}": h for c, h in models.scgan_histories.items()}
-        if models.san_history:
-            histories["san"] = models.san_history
         pipeline.save_run(
             run_dir, san_model=None if "san_model" in checkpoints else models.san_model,
+            san_history=models.san_history or None,
             scgan_models={c: models.scgan_models[c] for c in models.scgan_histories},
-            histories=histories)
+            scgan_histories=models.scgan_histories)
     else:
         counts, _, targets = pipeline.level_training_set(train_norm, aug_config.thresholds)
         if config.method == "baseline":
@@ -364,65 +262,62 @@ def _augment(config: RunConfig, run_dir, checkpoints: dict):
     print(f"augment[{config.method}]: {before} -> {augmented.dataset.n_rows} rows")
 
 
+def _train_san(config: RunConfig, run_dir):
+    train_norm = _normalized_train(run_dir)
+    _, part, _ = pipeline.level_training_set(train_norm, config.thresholds())
+    model, history = pipeline.train_san_stage(train_norm, part, config.augment_config())
+    pipeline.save_run(run_dir, san_model=model, san_history=history)
+    print(f"train-san: {len(history)} epochs, final loss "
+          f"{history[-1] if history else float('nan'):.6f}")
+
+
+def _train_scgan(config: RunConfig, run_dir, class_name: str | None):
+    """Train a generator for ``class_name``, or for each scarce class below
+    its target, against the run's SAN."""
+    train_norm = _normalized_train(run_dir)
+    san_model = pipeline.read_san(run_dir)
+    if class_name:
+        wanted = [train_norm.id_of(class_name)]
+    else:
+        wanted = pipeline.scgan_classes(
+            *pipeline.level_training_set(train_norm, config.thresholds()))
+    aug_config = config.augment_config()
+    models, histories = {}, {}
+    for class_id in wanted:
+        models[class_id], histories[class_id] = pipeline.train_scgan_stage(
+            train_norm, class_id, san_model, aug_config)
+        print(f"train-scgan[{train_norm.name_of(class_id)}]: "
+              f"{len(histories[class_id].d_loss)} epochs")
+    pipeline.save_run(run_dir, scgan_models=models, scgan_histories=histories)
+
+
 def _train_clf(config: RunConfig, run_dir):
-    dataset = _load_table(run_dir, "augmented", "augment")
+    dataset = pipeline.read_augmented(run_dir)
     classifier, history = pipeline.train_classifier(dataset, config.classifier_config())
-    pipeline.save_run(run_dir, classifier=classifier, histories={"clf": history})
+    pipeline.save_run(run_dir, classifier=classifier, clf_history=history)
     print(f"train-clf: {len(history)} epochs, final loss "
           f"{history[-1] if history else float('nan'):.6f}")
 
 
 def _eval(config: RunConfig, run_dir):
     """Score the classifier on the test split, after checking that the split
-    still has the fingerprint recorded at preprocess, and write metrics/."""
-    path = os.path.join(run_dir, "classifier.ckpt")
-    if not os.path.exists(path):
-        raise ConfigError(f"{run_dir}: classifier.ckpt missing; run train-clf first")
-    classifier = pipeline.load_classifier(path)
-    test = _load_split(run_dir, "test")
-    if dataio.dataset_fingerprint(test) != _read_fingerprint(run_dir):
+    still has the fingerprint recorded at preprocess, and write the metrics."""
+    classifier = pipeline.read_classifier(run_dir)
+    test = pipeline.read_split(run_dir, "test")
+    if dataio.dataset_fingerprint(test) != pipeline.read_fingerprint(run_dir):
         raise ReportError(f"{run_dir}: test split fingerprint changed since preprocess")
-    features = dataio.apply_minmax(_load_norm(run_dir), test)
+    features = dataio.apply_minmax(pipeline.read_norm(run_dir), test)
     predicted, _ = pipeline.predict(classifier, features)
-    report = evalreport.build_report(test.labels, predicted, sorted(test.label_names))
-    metrics_dir = os.path.join(run_dir, "metrics")
-    os.makedirs(metrics_dir, exist_ok=True)
-    names = test.label_names
-    evalreport.write_per_class_csv(os.path.join(metrics_dir, "per_class.csv"), report, names)
-    evalreport.write_aggregates_csv(os.path.join(metrics_dir, "aggregates.csv"), report)
-    cm = evalreport.confusion(test.labels, predicted, sorted(test.label_names))
-    evalreport.write_confusion_csv(os.path.join(metrics_dir, "confusion.csv"), cm, names)
-    with open(os.path.join(metrics_dir, "summary.txt"), "w", encoding="utf-8") as fh:
-        fh.write(evalreport.render_summary(report, names))
-    payload = {
-        "class_ids": report.class_ids,
-        "names": {str(c): names[c] for c in report.class_ids},
-        "precision": [float(v) for v in report.precision],
-        "recall": [float(v) for v in report.recall],
-        "f_beta": [float(v) for v in report.f_beta],
-        "supports": [float(v) for v in report.supports],
-        "beta": report.beta,
-        "weighted": report.weighted,
-        "macro": report.macro,
-    }
-    with open(os.path.join(metrics_dir, "metrics.json"), "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True)
-    if config.emit_pca:
-        projection, _, _ = evalreport.pca2d(features)
-        evalreport.write_pca_csv(os.path.join(metrics_dir, "pca.csv"),
-                                 projection, test.labels, names)
+    class_ids, names = sorted(test.label_names), test.label_names
+    report = evalreport.build_report(test.labels, predicted, class_ids)
+    cm = evalreport.confusion(test.labels, predicted, class_ids)
+    pca = (evalreport.pca2d(features)[0], test.labels, names) if config.emit_pca else None
+    pipeline.save_run(run_dir, metrics=(report, cm, names), pca=pca)
     print(evalreport.render_summary(report, names), end="")
 
 
 # ---------------------------------------------------------------------------
 # commands
-
-
-def _staged_config(args) -> RunConfig:
-    """The validated config of a command that works in an existing run directory."""
-    config = _config_from_args(args).validate()
-    pipeline.check_run_format(args.run)
-    return config
 
 
 def cmd_preprocess(args) -> int:
@@ -431,63 +326,15 @@ def cmd_preprocess(args) -> int:
     return 0
 
 
-def cmd_levels(args) -> int:
-    _levels(_staged_config(args), args.run, args.scope)
-    return 0
-
-
-def cmd_train_san(args) -> int:
-    config = _staged_config(args)
-    train_norm = _normalized_train(args.run)
-    _, part, _ = pipeline.level_training_set(train_norm, config.thresholds())
-    model, history = pipeline.train_san_stage(train_norm, part, config.augment_config())
-    pipeline.save_run(args.run, san_model=model, histories={"san": history})
-    print(f"train-san: {len(history)} epochs, final loss "
-          f"{history[-1] if history else float('nan'):.6f}")
-    return 0
-
-
-def cmd_train_scgan(args) -> int:
-    config = _staged_config(args)
-    run_dir = args.run
-    train_norm = _normalized_train(run_dir)
-    path = os.path.join(run_dir, "san.ckpt")
-    if not os.path.exists(path):
-        raise ConfigError(f"{run_dir}: san.ckpt missing; run train-san first")
-    san_model = san.load_san(path)
-    if args.class_name:
-        wanted = [train_norm.id_of(args.class_name)]
-    else:
-        wanted = pipeline.scgan_classes(
-            *pipeline.level_training_set(train_norm, config.thresholds()))
-    aug_config = config.augment_config()
-    models = {}
-    histories = {}
-    for class_id in wanted:
-        models[class_id], history = pipeline.train_scgan_stage(
-            train_norm, class_id, san_model, aug_config)
-        histories[f"scgan_{class_id}"] = history
-        print(f"train-scgan[{train_norm.name_of(class_id)}]: "
-              f"{len(history.d_loss)} epochs")
-    pipeline.save_run(run_dir, scgan_models=models, histories=histories)
-    return 0
-
-
-def cmd_augment(args) -> int:
-    config = _staged_config(args)
-    checkpoints = pipeline.load_run(args.run) if config.method == "s2cgan" else {}
-    _augment(config, args.run, checkpoints)
-    return 0
-
-
-def cmd_train_clf(args) -> int:
-    _train_clf(_staged_config(args), args.run)
-    return 0
-
-
-def cmd_eval(args) -> int:
-    _eval(_staged_config(args), args.run)
-    return 0
+def _staged(stage, *arg_names, **options):
+    """The command that runs ``stage`` in the existing run directory ``--run``,
+    passing it the arguments ``arg_names`` and the keywords ``options``."""
+    def run_stage(args) -> int:
+        config = _config_from_args(args).validate()
+        pipeline.check_run_format(args.run)
+        stage(config, args.run, *(getattr(args, name) for name in arg_names), **options)
+        return 0
+    return run_stage
 
 
 def cmd_run_all(args) -> int:
@@ -496,7 +343,7 @@ def cmd_run_all(args) -> int:
     config = _config_from_args(args).validate(need_dataset=True)
     run_dir = config.out or _default_out(config)
     stages = (("ingest", _preprocess, ()), ("level", _levels, ("train",)),
-              ("level", _levels, ("full",)), ("augment", _augment, ({},)),
+              ("level", _levels, ("full",)), ("augment", _augment, ()),
               ("train-classifier", _train_clf, ()), ("evaluate", _eval, ()))
     for stage, run, extra in stages:
         try:
@@ -507,32 +354,23 @@ def cmd_run_all(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    out_dir = args.out or "comparison"
-    baseline_dir = args.baseline
-    run_dirs = [baseline_dir] + list(args.runs)
-    reports = {}
-    names = {}
-    fingerprints = {}
-    for run_dir in run_dirs:
+    """Deltas of each run's metrics against the baseline's. A run is labelled
+    by its directory's basename, so two directories may not share one."""
+    runs, reports, fingerprints = {}, {}, {}
+    for run_dir in [args.baseline, *args.runs]:
         label = os.path.basename(os.path.normpath(run_dir))
-        reports[label], names = _load_metrics(run_dir)
-        fingerprints[label] = _read_fingerprint(run_dir)
-    baseline_label = os.path.basename(os.path.normpath(baseline_dir))
-    mismatched = {k: v for k, v in fingerprints.items()
-                  if v != fingerprints[baseline_label]}
+        seen = runs.setdefault(label, run_dir)
+        if os.path.abspath(seen) != os.path.abspath(run_dir):
+            raise ReportError(f"runs {seen} and {run_dir} would both be labelled {label!r}; "
+                              "give their directories different names")
+        reports[label], names = pipeline.read_metrics(run_dir)
+        fingerprints[label] = pipeline.read_fingerprint(run_dir)
+    baseline_label = next(iter(runs))
+    mismatched = sorted(k for k, v in fingerprints.items() if v != fingerprints[baseline_label])
     if mismatched:
-        raise ReportError(f"test splits differ from the baseline: {sorted(mismatched)}")
-    table = evalreport.compare(reports, baseline_label)
-    os.makedirs(out_dir, exist_ok=True)
-    evalreport.write_comparison_csv(os.path.join(out_dir, "deltas.csv"), table, names)
-    with open(os.path.join(out_dir, "aggregates.csv"), "w", encoding="utf-8") as fh:
-        fh.write("method,scope,precision,recall,f_beta\n")
-        for label, report in sorted(reports.items()):
-            for scope in ("weighted", "macro"):
-                values = getattr(report, scope)
-                fh.write(f"{label},{scope},{values['precision']!r},"
-                         f"{values['recall']!r},{values['f_beta']!r}\n")
-    print(f"compare: wrote {out_dir}/deltas.csv and {out_dir}/aggregates.csv")
+        raise ReportError(f"test splits differ from the baseline: {mismatched}")
+    paths = evalreport.write_comparison(args.out or "comparison", reports, baseline_label, names)
+    print(f"compare: wrote {' and '.join(paths)}")
     return 0
 
 
@@ -550,10 +388,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Level-aware augmentation for imbalanced intrusion-detection data")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, func, needs_run=False, needs_config=True):
+    def command(name, func, needs_run=False):
         p = sub.add_parser(name)
-        if needs_config:
-            _add_config_flags(p)
+        _add_config_flags(p)
         if needs_run:
             p.add_argument("--run", required=True, help="run directory")
         p.set_defaults(func=func)
@@ -561,14 +398,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     command("run-all", cmd_run_all)
     command("preprocess", cmd_preprocess)
-    p = command("levels", cmd_levels, needs_run=True)
+    p = command("levels", _staged(_levels, "scope"), needs_run=True)
     p.add_argument("--scope", choices=("train", "full"), default="train")
-    command("train-san", cmd_train_san, needs_run=True)
-    p = command("train-scgan", cmd_train_scgan, needs_run=True)
+    command("train-san", _staged(_train_san), needs_run=True)
+    p = command("train-scgan", _staged(_train_scgan, "class_name"), needs_run=True)
     p.add_argument("--class-name", default=None, help="train only this class")
-    command("augment", cmd_augment, needs_run=True)
-    command("train-clf", cmd_train_clf, needs_run=True)
-    command("eval", cmd_eval, needs_run=True)
+    command("augment", _staged(_augment, reuse=True), needs_run=True)
+    command("train-clf", _staged(_train_clf), needs_run=True)
+    command("eval", _staged(_eval), needs_run=True)
 
     p = sub.add_parser("compare")
     p.add_argument("--baseline", required=True)

@@ -26,7 +26,7 @@ from .errors import (
     ShapeError,
     StateError,
 )
-from .nncore.checkpoint import read_record, write_record
+from .nncore.checkpoint import atomic_file, read_record, write_record
 from .seeding import as_generator
 
 DEFAULT_LABEL_COLUMN = "Label"
@@ -397,7 +397,7 @@ def save_dataset(path, dataset: Dataset, label_column: str = DEFAULT_LABEL_COLUM
         return tails[key]
 
     digest = hashlib.sha256()
-    with open(path, "wb") as fh:
+    with atomic_file(path, "wb") as fh:
         def emit(text: str):
             data = text.encode("utf-8")
             digest.update(data)
@@ -601,7 +601,7 @@ def save_normalization(path, params: NormalizationParams):
         "x_min": [float(v) for v in params.x_min],
         "x_max": [float(v) for v in params.x_max],
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_file(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, sort_keys=True)
 
 

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import csv
+import json
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, DataError, DegenerateDataError, InputDataError, ReportError
+from .nncore.checkpoint import atomic_file
 
 
 @dataclass
@@ -34,6 +37,28 @@ class MetricsReport:
     supports: np.ndarray
     weighted: dict[str, float] = field(default_factory=dict)
     macro: dict[str, float] = field(default_factory=dict)
+
+
+_PER_CLASS = ("precision", "recall", "f_beta", "supports")
+
+
+def save_metrics(path, report: MetricsReport, names: dict[int, str]):
+    """``report`` with the name of each class as JSON, read by ``load_metrics``."""
+    payload = {"class_ids": report.class_ids, "beta": report.beta,
+               "names": {str(c): names[c] for c in report.class_ids},
+               "weighted": report.weighted, "macro": report.macro,
+               **{key: [float(v) for v in getattr(report, key)] for key in _PER_CLASS}}
+    with atomic_file(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, sort_keys=True)
+
+
+def load_metrics(path) -> tuple[MetricsReport, dict[int, str]]:
+    with open(path, encoding="utf-8") as fh:
+        raw = json.load(fh)
+    report = MetricsReport([int(c) for c in raw["class_ids"]], beta=float(raw["beta"]),
+                           weighted=raw["weighted"], macro=raw["macro"],
+                           **{key: np.array(raw[key]) for key in _PER_CLASS})
+    return report, {int(k): v for k, v in raw["names"].items()}
 
 
 @dataclass
@@ -176,7 +201,7 @@ def pca2d(data) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def write_per_class_csv(path, report: MetricsReport, names: dict[int, str]):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_file(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["class", "support", "precision", "recall", "f_beta"])
         for i, class_id in enumerate(report.class_ids):
@@ -190,7 +215,7 @@ def write_per_class_csv(path, report: MetricsReport, names: dict[int, str]):
 
 
 def write_aggregates_csv(path, report: MetricsReport):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_file(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["scope", "precision", "recall", "f_beta"])
         for scope in ("weighted", "macro"):
@@ -200,7 +225,7 @@ def write_aggregates_csv(path, report: MetricsReport):
 
 
 def write_confusion_csv(path, cm: ConfusionMatrix, names: dict[int, str]):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_file(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         header = ["true\\pred"] + [names.get(c, str(c)) for c in cm.class_ids]
         writer.writerow(header)
@@ -209,7 +234,7 @@ def write_confusion_csv(path, cm: ConfusionMatrix, names: dict[int, str]):
 
 
 def write_comparison_csv(path, table: ComparisonTable, names: dict[int, str]):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_file(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["method", "class", "d_precision", "d_recall", "d_f_beta"])
         for method in sorted(table.per_class_deltas):
@@ -228,8 +253,25 @@ def write_comparison_csv(path, table: ComparisonTable, names: dict[int, str]):
                 writer.writerow([method, key, repr(float(value))])
 
 
+def write_comparison(out_dir, reports: dict[str, MetricsReport], baseline_name: str,
+                     names: dict[int, str]) -> list[str]:
+    """Write the deltas of ``reports`` against the baseline and every
+    report's aggregates under ``out_dir``; return the paths written."""
+    os.makedirs(out_dir, exist_ok=True)
+    deltas, aggregates = (os.path.join(out_dir, n) for n in ("deltas.csv", "aggregates.csv"))
+    write_comparison_csv(deltas, compare(reports, baseline_name), names)
+    with atomic_file(aggregates, "w", encoding="utf-8") as fh:
+        fh.write("method,scope,precision,recall,f_beta\n")
+        for label, report in sorted(reports.items()):
+            for scope in ("weighted", "macro"):
+                values = getattr(report, scope)
+                fh.write(f"{label},{scope},{values['precision']!r},"
+                         f"{values['recall']!r},{values['f_beta']!r}\n")
+    return [deltas, aggregates]
+
+
 def write_pca_csv(path, projection: np.ndarray, labels, names: dict[int, str]):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_file(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["x", "y", "label"])
         for (x, y), label in zip(projection, labels):

@@ -8,6 +8,7 @@ import warnings
 from dataclasses import dataclass
 
 from .errors import ConfigError, DataError, PolicyError
+from .nncore.checkpoint import atomic_file
 
 AMPLE = "ample"
 SCARCE = "scarce"
@@ -180,17 +181,21 @@ def build_level_report(counts: dict[int, int], part: LevelPartition,
     return rows
 
 
-def write_level_report(csv_path, txt_path, rows: list[LevelReportRow]):
-    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["class", "count", "imbalance_ratio", "level", "target"])
-        for row in rows:
-            writer.writerow([row.name, row.count, repr(row.ir), row.level, row.target])
+def level_report_text(rows: list[LevelReportRow]) -> str:
     width = max((len(r.name) for r in rows), default=5)
     lines = [f"{'class':<{width}}  {'count':>10}  {'IR':>14}  {'level':<6}  {'target':>10}"]
     for row in rows:
         lines.append(
             f"{row.name:<{width}}  {row.count:>10}  {row.ir:>14.2f}  {row.level:<6}  {row.target:>10}"
         )
-    with open(txt_path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
+
+
+def write_level_report(csv_path, txt_path, rows: list[LevelReportRow]):
+    with atomic_file(csv_path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["class", "count", "imbalance_ratio", "level", "target"])
+        for row in rows:
+            writer.writerow([row.name, row.count, repr(row.ir), row.level, row.target])
+    with atomic_file(txt_path, "w", encoding="utf-8") as fh:
+        fh.write(level_report_text(rows))

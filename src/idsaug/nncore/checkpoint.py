@@ -161,24 +161,33 @@ class _HashingWriter:
         self.fh.write(data)
 
 
-def write_record(path, magic: bytes, metadata: dict, networks=(), arrays=()):
-    """Write a record file atomically: a temporary file, then ``os.replace``."""
+@contextlib.contextmanager
+def atomic_file(path, mode: str = "w", **kwargs):
+    """Open a temporary file beside ``path`` for writing and move it onto
+    ``path`` with ``os.replace`` when the block ends. A block that raises
+    leaves ``path`` as it was and removes the temporary file."""
     tmp = f"{os.fspath(path)}.tmp"
     try:
-        with open(tmp, "wb") as raw:
-            fh = _HashingWriter(raw)
-            fh.write(magic)
-            write_metadata(fh, metadata)
-            for net in networks:
-                write_network(fh, net)
-            for arr in arrays:
-                _write_array(fh, arr)
-            raw.write(fh.digest.digest())
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
     except BaseException:
         with contextlib.suppress(OSError):
             os.remove(tmp)
         raise
     os.replace(tmp, path)
+
+
+def write_record(path, magic: bytes, metadata: dict, networks=(), arrays=()):
+    """Write a record file atomically, through ``atomic_file``."""
+    with atomic_file(path, "wb") as raw:
+        fh = _HashingWriter(raw)
+        fh.write(magic)
+        write_metadata(fh, metadata)
+        for net in networks:
+            write_network(fh, net)
+        for arr in arrays:
+            _write_array(fh, arr)
+        raw.write(fh.digest.digest())
 
 
 def read_record(path, magic: bytes, n_networks: int = 0,

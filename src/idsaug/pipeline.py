@@ -10,6 +10,8 @@ be reused.
 
 from __future__ import annotations
 
+import glob
+import json
 import os
 import time
 from contextlib import contextmanager
@@ -17,10 +19,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import leveling, san, scgan, skn
+from . import evalreport, leveling, san, scgan, skn
 from .dataio import (
     Dataset,
     _check_unit_range,
+    dataset_fingerprint,
+    load_normalization,
+    load_table,
     save_dataset,  # noqa: F401  perfbench's tracer test checks this binding
     save_normalization,
     save_table,
@@ -34,12 +39,13 @@ from .errors import (
     DataError,
     FormatError,
     PipelineError,
+    ReportError,
     ShapeError,
     TrainingDivergedError,
 )
 from .nncore import Adam, Dense, Network, ReLU, Softmax, cross_entropy_loss
 from .nncore.layers import check_batch
-from .nncore.checkpoint import read_record, write_record
+from .nncore.checkpoint import atomic_file, read_record, write_record
 from .seeding import derive_seed, substream
 
 PROV_ORIGINAL = "original"
@@ -431,59 +437,157 @@ def load_classifier(path) -> ClassifierModel:
     return ClassifierModel(_float32(net), meta["class_ids"])
 
 
-def save_run(run_dir, *, config_text=None, norm_params=None,
-             augmented: AugmentedDataset | None = None, san_model=None,
-             scgan_models: dict | None = None, classifier: ClassifierModel | None = None,
-             histories: dict | None = None, stage_report: StageReport | None = None,
-             extra_files: dict | None = None):
-    """Write run artifacts under ``run_dir`` in the canonical layout."""
+# Every file of a run directory, relative to it, by the command that writes
+# it; ``*`` stands for a class id. A staged augment also writes the SAN and
+# generators it trains. A command refuses a missing input by naming its writer.
+RUN_FILES = {
+    "preprocess": ("format.txt", "config.txt", "ingest_report.txt", "labels.json", "norm.json",
+                   "test_fingerprint.txt", "split_train.csv", "split_train.tbl",
+                   "split_test.csv", "split_test.tbl"),
+    "levels": ("levels.csv", "levels.txt", "levels_full.csv", "levels_full.txt"),
+    "train-san": ("san.ckpt", "history_san.csv"),
+    "train-scgan": ("scgan_*.ckpt", "history_scgan_*.csv"),
+    "augment": ("augmented.csv", "augmented.tbl", "stage_report.txt"),
+    "train-clf": ("classifier.ckpt", "history_clf.csv"),
+    "eval": ("metrics/per_class.csv", "metrics/aggregates.csv", "metrics/confusion.csv",
+             "metrics/summary.txt", "metrics/metrics.json", "metrics/pca.csv"),
+}
+WRITERS = {name: command for command, names in RUN_FILES.items() for name in names}
+STAGE_OUTPUTS = tuple(name for name, command in WRITERS.items() if command != "preprocess")
+
+
+def _write_text(path, text: str):
+    with atomic_file(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
+def _history_text(series) -> str:
+    if isinstance(series, scgan.ScganHistory):
+        return "epoch,d_loss,g_loss\n" + "".join(
+            f"{i},{d!r},{g!r}\n" for i, (d, g) in enumerate(zip(series.d_loss, series.g_loss), 1))
+    return "epoch,loss\n" + "".join(f"{i},{loss!r}\n" for i, loss in enumerate(series, 1))
+
+
+def save_run(run_dir, *, config_text=None, norm_params=None, ingest_report=None, split=None,
+             levels: dict | None = None, augmented: AugmentedDataset | None = None,
+             stage_report: StageReport | None = None, san_model=None, san_history=None,
+             scgan_models: dict | None = None, scgan_histories: dict | None = None,
+             classifier: ClassifierModel | None = None, clf_history=None,
+             metrics=None, pca=None):
+    """Write the given artifacts under ``run_dir``, each under its ``RUN_FILES``
+    name and each through ``atomic_file``.
+
+    ``split`` is the (train, test) pair; writing it first removes every
+    ``STAGE_OUTPUTS`` file. ``levels`` maps a scope (``train`` or ``full``) to its
+    level report rows. ``metrics`` is the (report, confusion matrix, class
+    names) triple of eval, ``pca`` the (projection, labels, class names) one.
+    """
+    def path(name):
+        return os.path.join(run_dir, name)
+
     os.makedirs(run_dir, exist_ok=True)
-    with open(os.path.join(run_dir, "format.txt"), "w", encoding="utf-8") as fh:
-        fh.write(RUN_FORMAT + "\n")
+    if split is not None and os.path.exists(path("format.txt")):
+        # a new split makes an earlier run's stage outputs stale
+        for pattern in STAGE_OUTPUTS:
+            for stale in glob.glob(os.path.join(glob.escape(os.fspath(run_dir)), pattern)):
+                if os.path.isfile(stale):
+                    os.remove(stale)
+    _write_text(path("format.txt"), RUN_FORMAT + "\n")
     if config_text is not None:
-        with open(os.path.join(run_dir, "config.txt"), "w", encoding="utf-8") as fh:
-            fh.write(config_text)
+        _write_text(path("config.txt"), config_text)
+    if ingest_report is not None:
+        _write_text(path("ingest_report.txt"), ingest_report.summary() + "\n")
     if norm_params is not None:
-        save_normalization(os.path.join(run_dir, "norm.json"), norm_params)
+        save_normalization(path("norm.json"), norm_params)
+    if split is not None:
+        train, test = split
+        _write_text(path("test_fingerprint.txt"), dataset_fingerprint(test) + "\n")
+        _write_text(path("labels.json"), json.dumps(
+            {str(k): v for k, v in sorted(train.label_names.items())}, sort_keys=True))
+        save_table(path("split_train.csv"), train)
+        save_table(path("split_test.csv"), test)
+    for scope, rows in (levels or {}).items():
+        name = "levels" if scope == "train" else f"levels_{scope}"
+        leveling.write_level_report(path(f"{name}.csv"), path(f"{name}.txt"), rows)
     if augmented is not None:
-        save_table(os.path.join(run_dir, "augmented.csv"), augmented.dataset,
-                   provenance=augmented.provenance)
-    if san_model is not None:
-        san.save_san(os.path.join(run_dir, "san.ckpt"), san_model)
-    if scgan_models:
-        for class_id, model in sorted(scgan_models.items()):
-            scgan.save_scgan(os.path.join(run_dir, f"scgan_{class_id}.ckpt"), model)
-    if classifier is not None:
-        save_classifier(os.path.join(run_dir, "classifier.ckpt"), classifier)
-    if histories:
-        for name, series in sorted(histories.items()):
-            path = os.path.join(run_dir, f"history_{name}.csv")
-            with open(path, "w", encoding="utf-8") as fh:
-                if isinstance(series, scgan.ScganHistory):
-                    fh.write("epoch,d_loss,g_loss\n")
-                    for i, (d, g) in enumerate(zip(series.d_loss, series.g_loss), 1):
-                        fh.write(f"{i},{d!r},{g!r}\n")
-                else:
-                    fh.write("epoch,loss\n")
-                    for i, loss in enumerate(series, 1):
-                        fh.write(f"{i},{loss!r}\n")
+        save_table(path("augmented.csv"), augmented.dataset, provenance=augmented.provenance)
     if stage_report is not None:
-        with open(os.path.join(run_dir, "stage_report.txt"), "w", encoding="utf-8") as fh:
-            fh.write(stage_report.summary())
-    if extra_files:
-        for name, text in extra_files.items():
-            with open(os.path.join(run_dir, name), "w", encoding="utf-8") as fh:
-                fh.write(text)
+        _write_text(path("stage_report.txt"), stage_report.summary())
+    if san_model is not None:
+        san.save_san(path("san.ckpt"), san_model)
+    if san_history is not None:
+        _write_text(path("history_san.csv"), _history_text(san_history))
+    for class_id, model in sorted((scgan_models or {}).items()):
+        scgan.save_scgan(path(f"scgan_{class_id}.ckpt"), model)
+    for class_id, history in sorted((scgan_histories or {}).items()):
+        _write_text(path(f"history_scgan_{class_id}.csv"), _history_text(history))
+    if classifier is not None:
+        save_classifier(path("classifier.ckpt"), classifier)
+    if clf_history is not None:
+        _write_text(path("history_clf.csv"), _history_text(clf_history))
+    if metrics is not None:
+        report, cm, names = metrics
+        os.makedirs(path("metrics"), exist_ok=True)
+        evalreport.write_per_class_csv(path("metrics/per_class.csv"), report, names)
+        evalreport.write_aggregates_csv(path("metrics/aggregates.csv"), report)
+        evalreport.write_confusion_csv(path("metrics/confusion.csv"), cm, names)
+        _write_text(path("metrics/summary.txt"), evalreport.render_summary(report, names))
+        evalreport.save_metrics(path("metrics/metrics.json"), report, names)
+    if pca is not None:
+        evalreport.write_pca_csv(path("metrics/pca.csv"), *pca)
+
+
+def _existing(run_dir, name: str, error=ConfigError) -> str:
+    """The path of run file ``name``; ``error`` names its writer if it is missing."""
+    path = os.path.join(run_dir, name)
+    if not os.path.exists(path):
+        raise error(f"{run_dir}: {name} missing; run {WRITERS[name]} first")
+    return path
 
 
 def check_run_format(run_dir):
-    marker = os.path.join(run_dir, "format.txt")
-    if not os.path.exists(marker):
-        raise FormatError(f"{run_dir}: not a run directory (format.txt missing)")
-    with open(marker, encoding="utf-8") as fh:
+    with open(_existing(run_dir, "format.txt", FormatError), encoding="utf-8") as fh:
         version = fh.read().strip()
     if version != RUN_FORMAT:
         raise FormatError(f"{run_dir}: unsupported run format {version!r}")
+
+
+def _read_table(run_dir, name: str) -> Dataset:
+    """The run table ``name`` from its ``.tbl`` record, checked against its CSV."""
+    for ext in (".csv", ".tbl"):
+        _existing(run_dir, name + ext)
+    return load_table(os.path.join(run_dir, name + ".csv"))
+
+
+def read_split(run_dir, which: str) -> Dataset:
+    """The ``train`` or ``test`` split."""
+    return _read_table(run_dir, f"split_{which}")
+
+
+def read_augmented(run_dir) -> Dataset:
+    return _read_table(run_dir, "augmented")
+
+
+def read_norm(run_dir):
+    return load_normalization(_existing(run_dir, "norm.json"))
+
+
+def read_san(run_dir) -> san.SanModel:
+    return san.load_san(_existing(run_dir, "san.ckpt"))
+
+
+def read_classifier(run_dir) -> ClassifierModel:
+    return load_classifier(_existing(run_dir, "classifier.ckpt"))
+
+
+def read_fingerprint(run_dir) -> str:
+    """The test split's fingerprint recorded at preprocess."""
+    with open(_existing(run_dir, "test_fingerprint.txt", ReportError), encoding="utf-8") as fh:
+        return fh.read().strip()
+
+
+def read_metrics(run_dir) -> tuple[evalreport.MetricsReport, dict[int, str]]:
+    return evalreport.load_metrics(_existing(run_dir, "metrics/metrics.json", ReportError))
 
 
 def load_run(run_dir) -> dict:
@@ -494,11 +598,8 @@ def load_run(run_dir) -> dict:
     path = os.path.join(run_dir, "san.ckpt")
     if os.path.exists(path):
         out["san_model"] = san.load_san(path)
-    scgans = {}
-    for name in sorted(os.listdir(run_dir)):
-        if name.startswith("scgan_") and name.endswith(".ckpt"):
-            model = scgan.load_scgan(os.path.join(run_dir, name))
-            scgans[model.class_id] = model
+    scgans = [scgan.load_scgan(path) for path in
+              sorted(glob.glob(os.path.join(glob.escape(os.fspath(run_dir)), "scgan_*.ckpt")))]
     if scgans:
-        out["scgan_models"] = scgans
+        out["scgan_models"] = {model.class_id: model for model in scgans}
     return out

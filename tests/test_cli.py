@@ -1,3 +1,4 @@
+import fnmatch
 import os
 
 import pytest
@@ -26,6 +27,19 @@ FAST_FLAGS = [
 def run_all(bench_csv, out, method="baseline", seed="0", extra=()):
     return main(["run-all", "--dataset", str(bench_csv), "--out", str(out),
                  "--method", method, "--seed", seed, *FAST_FLAGS, *extra])
+
+
+def run_file_entries(run) -> dict[str, str]:
+    """The pipeline.RUN_FILES entry of each file in ``run``, each file
+    matching exactly one entry."""
+    entries = {}
+    for path in run.rglob("*"):
+        if path.is_file():
+            name = path.relative_to(run).as_posix()
+            matches = [e for e in pipeline.WRITERS if fnmatch.fnmatchcase(name, e)]
+            assert len(matches) == 1, (name, matches)
+            entries[name] = matches[0]
+    return entries
 
 
 class TestConfigHandling:
@@ -141,15 +155,22 @@ class TestStageCommands:
         base = ["--dataset", str(bench_csv), "--out", run, "--seed", "5", *FAST_FLAGS]
         assert main(["preprocess", *base]) == 0
         assert main(["levels", "--run", run, *FAST_FLAGS]) == 0
+        assert main(["levels", "--run", run, "--scope", "full", *FAST_FLAGS]) == 0
         assert main(["train-san", "--run", run, *FAST_FLAGS]) == 0
         assert main(["train-scgan", "--run", run, "--seed", "5", *FAST_FLAGS]) == 0
         assert main(["augment", "--run", run, "--method", "s2cgan", "--seed", "5",
                      *FAST_FLAGS]) == 0
         assert main(["train-clf", "--run", run, "--seed", "5", *FAST_FLAGS]) == 0
-        assert main(["eval", "--run", run, *FAST_FLAGS]) == 0
+        assert main(["eval", "--run", run, "--emit-pca", "true", *FAST_FLAGS]) == 0
         out = capsys.readouterr().out
         assert "macro" in out
         assert os.path.exists(os.path.join(run, "metrics", "metrics.json"))
+        assert set(run_file_entries(tmp_path / "staged").values()) == set(pipeline.WRITERS)
+        # a new split leaves only what preprocess writes
+        assert main(["preprocess", *base]) == 0
+        left = run_file_entries(tmp_path / "staged")
+        assert {pipeline.WRITERS[e] for e in left.values()} == {"preprocess"}
+        assert len(left) == len(pipeline.RUN_FILES["preprocess"])
 
     def test_eval_before_preprocess_fails_cleanly(self, tmp_path, capsys):
         run = tmp_path / "empty"
@@ -284,16 +305,22 @@ class TestStageCommands:
 
     @pytest.mark.parametrize("table, command, producer", [
         ("split_train", ["levels"], "preprocess"),
-        ("augmented", ["train-clf"], "augment")])
+        ("augmented", ["train-clf"], "augment"),
+        ("norm.json", ["augment", "--method", "smote"], "preprocess"),
+        ("san.ckpt", ["train-scgan"], "train-san"),
+        ("classifier.ckpt", ["eval"], "train-clf")])
     def test_table_without_its_record_fails_cleanly(self, bench_csv, tmp_path, capsys,
                                                     table, command, producer):
         run = tmp_path / "run"
         assert main(["preprocess", "--dataset", str(bench_csv), "--out", str(run),
                      *FAST_FLAGS]) == 0
         assert main(["augment", "--run", str(run), "--method", "smote", *FAST_FLAGS]) == 0
-        (run / f"{table}.tbl").unlink()
+        # a bare table name stands for its record; a smote run writes no
+        # san.ckpt, and no classifier.ckpt before train-clf
+        name = table if "." in table else f"{table}.tbl"
+        (run / name).unlink(missing_ok=True)
         assert main([*command, "--run", str(run), *FAST_FLAGS]) == 2
-        assert f"{table}.tbl missing; run {producer} first" in capsys.readouterr().err
+        assert f"{name} missing; run {producer} first" in capsys.readouterr().err
 
     def test_repeated_column_names_parse_only_the_input(self, bench_csv, tmp_path,
                                                         monkeypatch):
@@ -427,6 +454,11 @@ class TestRunDirSelfDescription:
         train_total = sum(int(r.split(",")[1]) for r in train_rows)
         assert full_total == 330 and train_total == 264
 
+    def test_every_file_is_a_run_file_entry(self, bench_csv, tmp_path):
+        out = tmp_path / "run"
+        assert run_all(bench_csv, out, method="s2cgan", extra=("--emit-pca", "true")) == 0
+        assert set(run_file_entries(out).values()) == set(pipeline.WRITERS)
+
     def test_pca_emission_flag(self, bench_csv, tmp_path):
         out = tmp_path / "run"
         assert run_all(bench_csv, out, extra=("--emit-pca", "true")) == 0
@@ -468,6 +500,18 @@ class TestCompare:
         for row in rows[1:4]:
             parts = row.split(",")
             assert float(parts[2]) == 0.0 and float(parts[4]) == 0.0
+
+    def test_runs_sharing_a_basename_are_refused(self, bench_csv, tmp_path, capsys):
+        base_dir, other_dir = tmp_path / "a" / "run", tmp_path / "b" / "run"
+        assert run_all(bench_csv, base_dir) == 0
+        assert run_all(bench_csv, other_dir, method="ros") == 0
+        out_dir = tmp_path / "cmp"
+        code = main(["compare", "--baseline", str(base_dir), "--runs", str(other_dir),
+                     "--out", str(out_dir)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(base_dir) in err and str(other_dir) in err
+        assert not out_dir.exists()
 
     def test_mismatched_split_rejected(self, bench_csv, tmp_path, capsys):
         a_dir = tmp_path / "a"

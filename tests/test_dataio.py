@@ -584,6 +584,21 @@ class TestTableCompanion:
         assert (tmp_path / "t.tbl").exists()
         assert not (tmp_path / "t.tbl.tmp").exists()
 
+    def test_failed_rewrite_keeps_the_previous_table(self, tmp_path):
+        class Unprintable:
+            def __str__(self):
+                raise RuntimeError("cannot format this tag")
+
+        n = dataio._WRITE_ROWS + 1
+        dataset = _dataset_with_counts([n - 1, 1], seed=2)
+        dataio.save_table(tmp_path / "t.csv", dataset)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        # the header and the first block of rows are written before the tag fails
+        provenance = np.array(["original"] * (n - 1) + [Unprintable()], dtype=object)
+        with pytest.raises(RuntimeError, match="cannot format"):
+            dataio.save_table(tmp_path / "t.csv", dataset, provenance=provenance)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
     @pytest.mark.parametrize("change", [
         "edit_csv", "truncate_csv", "append_csv", "delete_tbl", "truncate_tbl",
         "corrupt_tbl_payload", "corrupt_tbl_metadata", "empty_tbl"])

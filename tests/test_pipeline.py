@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -319,7 +321,7 @@ class TestSaveLoadRun:
         model, history = pipeline.train_classifier(
             data, pipeline.ClassifierConfig(epochs=5, seed=1))
         run_dir = tmp_path / "run"
-        pipeline.save_run(run_dir, classifier=model, histories={"clf": history})
+        pipeline.save_run(run_dir, classifier=model, clf_history=history)
         loaded = pipeline.load_classifier(run_dir / "classifier.ckpt")
         probe = data.features[:17]
         a_ids, a_probs = pipeline.predict(model, probe)
@@ -360,6 +362,14 @@ class TestSaveLoadRun:
         path.write_bytes(blob[:at] + bytes([blob[at] ^ 1]) + blob[at + 1:])
         with pytest.raises(FormatError, match="record checksum mismatch"):
             load(path)
+
+    def test_readme_layout_lists_the_run_files(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        section = readme.read_text(encoding="utf-8").split("### Run directory layout", 1)[1]
+        block = section.split("```\n", 2)[1]
+        listed = [tuple(line.split()[:2]) for line in block.splitlines()]
+        assert listed == [(name, command) for command, names in pipeline.RUN_FILES.items()
+                          for name in names]
 
     def test_norm_params_round_trip(self, tmp_path):
         params = dataio.fit_minmax(np.random.default_rng(10).random((20, 6)) * 100)
