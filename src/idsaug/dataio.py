@@ -24,7 +24,6 @@ from .errors import (
     MappingError,
     SchemaError,
     ShapeError,
-    StateError,
 )
 from .nncore.checkpoint import atomic_file, read_record, write_record
 from .seeding import as_generator
@@ -133,7 +132,6 @@ class NormalizationParams:
 
     x_min: np.ndarray
     x_max: np.ndarray
-    fitted: bool = True
 
     def __post_init__(self):
         self.x_min = np.asarray(self.x_min, dtype=np.float64)
@@ -178,10 +176,6 @@ _BLANK_LINES = frozenset(("\n", "\r", "\r\n"))
 # separators \x1c-\x1f, which numpy strips from around a number and float()
 # does not
 _PER_ROW_CHARS = ('"', "\0", "\x1c", "\x1d", "\x1e", "\x1f")
-_REFUSALS = {"undecodable": "holds a byte that is not UTF-8",
-             "wrong_field_count": "has wrong field count",
-             "non_numeric": "has a non_numeric feature value",
-             "non_finite": "has a non_finite feature value"}
 
 
 def _undecodable(line: str) -> bool:
@@ -209,13 +203,11 @@ class _Lines:
 class _Ingest:
     """The rows ``load_dataset`` has kept so far, block by block, and its report."""
 
-    def __init__(self, path, n_fields: int, label_idx: int, feature_cols: list[int],
-                 drop_non_finite: bool):
+    def __init__(self, path, n_fields: int, label_idx: int, feature_cols: list[int]):
         self.path = path
         self.n_fields = n_fields
         self.label_idx = label_idx
         self.feature_cols = feature_cols
-        self.drop_non_finite = drop_non_finite
         self.report = IngestReport()
         self.features: list[np.ndarray] = []
         self.label_ids: list[np.ndarray] = []
@@ -239,8 +231,6 @@ class _Ingest:
         if not text.isascii():
             rows = [line for line in rows if not _undecodable(line)]
         n_undecodable = n_read - len(rows)
-        if n_undecodable and not self.drop_non_finite:
-            return False
         if any(line.count(",") != self.n_fields - 1 for line in rows):
             return False
         if rows and self.feature_cols:
@@ -254,8 +244,6 @@ class _Ingest:
         finite = np.isfinite(features).all(axis=1)
         n_non_finite = len(rows) - int(np.count_nonzero(finite))
         if n_non_finite:
-            if not self.drop_non_finite:
-                return False
             features = features[finite]
             rows = list(itertools.compress(rows, finite.tolist()))
         # a quote-free row of n_fields fields: the label is the back-th from the end
@@ -281,11 +269,8 @@ class _Ingest:
                 if reason is None:
                     rows.append(values)
                     labels.append(raw[self.label_idx].strip())
-                elif self.drop_non_finite:
-                    report.drop(reason)
                 else:
-                    raise InputDataError(
-                        f"{self.path}: row {report.rows_read} {_REFUSALS[reason]}")
+                    report.drop(reason)
             lines.undecodable = False
             if lines.read >= len(block):
                 break
@@ -324,22 +309,21 @@ class _Ingest:
 
 
 def load_dataset(path, label_column: str = DEFAULT_LABEL_COLUMN,
-                 drop_non_finite: bool = True,
                  ignore_columns: tuple[str, ...] = ()) -> tuple[Dataset, IngestReport]:
     """Read a header-bearing CSV of numeric features plus one label column.
 
-    Rows with non-numeric or non-finite feature values, or with a byte that
-    is not UTF-8 in any cell (``undecodable``), are dropped and counted when
-    ``drop_non_finite`` is set, and rejected otherwise. Columns named in
-    ``ignore_columns`` (like a provenance column) are skipped entirely. A
-    leading UTF-8 byte-order mark is skipped.
+    Rows with a wrong field count, non-numeric or non-finite feature values,
+    or a byte that is not UTF-8 in any cell (``undecodable``), are dropped
+    and counted by reason. Columns named in ``ignore_columns`` (like a
+    provenance column) are skipped entirely. A leading UTF-8 byte-order mark
+    is skipped.
 
     The rows are read in blocks of ``INGEST_BLOCK`` lines, and numpy converts
     a block's feature cells in one call: lines with an undecodable byte are
     dropped before it, rows holding NaN or +-Inf by a mask after it. Only a
     block that numpy refuses (a non-numeric cell, a wrong field count, a
     quote, a whitespace-only line) takes the per-row rules, record by record
-    in file order, so every block gives the same rows, counts and errors.
+    in file order, so every block gives the same rows and counts.
     """
     with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
         lines = _Lines(fh)
@@ -354,7 +338,7 @@ def load_dataset(path, label_column: str = DEFAULT_LABEL_COLUMN,
         label_idx = names.index(label_column)
         skip = {label_idx} | {i for i, n in enumerate(names) if n in ignore_columns}
         feature_cols = [i for i in range(len(names)) if i not in skip]
-        ingest = _Ingest(path, len(names), label_idx, feature_cols, drop_non_finite)
+        ingest = _Ingest(path, len(names), label_idx, feature_cols)
         while block := list(itertools.islice(fh, INGEST_BLOCK)):
             if not ingest.bulk(block):
                 ingest.per_row(block, fh)
@@ -467,20 +451,16 @@ def load_label_map(path) -> dict[str, str]:
     return mapping
 
 
-def map_labels(dataset: Dataset, mapping: dict[str, str] | None = None,
-               strict: bool = True) -> Dataset:
-    """Regroup labels through ``mapping`` (defaults to the built-in grouping).
-
-    In strict mode every distinct label string must be covered; otherwise
-    unmapped labels pass through unchanged.
-    """
+def map_labels(dataset: Dataset, mapping: dict[str, str] | None = None) -> Dataset:
+    """Regroup labels through ``mapping`` (defaults to the built-in grouping),
+    which must cover every distinct label string."""
     if mapping is None:
         mapping = DEFAULT_LABEL_MAP
     old_names = [dataset.label_names[int(i)] for i in dataset.labels]
     unmapped = sorted({name for name in old_names if name not in mapping})
-    if unmapped and strict:
+    if unmapped:
         raise MappingError(f"labels with no mapping entry: {unmapped}")
-    new_strings = [mapping.get(name, name) for name in old_names]
+    new_strings = [mapping[name] for name in old_names]
     ids, label_names = _label_ids(new_strings)
     return Dataset(dataset.features, ids, label_names, dataset.feature_names)
 
@@ -498,13 +478,10 @@ def apply_minmax(params: NormalizationParams, data) -> np.ndarray:
     Clamping matters when training-set ranges are applied to test rows that
     fall outside them.
     """
-    if not params.fitted:
-        raise StateError("normalization params have not been fitted")
     features = data.features if isinstance(data, Dataset) else np.asarray(data, dtype=np.float64)
     if features.ndim != 2 or features.shape[1] != params.x_min.shape[0]:
-        raise ShapeError(
-            f"feature count {features.shape} does not match fitted width {params.x_min.shape[0]}"
-        )
+        raise ShapeError(f"feature count {features.shape} does not match the "
+                         f"{params.x_min.shape[0]} columns of the normalization params")
     span = params.x_max - params.x_min
     # divide rather than multiply by a reciprocal: a subnormal span would
     # overflow the reciprocal to inf and poison 0 * inf into NaN

@@ -260,13 +260,14 @@ def write_comparison(out_dir, reports: dict[str, MetricsReport], baseline_name: 
     os.makedirs(out_dir, exist_ok=True)
     deltas, aggregates = (os.path.join(out_dir, n) for n in ("deltas.csv", "aggregates.csv"))
     write_comparison_csv(deltas, compare(reports, baseline_name), names)
-    with atomic_file(aggregates, "w", encoding="utf-8") as fh:
-        fh.write("method,scope,precision,recall,f_beta\n")
+    with atomic_file(aggregates, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["method", "scope", "precision", "recall", "f_beta"])
         for label, report in sorted(reports.items()):
             for scope in ("weighted", "macro"):
                 values = getattr(report, scope)
-                fh.write(f"{label},{scope},{values['precision']!r},"
-                         f"{values['recall']!r},{values['f_beta']!r}\n")
+                writer.writerow([label, scope, repr(values["precision"]),
+                                 repr(values["recall"]), repr(values["f_beta"])])
     return [deltas, aggregates]
 
 

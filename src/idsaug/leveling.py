@@ -14,8 +14,6 @@ AMPLE = "ample"
 SCARCE = "scarce"
 RARE = "rare"
 
-_SEVERITY = {AMPLE: 0, SCARCE: 1, RARE: 2}
-
 
 @dataclass
 class LevelThresholds:
@@ -158,10 +156,6 @@ def augmentation_targets(part: LevelPartition, counts: dict[int, int]) -> dict[i
         else:
             targets[class_id] = max(rare_target, counts[class_id])
     return targets
-
-
-def severity(level: str) -> int:
-    return _SEVERITY[level]
 
 
 def build_level_report(counts: dict[int, int], part: LevelPartition,

@@ -21,14 +21,14 @@ class Adam:
 
     Both moments are one float64 vector each over all parameters, in list
     order, with preallocated scratch of the same length. ``step`` takes the
-    gradients either as one flat vector in that order (a network's ``grad``)
-    or as one array per parameter. A float64 flat vector is read in place;
-    anything else is first copied into one float64 vector, so the moment
-    arithmetic runs in float64 whatever the gradients' dtype: a float32
-    gradient is widened exactly, never multiplied in float32. The update is
-    computed in float64, rounded once to the parameters' dtype and subtracted
-    from each parameter in that dtype, in place. Parameters stay the caller's
-    arrays: their shapes must match the list the optimizer was built from.
+    gradients as one flat vector in that order (a network's ``grad``). A
+    float64 vector is read in place; one of another dtype is first copied
+    into a float64 vector, so the moment arithmetic runs in float64 whatever
+    the gradients' dtype: a float32 gradient is widened exactly, never
+    multiplied in float32. The update is computed in float64, rounded once to
+    the parameters' dtype and subtracted from each parameter in that dtype, in
+    place. Parameters stay the caller's arrays: their shapes must match the
+    list the optimizer was built from.
     """
 
     def __init__(self, params: list[np.ndarray], lr: float = 1e-3,
@@ -49,40 +49,27 @@ class Adam:
         self.first = np.zeros(self._size)
         self.second = np.zeros(self._size)
         self._scratch = np.empty(self._size)
-        # gradients that are not one float64 vector are copied here
+        # a gradient that is not float64 is widened here
         self._wide = np.empty(self._size)
-        # the update, in the parameters' dtype
+        # the update, in the parameters' dtype, and its view per parameter
         self._update = np.empty(self._size, np.result_type(*params) if params else np.float64)
         bounds = np.cumsum([0] + [p.size for p in params])
-        self._wide_views = self._views(self._wide, bounds)
-        self._update_views = self._views(self._update, bounds)
+        self._update_views = [self._update[a:b].reshape(shape)
+                              for a, b, shape in zip(bounds, bounds[1:], self._shapes)]
 
-    def _views(self, flat, bounds):
-        return [flat[a:b].reshape(shape)
-                for a, b, shape in zip(bounds, bounds[1:], self._shapes)]
-
-    def step(self, params: list[np.ndarray], grads):
+    def step(self, params: list[np.ndarray], grads: np.ndarray):
         if len(params) != len(self._shapes):
             raise ShapeError("parameter list length does not match optimizer state")
         for p, shape in zip(params, self._shapes):
             if p.shape != shape:
                 raise ShapeError(f"shape mismatch: expected {shape}, got {p.shape}")
-        g = self._wide
-        if isinstance(grads, np.ndarray):
-            if grads.shape != (self._size,):
-                raise ShapeError(f"flat gradient shape {grads.shape} does not match "
-                                 f"({self._size},)")
-            if grads.dtype == np.float64:
-                g = grads
-            else:
-                np.copyto(g, grads)
-        else:
-            if len(grads) != len(self._shapes):
-                raise ShapeError("gradient list length does not match optimizer state")
-            for view, grad, shape in zip(self._wide_views, grads, self._shapes):
-                if grad.shape != shape:
-                    raise ShapeError(f"shape mismatch: expected {shape}, got {grad.shape}")
-                view[...] = grad
+        if grads.shape != (self._size,):
+            raise ShapeError(f"flat gradient shape {grads.shape} does not match "
+                             f"({self._size},)")
+        g = grads
+        if grads.dtype != np.float64:
+            g = self._wide
+            np.copyto(g, grads)
         self.step_count += 1
         t = self.step_count
         root2 = math.sqrt(1.0 - self.beta2**t)

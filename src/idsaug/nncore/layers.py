@@ -341,7 +341,7 @@ class Sigmoid(Activation):
 
     def forward(self, x, train, ws=None):
         # 1 / (1 + e) for x >= 0 and e / (1 + e) below, with e = exp(-|x|), so
-        # exp never overflows; outputs stay strictly inside (0, 1) even when
+        # exp never overflows; outputs stay in the open interval (0, 1) even when
         # the exponential underflows
         ws = {} if ws is None else ws
         y = _buffer(ws, "out", x.shape, x.dtype)

@@ -71,13 +71,11 @@ class AugmentConfig:
 class StageReport:
     timings: list[tuple[str, float]] = field(default_factory=list)
     acceptance_rates: dict[str, float] = field(default_factory=dict)
-    notes: list[str] = field(default_factory=list)
 
     def summary(self) -> str:
         lines = [f"{name}: {seconds:.3f}s" for name, seconds in self.timings]
         for class_name in sorted(self.acceptance_rates):
             lines.append(f"acceptance[{class_name}]: {self.acceptance_rates[class_name]:.4f}")
-        lines.extend(self.notes)
         return "\n".join(lines) + "\n"
 
 
@@ -218,35 +216,25 @@ def top_up(train: Dataset, targets: dict[int, int], sampler) -> AugmentedDataset
 
     ``sampler(class_id, rows, need)`` gets the class's training rows and
     returns ``need`` new rows plus their provenance tag. A failure raises a
-    PipelineError naming the stage and class, with the rows assembled so far
-    on its ``partial`` attribute. Every class must end exactly at its target.
+    PipelineError naming the stage and class. Every class must end exactly at
+    its target.
     """
     counts = train.class_counts()
     blocks = [train.features]
     labels = [train.labels]
     provenance = [np.full(train.n_rows, PROV_ORIGINAL, dtype=object)]
-
-    def assemble() -> AugmentedDataset:
-        dataset = Dataset(_join(blocks), _join(labels), dict(train.label_names),
-                          train.feature_names)
-        return AugmentedDataset(dataset, _join(provenance), counts, dataset.class_counts())
-
     for class_id, target in targets.items():
         need = target - counts.get(class_id, 0)
         if need <= 0:
             continue
-        try:
-            with _stage("top-up", train.name_of(class_id)):
-                rows, tag = sampler(class_id, train.features[train.rows_of(class_id)], need)
-        except PipelineError as error:
-            # carry the partial result so a failed run can still be inspected
-            error.partial = assemble()
-            raise
+        with _stage("top-up", train.name_of(class_id)):
+            rows, tag = sampler(class_id, train.features[train.rows_of(class_id)], need)
         blocks.append(rows)
         labels.append(np.full(len(rows), class_id, dtype=np.int64))
         provenance.append(np.full(len(rows), tag, dtype=object))
 
-    augmented = assemble()
+    dataset = Dataset(_join(blocks), _join(labels), dict(train.label_names), train.feature_names)
+    augmented = AugmentedDataset(dataset, _join(provenance), counts, dataset.class_counts())
     for class_id, target in targets.items():
         if augmented.after_counts.get(class_id, 0) != target:
             raise PipelineError(
@@ -354,9 +342,8 @@ def _float32(net: Network) -> Network:
 
 
 def build_classifier(input_dim: int, class_ids: list[int], config: ClassifierConfig,
-                     rng: np.random.Generator | None = None) -> ClassifierModel:
+                     rng: np.random.Generator) -> ClassifierModel:
     """Draw the weights in float64 from ``rng``, then narrow them to float32."""
-    rng = rng if rng is not None else np.random.default_rng(config.seed)
     layers = []
     prev = input_dim
     for width in config.hidden:

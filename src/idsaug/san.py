@@ -98,14 +98,13 @@ class SanModel:
         return self
 
 
-def build_san(input_dim: int, config: SanConfig,
-              rng: np.random.Generator | None = None) -> SanModel:
-    """Encoder input->hidden->code and a mirrored decoder.
+def build_san(input_dim: int, config: SanConfig, rng: np.random.Generator) -> SanModel:
+    """Encoder input->hidden->code and a mirrored decoder, weights drawn from
+    ``rng``.
 
     Every dense layer except the decoder's output gets batchnorm plus
     leaky ReLU.
     """
-    rng = rng if rng is not None else np.random.default_rng(config.seed)
     enc_layers = []
     prev = input_dim
     for width in list(config.hidden_dims) + [config.code_dim]:

@@ -112,11 +112,9 @@ class ScganModel:
 
 
 def build_scgan(feature_dim: int, code_dim: int, config: ScganConfig,
-                rng: np.random.Generator | None = None,
-                class_id: int | None = None) -> ScganModel:
+                rng: np.random.Generator, class_id: int | None = None) -> ScganModel:
     """Generator (code+noise -> features, sigmoid output) and conditional
-    discriminator (features+code -> score)."""
-    rng = rng if rng is not None else np.random.default_rng(config.seed)
+    discriminator (features+code -> score), weights drawn from ``rng``."""
     gen_layers = []
     prev = code_dim + config.noise_dim
     for width in config.gen_hidden:

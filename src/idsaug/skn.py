@@ -29,32 +29,32 @@ class SknConfig:
             raise ConfigError("k must be at least 1")
 
 
-def knn(points, query_index: int, k: int) -> np.ndarray:
-    """Indices of the k nearest Euclidean neighbors of one point.
+# a neighbor block holds at most this many float64 differences (4 MB), and
+# at least one query row
+_DIFF_BLOCK = 1 << 19
 
-    The point is never its own neighbor; ties break toward the lower row
-    index. k larger than rows-1 is clamped with a warning.
+
+def build_neighbor_lists(points: np.ndarray, k: int) -> np.ndarray:
+    """Row i: the indices of the k nearest Euclidean neighbors of row i of
+    ``points``, an (n, dim) float64 array with 1 <= k < n.
+
+    A row is never its own neighbor; ties, duplicate rows included, break
+    toward the lower row index. The distance is sqrt(((p - q)**2).sum()),
+    sorted stably, and the query rows are taken in blocks of ``_DIFF_BLOCK``
+    differences.
     """
-    points = np.asarray(points, dtype=np.float64)
-    n = points.shape[0]
-    if n < 2:
-        raise DataError("nearest-neighbor search needs at least 2 points")
-    if not 0 <= query_index < n:
-        raise ConfigError(f"query index {query_index} out of range")
-    if k < 1:
-        raise ConfigError("k must be at least 1")
-    if k > n - 1:
-        warnings.warn(f"k={k} exceeds available neighbors; clamping to {n - 1}")
-        k = n - 1
-    diff = points - points[query_index]
-    dist = np.sqrt((diff * diff).sum(axis=1))
-    order = np.argsort(dist, kind="stable")
-    order = order[order != query_index]
-    return order[:k]
-
-
-def build_neighbor_lists(points, k: int) -> list[np.ndarray]:
-    return [knn(points, i, k) for i in range(np.asarray(points).shape[0])]
+    n, dim = points.shape
+    step = max(1, _DIFF_BLOCK // max(1, n * dim))
+    out = np.empty((n, k), dtype=np.int64)
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        diff = points[None, :, :] - points[start:stop, None, :]
+        np.multiply(diff, diff, out=diff)
+        order = np.argsort(np.sqrt(diff.sum(axis=-1)), axis=1, kind="stable")
+        # every row of the block holds its own index exactly once
+        others = order[order != np.arange(start, stop)[:, None]]
+        out[start:stop] = others.reshape(stop - start, n - 1)[:, :k]
+    return out
 
 
 def skn_synthesize(class_points, n_new: int, config: SknConfig,
@@ -91,7 +91,7 @@ def skn_synthesize(class_points, n_new: int, config: SknConfig,
     out = np.empty((n_new, dim))
     for t in range(n_new):
         i = t % n
-        j = neighbors[i][rng.integers(k_eff)]
+        j = neighbors[i, rng.integers(k_eff)]
         lam = rng.random()
         out[t] = points[i] + lam * (points[j] - points[i])
     return out

@@ -6,7 +6,7 @@ describes: one moment pair per parameter array, updated array by array.
 ``idsaug.nncore.Adam`` must give the same bytes after every step. The
 constructor takes ``Adam``'s arguments, so the oracle can stand in for it
 wherever training code builds one; like ``Adam.step``, ``step`` takes the
-gradients as one array per parameter or as one flat vector over all of them.
+gradients as one flat vector over all of them.
 The moments are float64 whatever the parameters' dtype: each gradient is
 widened to float64, the update is computed in float64, rounded once to the
 parameter's dtype and subtracted from the parameter in place.
@@ -30,10 +30,9 @@ class ReferenceAdam:
         self.first = [np.zeros(p.shape) for p in params]
         self.second = [np.zeros(p.shape) for p in params]
 
-    def step(self, params: list[np.ndarray], grads):
-        if isinstance(grads, np.ndarray):
-            bounds = np.cumsum([0] + [p.size for p in params])
-            grads = [grads[a:b].reshape(p.shape) for a, b, p in zip(bounds, bounds[1:], params)]
+    def step(self, params: list[np.ndarray], grads: np.ndarray):
+        bounds = np.cumsum([0] + [p.size for p in params])
+        grads = [grads[a:b].reshape(p.shape) for a, b, p in zip(bounds, bounds[1:], params)]
         assert len(params) == len(grads) == len(self.first)
         self.step_count += 1
         t = self.step_count

@@ -4,8 +4,7 @@ This is the reader ``load_dataset`` used before it converted blocks of lines
 in one numpy call: ``csv.reader`` splits each record and ``float`` converts
 each feature cell, one at a time. ``load_dataset`` must return the same
 feature bytes, label ids and names, feature names and ``IngestReport`` for
-every input, and in strict mode raise the same exception with the same
-message.
+every input, and raise the same exception with the same message.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ import re
 import numpy as np
 
 from idsaug.dataio import DEFAULT_LABEL_COLUMN, Dataset, IngestReport, _label_ids
-from idsaug.errors import DataError, InputDataError, SchemaError
+from idsaug.errors import DataError, SchemaError
 
 
 class _DecodeWatch:
@@ -40,14 +39,13 @@ class _DecodeWatch:
 
 
 def load_dataset(path, label_column: str = DEFAULT_LABEL_COLUMN,
-                 drop_non_finite: bool = True,
                  ignore_columns: tuple[str, ...] = ()) -> tuple[Dataset, IngestReport]:
     """Read a header-bearing CSV of numeric features plus one label column.
 
-    Rows with non-numeric or non-finite feature values, or with a byte that
-    is not UTF-8 in any cell (``undecodable``), are dropped and counted when
-    ``drop_non_finite`` is set, and rejected otherwise. Columns named in
-    ``ignore_columns`` (like a provenance column) are skipped entirely.
+    Rows with a wrong field count, non-numeric or non-finite feature values,
+    or a byte that is not UTF-8 in any cell (``undecodable``), are dropped
+    and counted by reason. Columns named in ``ignore_columns`` (like a
+    provenance column) are skipped entirely.
     """
     report = IngestReport()
     with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
@@ -74,14 +72,9 @@ def load_dataset(path, label_column: str = DEFAULT_LABEL_COLUMN,
             report.rows_read += 1
             if lines.undecodable != undecodable_seen:
                 undecodable_seen = lines.undecodable
-                if not drop_non_finite:
-                    raise InputDataError(
-                        f"{path}: row {report.rows_read} holds a byte that is not UTF-8")
                 report.drop("undecodable")
                 continue
             if len(raw) != len(names):
-                if not drop_non_finite:
-                    raise InputDataError(f"{path}: row {report.rows_read} has wrong field count")
                 report.drop("wrong_field_count")
                 continue
             values = []
@@ -99,10 +92,6 @@ def load_dataset(path, label_column: str = DEFAULT_LABEL_COLUMN,
                     break
                 values.append(value)
             if bad_reason is not None:
-                if not drop_non_finite:
-                    raise InputDataError(
-                        f"{path}: row {report.rows_read} has a {bad_reason} feature value"
-                    )
                 report.drop(bad_reason)
                 continue
             rows.append(values)

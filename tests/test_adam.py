@@ -11,11 +11,16 @@ from idsaug.synthbench import default_spec, generate_dataset
 from _adam_oracle import ReferenceAdam
 
 
+def flat_grads(*grads):
+    """The gradients as the one flat vector ``Adam.step`` takes."""
+    return np.concatenate([np.ravel(g) for g in grads])
+
+
 def test_zero_gradients_leave_params_unchanged():
     params = [np.array([1.0, -2.0, 3.0]), np.array([[4.0, 5.0]])]
     opt = Adam(params)
     before = [p.copy() for p in params]
-    opt.step(params, [np.zeros_like(p) for p in params])
+    opt.step(params, flat_grads(*(np.zeros_like(p) for p in params)))
     for p, b in zip(params, before):
         assert np.array_equal(p, b)
     assert opt.step_count == 1
@@ -25,7 +30,7 @@ def test_first_step_moves_by_lr_times_sign():
     for g in (0.3, -7.0, 123.4):
         param = [np.array([0.0])]
         opt = Adam(param, lr=0.01)
-        opt.step(param, [np.array([g])])
+        opt.step(param, np.array([g]))
         # bias correction makes the first update lr * g / (|g| + eps)
         assert param[0][0] == pytest.approx(-0.01 * np.sign(g), rel=1e-6)
 
@@ -35,7 +40,7 @@ def test_quadratic_minimization_converges():
     opt = Adam(w, lr=0.01)
     for _ in range(2000):
         grad = 2.0 * (w[0] - 3.0)
-        opt.step(w, [grad])
+        opt.step(w, grad)
         if abs(w[0][0] - 3.0) < 1e-3:
             break
     assert abs(w[0][0] - 3.0) < 1e-3
@@ -45,16 +50,18 @@ def test_shape_mismatch_rejected():
     params = [np.zeros(3)]
     opt = Adam(params)
     with pytest.raises(ShapeError):
-        opt.step(params, [np.zeros(4)])
+        opt.step(params, np.zeros(4))
     with pytest.raises(ShapeError):
-        opt.step([np.zeros(3), np.zeros(2)], [np.zeros(3), np.zeros(2)])
+        opt.step([np.zeros(4)], np.zeros(3))
+    with pytest.raises(ShapeError):
+        opt.step([np.zeros(3), np.zeros(2)], np.zeros(5))
 
 
 def test_step_counter_increments_per_update():
     params = [np.zeros(2)]
     opt = Adam(params)
     for expected in range(1, 6):
-        opt.step(params, [np.ones(2)])
+        opt.step(params, np.ones(2))
         assert opt.step_count == expected
 
 
@@ -75,7 +82,7 @@ def test_updates_are_deterministic():
         opt = Adam(params, lr=0.05)
         rng = np.random.default_rng(42)
         for _ in range(50):
-            opt.step(params, [rng.standard_normal((3, 2))])
+            opt.step(params, flat_grads(rng.standard_normal((3, 2))))
         return params[0]
 
     assert np.array_equal(run(), run())
@@ -104,8 +111,8 @@ def test_flat_update_is_bit_identical_to_the_per_parameter_oracle(
     opt, oracle = Adam(ours, **hyper), ReferenceAdam(theirs, **hyper)
     for _ in range(n_steps):
         # some exact zeros, as a ReLU's masked gradients have
-        grads = [np.array(rng.standard_normal(s) * scale * (rng.random(s) > 0.2), dtype=dtype)
-                 for s in shapes]
+        grads = flat_grads(*(np.array(rng.standard_normal(s) * scale * (rng.random(s) > 0.2),
+                                dtype=dtype) for s in shapes))
         opt.step(ours, grads)
         oracle.step(theirs, grads)
         for a, b in zip(ours, theirs):
@@ -124,14 +131,14 @@ def test_step_updates_the_callers_arrays_in_place():
     layer = Dense(3, 2, np.random.default_rng(0))
     weights, bias = layer.params()
     opt = Adam([weights, bias], lr=0.1)
-    opt.step(layer.params(), [np.ones((3, 2)), np.ones(2)])
+    opt.step(layer.params(), np.ones(8))
     assert layer.weights is weights and layer.bias is bias
     assert np.allclose(bias, -0.1, rtol=1e-6)
     # nothing is bound into the layer: a rebound parameter (as a checkpoint
     # load does) is the array the next step updates
     held = weights.copy()
     layer.weights = np.zeros((3, 2))
-    opt.step(layer.params(), [np.ones((3, 2)), np.ones(2)])
+    opt.step(layer.params(), np.ones(8))
     assert np.all(layer.weights < 0.0)
     assert np.array_equal(weights, held)
 

@@ -51,11 +51,6 @@ class TestLoad:
         assert ds.n_rows == 2
         assert report.dropped == {"non_finite": 2}
 
-    def test_strict_mode_raises_on_bad_value(self, tmp_path):
-        text = "a,b,Label\n1,2,x\noops,4,y\n"
-        with pytest.raises(InputDataError):
-            dataio.load_dataset(write_csv(tmp_path / "t.csv", text), drop_non_finite=False)
-
     def test_missing_label_column(self, tmp_path):
         with pytest.raises(SchemaError):
             dataio.load_dataset(write_csv(tmp_path / "t.csv", "a,b,Tag\n1,2,x\n"))
@@ -79,8 +74,6 @@ class TestLoad:
         assert ds.features.tolist() == [[1.0, 2.0], [5.0, 6.0]]
         assert (report.rows_read, report.rows_kept) == (3, 2)
         assert report.dropped == {"undecodable": 1}
-        with pytest.raises(InputDataError, match="not UTF-8"):
-            dataio.load_dataset(path, drop_non_finite=False)
 
     def test_undecodable_header_is_a_schema_error(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -128,8 +121,8 @@ IGNORED_CELLS = [b"original", b"scgan", b"not a number", b'"p,q"']
 
 @st.composite
 def ingest_files(draw):
-    """The bytes of a CSV for ``load_dataset``, its ``ignore_columns`` and
-    its ``drop_non_finite``: mostly clean rows among dirty ones of every kind."""
+    """The bytes of a CSV for ``load_dataset`` and its ``ignore_columns``:
+    mostly clean rows among dirty ones of every kind."""
     d = draw(st.integers(0, 3))
     names = draw(st.lists(st.sampled_from(["a", "b", " c ", "Label", "provenance"]),
                           min_size=d, max_size=d))
@@ -165,7 +158,7 @@ def ingest_files(draw):
         data = data.rstrip(b"\r\n")
     if draw(st.booleans()):
         data = b"\xef\xbb\xbf" + data
-    return data, ("provenance",) if ignored else (), draw(st.booleans())
+    return data, ("provenance",) if ignored else ()
 
 
 def ingest_outcome(load, path, **kwargs):
@@ -184,15 +177,14 @@ class TestBlockIngest:
     @settings(max_examples=400, deadline=None)
     @given(ingest_files(), st.integers(1, 6))
     def test_matches_the_row_by_row_oracle(self, case, block):
-        data, ignore, drop = case
+        data, ignore = case
         with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
             mp.setattr(dataio, "INGEST_BLOCK", block)
             path = os.path.join(tmp, "t.csv")
             with open(path, "wb") as fh:
                 fh.write(data)
-            kwargs = {"ignore_columns": ignore, "drop_non_finite": drop}
-            assert (ingest_outcome(dataio.load_dataset, path, **kwargs)
-                    == ingest_outcome(oracle_load_dataset, path, **kwargs))
+            assert (ingest_outcome(dataio.load_dataset, path, ignore_columns=ignore)
+                    == ingest_outcome(oracle_load_dataset, path, ignore_columns=ignore))
 
     def test_dirty_rows_in_later_blocks_keep_the_bulk_path(self, tmp_path, monkeypatch):
         # undecodable and non-finite rows are dropped without the per-row rules
@@ -265,11 +257,6 @@ class TestMapLabels:
         with pytest.raises(MappingError):
             dataio.map_labels(ds, {"ABC": "other"})
 
-    def test_unknown_label_passthrough_when_not_strict(self):
-        ds = dataio.Dataset(np.ones((2, 1)), [0, 1], {0: "XYZ", 1: "DoS Hulk"})
-        mapped = dataio.map_labels(ds, strict=False)
-        assert sorted(mapped.label_names.values()) == ["DoS/DDoS", "XYZ"]
-
     def test_total_count_preserved(self):
         rng = np.random.default_rng(1)
         labels = rng.integers(0, 2, size=50)
@@ -331,12 +318,6 @@ class TestMinMax:
         params = dataio.fit_minmax(np.array([[2.0], [6.0]]))
         out = dataio.apply_minmax(params, np.array([[8.0], [-1.0]]))
         assert np.array_equal(out, [[1.0], [0.0]])
-
-    def test_unfitted_params_rejected(self):
-        params = dataio.NormalizationParams(np.zeros(2), np.ones(2), fitted=False)
-        from idsaug.errors import StateError
-        with pytest.raises(StateError):
-            dataio.apply_minmax(params, np.ones((1, 2)))
 
     def test_width_mismatch(self):
         params = dataio.fit_minmax(np.ones((3, 2)))

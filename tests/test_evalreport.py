@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -266,3 +268,17 @@ class TestWriters:
             assert (tmp_path / name).read_text().strip()
         summary = evalreport.render_summary(report, names)
         assert "macro" in summary and "weighted" in summary
+
+    def test_comparison_quotes_a_run_label_that_holds_a_comma(self, tmp_path):
+        names = {0: "a", 1: "b", 2: "c"}
+        reports = {"base": report_from_f1([0.5, 0.5, 0.5]), "x,y": report_from_f1([0.5, 0.6, 0.4])}
+        deltas, aggregates = evalreport.write_comparison(tmp_path, reports, "base", names)
+        with open(aggregates, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["method", "scope", "precision", "recall", "f_beta"]
+        assert [row[:2] for row in rows[1:]] == [["base", "weighted"], ["base", "macro"],
+                                                 ["x,y", "weighted"], ["x,y", "macro"]]
+        assert all(len(row) == 5 for row in rows)
+        assert float(rows[4][4]) == reports["x,y"].macro["f_beta"]
+        with open(deltas, newline="", encoding="utf-8") as fh:
+            assert {row[0] for row in csv.reader(fh) if row[1:2] == ["b"]} == {"base", "x,y"}

@@ -112,11 +112,11 @@ class TestPartition:
     def test_monotone_severity(self, counts):
         irs = leveling.imbalance_ratios(counts)
         part = leveling.partition(irs, leveling.LevelThresholds())
+        severity = {leveling.AMPLE: 0, leveling.SCARCE: 1, leveling.RARE: 2}
         items = sorted(counts.items(), key=lambda kv: kv[1])
         for (small, n_small), (big, n_big) in zip(items, items[1:]):
             assert irs[small] >= irs[big]
-            assert (leveling.severity(part.levels[small])
-                    >= leveling.severity(part.levels[big]))
+            assert severity[part.levels[small]] >= severity[part.levels[big]]
 
 
 class TestTargets:

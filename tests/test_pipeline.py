@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from idsaug import dataio, leveling, pipeline, san, scgan
+from idsaug import dataio, leveling, pipeline, san, scgan, synthbench
 from idsaug.dataio import Dataset
 from idsaug.errors import ConfigError, DataError, FormatError, InputDataError, PipelineError
 from idsaug.nncore import Adam, Network, Softmax
@@ -98,7 +98,7 @@ class TestBuildAugmented:
         assert np.array_equal(a.dataset.labels, b.dataset.labels)
         assert np.array_equal(a.provenance, b.provenance)
 
-    def test_stage_failure_names_class_and_carries_partial(self):
+    def test_stage_failure_names_stage_and_class(self):
         train = leveled_dataset(seed=3, n_ample=120, n_scarce=20, n_rare=4)
         config = fast_config(seed=1, eta=1.0)  # unreachable filter threshold
         config.filter_policy.max_attempt_factor = 1
@@ -107,7 +107,6 @@ class TestBuildAugmented:
         err = excinfo.value
         assert err.stage == "scgan-synthesis"
         assert err.class_name == "mid"
-        assert err.partial.dataset.n_rows >= train.n_rows
 
     def test_unnormalized_input_rejected(self):
         train = leveled_dataset(seed=4)
@@ -303,14 +302,15 @@ def _save_checkpoint(path):
     """Save a freshly built model of the kind the run-directory file ``path``
     names; return its loader, its magic and its number of networks."""
     name = path.name
+    rng = np.random.default_rng(0)
     if name == "san.ckpt":
-        san.save_san(path, san.build_san(6, SanConfig(hidden_dims=(5,), code_dim=3)))
+        san.save_san(path, san.build_san(6, SanConfig(hidden_dims=(5,), code_dim=3), rng))
         return san.load_san, san.SAN_MAGIC, 2
     if name.startswith("scgan_"):
         config = ScganConfig(noise_dim=2, gen_hidden=(5,), disc_hidden=(4,))
-        scgan.save_scgan(path, scgan.build_scgan(6, 3, config, class_id=1))
+        scgan.save_scgan(path, scgan.build_scgan(6, 3, config, rng, class_id=1))
         return scgan.load_scgan, scgan.SCGAN_MAGIC, 2
-    model = pipeline.build_classifier(6, [0, 1], pipeline.ClassifierConfig(hidden=(4,)))
+    model = pipeline.build_classifier(6, [0, 1], pipeline.ClassifierConfig(hidden=(4,)), rng)
     pipeline.save_classifier(path, model)
     return pipeline.load_classifier, pipeline.CLASSIFIER_MAGIC, 1
 
@@ -370,6 +370,22 @@ class TestSaveLoadRun:
         listed = [tuple(line.split()[:2]) for line in block.splitlines()]
         assert listed == [(name, command) for command, names in pipeline.RUN_FILES.items()
                           for name in names]
+
+    def test_readme_library_use_runs_verbatim(self, tmp_path, monkeypatch):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        section = readme.read_text(encoding="utf-8").split("## Library use", 1)[1]
+        code = section.split("```python\n", 1)[1].split("```", 1)[0]
+        # a training split of 1200 and 10 rows: IR 120 makes the small class
+        # scarce under the default fixed thresholds, so a SAN and an SCGAN train
+        synthbench.write_bench_csv(tmp_path / "bench.csv",
+                                   synthbench.default_spec((1500, 12), dim=6, seed=0))
+        monkeypatch.chdir(tmp_path)
+        names: dict = {}
+        exec(compile(code, str(readme), "exec"), names)
+        augmented = names["augmented"]
+        assert sorted(augmented.after_counts.values()) == [1200, 1200]
+        assert set(augmented.provenance) == {pipeline.PROV_ORIGINAL, pipeline.PROV_SCGAN}
+        assert names["predicted"].shape == (names["test"].n_rows,)
 
     def test_norm_params_round_trip(self, tmp_path):
         params = dataio.fit_minmax(np.random.default_rng(10).random((20, 6)) * 100)

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from idsaug.errors import ConfigError, DataError
-from idsaug.skn import SknConfig, knn, skn_synthesize
+from idsaug import skn
+from idsaug.skn import SknConfig, build_neighbor_lists, skn_synthesize
 
 
 def brute_force_neighbors(points, query, k):
@@ -48,39 +49,55 @@ class _ForcedLambda:
 
 
 class TestKnn:
+    """Rows of ``build_neighbor_lists``, the search ``skn_synthesize`` runs."""
+
     def test_one_dimensional_example(self):
         points = np.array([[0.0], [1.0], [10.0]])
-        assert knn(points, 0, 1).tolist() == [1]
+        assert build_neighbor_lists(points, 1).tolist() == [[1], [0], [1]]
 
     def test_k_equals_all_other_points(self):
         points = np.random.default_rng(0).random((6, 3))
-        assert sorted(knn(points, 2, 5).tolist()) == [0, 1, 3, 4, 5]
+        assert sorted(build_neighbor_lists(points, 5)[2].tolist()) == [0, 1, 3, 4, 5]
 
     def test_never_own_neighbor(self):
         points = np.random.default_rng(1).random((10, 2))
+        # duplicate rows sit at distance 0 from each other as from themselves
+        points[7] = points[3]
+        neighbors = build_neighbor_lists(points, 4)
         for q in range(10):
-            assert q not in knn(points, q, 4)
+            assert q not in neighbors[q]
+        assert neighbors[3, 0] == 7 and neighbors[7, 0] == 3
 
     def test_matches_brute_force_on_random_points(self):
         rng = np.random.default_rng(2)
         points = rng.random((200, 5))
+        neighbors = build_neighbor_lists(points, 7)
+        assert neighbors.shape == (200, 7)
         for q in range(200):
-            assert knn(points, q, 7).tolist() == brute_force_neighbors(points, q, 7)
+            assert neighbors[q].tolist() == brute_force_neighbors(points, q, 7)
+
+    # a query row of 40 x 3 points spans 120 differences: blocks of 7 rows
+    # (the last one short), of exactly one row, and of less than one row,
+    # which still takes one
+    @pytest.mark.parametrize("block", [7 * 120, 120, 1])
+    def test_block_boundaries_match_brute_force(self, monkeypatch, block):
+        monkeypatch.setattr(skn, "_DIFF_BLOCK", block)
+        points = np.random.default_rng(3).random((40, 3))
+        points[30:] = points[:10]
+        neighbors = build_neighbor_lists(points, 5)
+        for q in range(40):
+            assert neighbors[q].tolist() == brute_force_neighbors(points, q, 5)
 
     def test_tie_break_by_ascending_index(self):
         # three points at identical distance from the query
         points = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
-        assert knn(points, 0, 3).tolist() == [1, 2, 3]
+        assert build_neighbor_lists(points, 3)[0].tolist() == [1, 2, 3]
 
     def test_k_clamped_with_warning(self):
         points = np.random.default_rng(3).random((4, 2))
-        with pytest.warns(UserWarning, match="clamping"):
-            result = knn(points, 0, 10)
-        assert len(result) == 3
-
-    def test_single_point_is_an_error(self):
-        with pytest.raises(DataError):
-            knn(np.ones((1, 2)), 0, 1)
+        with pytest.warns(UserWarning, match="using k=3"):
+            out = skn_synthesize(points, 8, SknConfig(k=10, seed=3))
+        assert np.array_equal(out, brute_force_synthesize(points, 8, 10, 3))
 
 
 class TestSynthesize:
