@@ -2,9 +2,9 @@
 
 Commands: run-all, preprocess, levels, train-san, train-scgan, augment,
 train-clf, eval, compare, synthbench. run-all runs preprocess, levels (both
-scopes), augment, train-clf and eval in one process. Configuration comes from
-a key=value file plus flags; flags win. The IDSAUG_OUT environment variable
-sets the default output root.
+scopes), train-san and train-scgan (s2cgan only), augment, train-clf and eval
+in one process. Configuration comes from a key=value file plus flags; flags
+win. The IDSAUG_OUT environment variable sets the default output root.
 """
 
 from __future__ import annotations
@@ -227,26 +227,15 @@ def _levels(config: RunConfig, run_dir, scope: str):
     print(leveling.level_report_text(rows), end="")
 
 
-def _augment(config: RunConfig, run_dir, reuse: bool = False):
-    """Top the scaled training split up by the configured method. With
-    ``reuse``, the s2cgan method reuses the run's SAN with its SCGAN models;
-    it trains whatever is missing and saves only what it trained."""
-    checkpoints = pipeline.load_run(run_dir) if reuse and config.method == "s2cgan" else {}
+def _augment(config: RunConfig, run_dir):
+    """Top the scaled training split up by the configured method; s2cgan
+    synthesizes with the SAN and SCGAN checkpoints of the run."""
     train_norm = _normalized_train(run_dir)
     aug_config = config.augment_config()
     report = pipeline.StageReport()
     if config.method == "s2cgan":
-        models, report = pipeline.train_augmentation_models(
-            train_norm, aug_config, report, checkpoints.get("san_model"),
-            checkpoints.get("scgan_models"))
-        augmented, report = pipeline.synthesize_augmented(train_norm, aug_config, models,
-                                                          report)
-        # the models trained here are those with a loss history
-        pipeline.save_run(
-            run_dir, san_model=None if "san_model" in checkpoints else models.san_model,
-            san_history=models.san_history or None,
-            scgan_models={c: models.scgan_models[c] for c in models.scgan_histories},
-            scgan_histories=models.scgan_histories)
+        models = pipeline.load_run(run_dir, train_norm, aug_config.thresholds)
+        augmented, _ = pipeline.synthesize_augmented(train_norm, aug_config, models, report)
     else:
         counts, _, targets = pipeline.level_training_set(train_norm, aug_config.thresholds)
         if config.method == "baseline":
@@ -263,8 +252,12 @@ def _augment(config: RunConfig, run_dir, reuse: bool = False):
 
 
 def _train_san(config: RunConfig, run_dir):
+    """Train the SAN when some scarce class is below its target."""
     train_norm = _normalized_train(run_dir)
-    _, part, _ = pipeline.level_training_set(train_norm, config.thresholds())
+    counts, part, targets = pipeline.level_training_set(train_norm, config.thresholds())
+    if not pipeline.scgan_classes(counts, part, targets):
+        print("train-san: no scarce class below its target")
+        return
     model, history = pipeline.train_san_stage(train_norm, part, config.augment_config())
     pipeline.save_run(run_dir, san_model=model, san_history=history)
     print(f"train-san: {len(history)} epochs, final loss "
@@ -275,12 +268,12 @@ def _train_scgan(config: RunConfig, run_dir, class_name: str | None):
     """Train a generator for ``class_name``, or for each scarce class below
     its target, against the run's SAN."""
     train_norm = _normalized_train(run_dir)
-    san_model = pipeline.read_san(run_dir)
     if class_name:
         wanted = [train_norm.id_of(class_name)]
     else:
         wanted = pipeline.scgan_classes(
             *pipeline.level_training_set(train_norm, config.thresholds()))
+    san_model = pipeline.read_san(run_dir) if wanted else None
     aug_config = config.augment_config()
     models, histories = {}, {}
     for class_id in wanted:
@@ -326,24 +319,27 @@ def cmd_preprocess(args) -> int:
     return 0
 
 
-def _staged(stage, *arg_names, **options):
+def _staged(stage, *arg_names):
     """The command that runs ``stage`` in the existing run directory ``--run``,
-    passing it the arguments ``arg_names`` and the keywords ``options``."""
+    passing it the arguments ``arg_names``."""
     def run_stage(args) -> int:
         config = _config_from_args(args).validate()
         pipeline.check_run_format(args.run)
-        stage(config, args.run, *(getattr(args, name) for name in arg_names), **options)
+        stage(config, args.run, *(getattr(args, name) for name in arg_names))
         return 0
     return run_stage
 
 
 def cmd_run_all(args) -> int:
-    """The staged commands in one process. No checkpoint is reused, so a run
-    never depends on what an earlier run left in ``--out``."""
+    """The staged commands in one process; s2cgan trains its models under the
+    augment stage. preprocess clears what an earlier run left in ``--out``, so
+    a run never depends on it."""
     config = _config_from_args(args).validate(need_dataset=True)
     run_dir = config.out or _default_out(config)
+    models = ((("augment", _train_san, ()), ("augment", _train_scgan, (None,)))
+              if config.method == "s2cgan" else ())
     stages = (("ingest", _preprocess, ()), ("level", _levels, ("train",)),
-              ("level", _levels, ("full",)), ("augment", _augment, ()),
+              ("level", _levels, ("full",)), *models, ("augment", _augment, ()),
               ("train-classifier", _train_clf, ()), ("evaluate", _eval, ()))
     for stage, run, extra in stages:
         try:
@@ -375,7 +371,10 @@ def cmd_compare(args) -> int:
 
 
 def cmd_synthbench(args) -> int:
-    counts = tuple(int(v) for v in args.counts.split(","))
+    try:
+        counts = tuple(int(v) for v in args.counts.split(","))
+    except ValueError as exc:
+        raise ConfigError(f"--counts must be comma-separated integers: {exc}") from exc
     spec = synthbench.default_spec(counts, dim=args.dim, seed=args.seed_value)
     synthbench.write_bench_csv(args.out_file, spec)
     print(f"synthbench: {sum(counts)} rows, {args.dim} features -> {args.out_file}")
@@ -403,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     command("train-san", _staged(_train_san), needs_run=True)
     p = command("train-scgan", _staged(_train_scgan, "class_name"), needs_run=True)
     p.add_argument("--class-name", default=None, help="train only this class")
-    command("augment", _staged(_augment, reuse=True), needs_run=True)
+    command("augment", _staged(_augment), needs_run=True)
     command("train-clf", _staged(_train_clf), needs_run=True)
     command("eval", _staged(_eval), needs_run=True)
 

@@ -4,12 +4,13 @@ The augmentation policy: leveling decides which classes are ample, scarce,
 and rare; ample rows pass through untouched; scarce classes are topped up
 by the filtered conditional GAN (one model per class, conditioned on shared
 autoencoder codes); rare classes are topped up by neighbor interpolation.
-Model training and synthesis are separate steps so checkpointed models can
-be reused.
+Model training and synthesis are separate steps: a staged run synthesizes
+with the checkpoints its training commands wrote.
 """
 
 from __future__ import annotations
 
+import fnmatch
 import glob
 import json
 import os
@@ -97,8 +98,6 @@ class AugmentationModels:
     targets: dict[int, int]
     san_model: san.SanModel | None
     scgan_models: dict[int, scgan.ScganModel]
-    san_history: list[float] = field(default_factory=list)
-    scgan_histories: dict[int, scgan.ScganHistory] = field(default_factory=dict)
 
 
 class _Timer:
@@ -176,32 +175,22 @@ def train_scgan_stage(train: Dataset, class_id: int, san_model: san.SanModel,
 
 
 def train_augmentation_models(train: Dataset, config: AugmentConfig,
-                              report: StageReport | None = None,
-                              san_model: san.SanModel | None = None,
-                              scgan_models: dict[int, scgan.ScganModel] | None = None,
                               ) -> tuple[AugmentationModels, StageReport]:
     """Level the training set and train the autoencoder plus one conditional
-    GAN per scarce class that needs new rows.
-
-    A given ``san_model`` is reused together with the ``scgan_models``
-    trained against it; only the generators missing from them are trained.
-    Without a ``san_model`` every model is trained afresh.
-    """
+    GAN per scarce class that needs new rows."""
     _check_unit_range(train.features, "train_augmentation_models")
-    report = report or StageReport()
+    report = StageReport()
     with _Timer(report, "leveling"):
         counts, part, targets = level_training_set(train, config.thresholds)
-    reused = dict(scgan_models or {}) if san_model is not None else {}
-    models = AugmentationModels(part, targets, san_model, reused)
-    needing = [c for c in scgan_classes(counts, part, targets) if c not in reused]
-    if needing and models.san_model is None:
+    models = AugmentationModels(part, targets, None, {})
+    needing = scgan_classes(counts, part, targets)
+    if needing:
         with _Timer(report, "san-training"):
-            models.san_model, models.san_history = train_san_stage(train, part, config)
+            models.san_model, _ = train_san_stage(train, part, config)
     for class_id in needing:
         with _Timer(report, f"scgan-training[{train.name_of(class_id)}]"):
-            model, history = train_scgan_stage(train, class_id, models.san_model, config)
-        models.scgan_models[class_id] = model
-        models.scgan_histories[class_id] = history
+            models.scgan_models[class_id], _ = train_scgan_stage(
+                train, class_id, models.san_model, config)
     return models, report
 
 
@@ -314,6 +303,8 @@ class ClassifierConfig:
             raise ConfigError("classifier epochs must lie in [0, 100]")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be positive")
+        if not self.lr > 0.0:
+            raise ConfigError(f"classifier learning rate must be positive, got {self.lr}")
         if self.patience is not None and self.patience < 1:
             raise ConfigError("patience must be positive when set")
 
@@ -425,8 +416,8 @@ def load_classifier(path) -> ClassifierModel:
 
 
 # Every file of a run directory, relative to it, by the command that writes
-# it; ``*`` stands for a class id. A staged augment also writes the SAN and
-# generators it trains. A command refuses a missing input by naming its writer.
+# it; ``*`` stands for a class id. A command refuses a missing input by naming
+# its writer.
 RUN_FILES = {
     "preprocess": ("format.txt", "config.txt", "ingest_report.txt", "labels.json", "norm.json",
                    "test_fingerprint.txt", "split_train.csv", "split_train.tbl",
@@ -528,7 +519,8 @@ def _existing(run_dir, name: str, error=ConfigError) -> str:
     """The path of run file ``name``; ``error`` names its writer if it is missing."""
     path = os.path.join(run_dir, name)
     if not os.path.exists(path):
-        raise error(f"{run_dir}: {name} missing; run {WRITERS[name]} first")
+        writer = next(c for p, c in WRITERS.items() if fnmatch.fnmatchcase(name, p))
+        raise error(f"{run_dir}: {name} missing; run {writer} first")
     return path
 
 
@@ -577,16 +569,12 @@ def read_metrics(run_dir) -> tuple[evalreport.MetricsReport, dict[int, str]]:
     return evalreport.load_metrics(_existing(run_dir, "metrics/metrics.json", ReportError))
 
 
-def load_run(run_dir) -> dict:
-    """The checkpoints a staged augment reuses, as far as they exist: the SAN
-    (``san_model``) and the SCGAN of each class (``scgan_models``)."""
-    check_run_format(run_dir)
-    out: dict = {}
-    path = os.path.join(run_dir, "san.ckpt")
-    if os.path.exists(path):
-        out["san_model"] = san.load_san(path)
-    scgans = [scgan.load_scgan(path) for path in
-              sorted(glob.glob(os.path.join(glob.escape(os.fspath(run_dir)), "scgan_*.ckpt")))]
-    if scgans:
-        out["scgan_models"] = {model.class_id: model for model in scgans}
-    return out
+def load_run(run_dir, train: Dataset, thresholds: LevelThresholds) -> AugmentationModels:
+    """Level ``train`` and read the models that synthesize its scarce rows:
+    ``san.ckpt`` and the ``scgan_<id>.ckpt`` of each scarce class below its
+    target. A missing checkpoint is refused, naming the command that writes it."""
+    counts, part, targets = level_training_set(train, thresholds)
+    wanted = scgan_classes(counts, part, targets)
+    san_model = read_san(run_dir) if wanted else None
+    return AugmentationModels(part, targets, san_model, {
+        c: scgan.load_scgan(_existing(run_dir, f"scgan_{c}.ckpt")) for c in wanted})

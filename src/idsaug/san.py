@@ -56,6 +56,8 @@ class SanConfig:
             raise ConfigError("dissimilar_fraction must lie in [0, 1]")
         if self.margin <= 0.0:
             raise ConfigError("margin must be positive")
+        if not self.lr > 0.0:
+            raise ConfigError(f"SAN learning rate must be positive, got {self.lr}")
 
 
 @dataclass

@@ -57,6 +57,8 @@ class ScganConfig:
             raise ConfigError("epochs must be non-negative")
         if self.batch_size < 2:
             raise ConfigError("batch_size must be at least 2 (batchnorm needs it)")
+        if not self.lr > 0.0:
+            raise ConfigError(f"SCGAN learning rate must be positive, got {self.lr}")
 
 
 @dataclass
@@ -75,13 +77,6 @@ class FilterPolicy:
 class ScganHistory:
     d_loss: list[float] = field(default_factory=list)
     g_loss: list[float] = field(default_factory=list)
-    # last step's raw scores and losses, for auditing: the discriminator loss
-    # comes from (real, fake), the generator loss from the post-update pass
-    last_real_scores: np.ndarray | None = None
-    last_fake_scores: np.ndarray | None = None
-    last_gen_scores: np.ndarray | None = None
-    last_d_loss: float | None = None
-    last_g_loss: float | None = None
 
 
 @dataclass
@@ -207,10 +202,6 @@ def train_scgan(class_data, class_id, san_model: SanModel,
                 )
             d_losses.append(d_loss)
             g_losses.append(g_loss)
-            history.last_real_scores = d_real.copy()
-            history.last_fake_scores = d_fake.copy()
-            history.last_gen_scores = d_fake2.copy()
-            history.last_d_loss, history.last_g_loss = d_loss, g_loss
             steps += 1
         if d_losses:
             history.d_loss.append(float(np.mean(d_losses)))

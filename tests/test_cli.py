@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from idsaug import dataio, pipeline, scgan
+from idsaug import dataio, pipeline, san, scgan
 from idsaug.cli import RunConfig, build_run_config, main, parse_config_file
 
 
@@ -43,11 +43,19 @@ def run_file_entries(run) -> dict[str, str]:
 
 
 class TestConfigHandling:
-    def test_invalid_ratio_fails_before_any_work(self, tmp_path, capsys):
+    def test_invalid_ratio_fails_before_any_work(self, bench_csv, tmp_path, capsys):
         code = main(["run-all", "--dataset", str(tmp_path / "missing.csv"),
                      "--train-ratio", "1.5", "--out", str(tmp_path / "r")])
         assert code == 2
         assert "train_ratio" in capsys.readouterr().err
+        # the dataset check runs first, so these need an existing dataset
+        for flag, value, stage in [("--san-lr", "-1", "SAN"), ("--scgan-lr", "0", "SCGAN"),
+                                   ("--clf-lr", "0", "classifier")]:
+            code = main(["run-all", "--dataset", str(bench_csv), "--method", "s2cgan",
+                         flag, value, "--out", str(tmp_path / "r"), *FAST_FLAGS])
+            assert code == 2, flag
+            assert f"{stage} learning rate must be positive" in capsys.readouterr().err
+            assert not (tmp_path / "r").exists(), flag
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         config = tmp_path / "cfg.txt"
@@ -99,6 +107,12 @@ class TestSynthbench:
         path = tmp_path / "bench.csv"
         main(["synthbench", "--out", str(path), "--counts", "30,5,2", "--dim", "7"])
         assert len(path.read_text().splitlines()[0].split(",")) == 8
+
+    def test_non_integer_count_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "bench.csv"
+        assert main(["synthbench", "--out", str(path), "--counts", "10,abc"]) == 2
+        assert "--counts" in capsys.readouterr().err
+        assert not path.exists()
 
 
 class TestRunAll:
@@ -212,17 +226,17 @@ class TestStageCommands:
         for name in names + checkpoints:
             assert (whole / name).read_bytes() == (tmp_path / "staged" / name).read_bytes(), name
 
-    def test_augment_requires_checkpoints_or_trains(self, bench_csv, tmp_path):
+    def test_augment_requires_checkpoints_or_trains(self, bench_csv, tmp_path, capsys):
         run = str(tmp_path / "nockpt")
         base = ["--dataset", str(bench_csv), "--out", run, "--seed", "2", *FAST_FLAGS]
         assert main(["preprocess", *base]) == 0
-        # no train-san / train-scgan: augment falls back to training in place
+        # no train-san / train-scgan: augment trains nothing and refuses
         assert main(["augment", "--run", run, "--method", "s2cgan", "--seed", "2",
-                     *FAST_FLAGS]) == 0
-        assert os.path.exists(os.path.join(run, "augmented.csv"))
+                     *FAST_FLAGS]) == 2
+        assert "san.ckpt missing; run train-san first" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(run, "augmented.csv"))
 
-
-    def test_augment_trains_only_the_missing_generators(self, tmp_path):
+    def test_augment_trains_only_the_missing_generators(self, tmp_path, capsys):
         bench = tmp_path / "bench.csv"
         assert main(["synthbench", "--out", str(bench), "--counts", "400,40,30",
                      "--dim", "3", "--seed", "3"]) == 0
@@ -238,12 +252,29 @@ class TestStageCommands:
         assert main(["train-scgan", "--run", str(run), "--class-name", "class_1",
                      *flags]) == 0
         assert not (run / "scgan_2.ckpt").exists()
+        # class_2 also needs a generator, and augment trains none
+        assert main(["augment", "--run", str(run), "--method", "s2cgan", *flags]) == 2
+        assert "scgan_2.ckpt missing; run train-scgan first" in capsys.readouterr().err
+        assert main(["train-scgan", "--run", str(run), *flags]) == 0
         assert main(["augment", "--run", str(run), "--method", "s2cgan", *flags]) == 0
-        # the reused SAN and class_1 generator plus a class_2 generator trained
-        # here give what run-all trains in one go
         for name in ("san.ckpt", "scgan_1.ckpt", "scgan_2.ckpt", "history_scgan_2.csv",
                      "augmented.csv", "augmented.tbl", "split_train.tbl", "split_test.tbl"):
             assert (run / name).read_bytes() == (whole / name).read_bytes(), name
+
+    def test_augment_trains_no_model(self, bench_csv, tmp_path, monkeypatch):
+        run = str(tmp_path / "run")
+        assert main(["preprocess", "--dataset", str(bench_csv), "--out", run,
+                     *FAST_FLAGS]) == 0
+        for command in ("train-san", "train-scgan"):
+            assert main([command, "--run", run, *FAST_FLAGS]) == 0
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("augment synthesizes with the run's checkpoints")
+
+        monkeypatch.setattr(san, "train_san", refuse)
+        monkeypatch.setattr(scgan, "train_scgan", refuse)
+        assert main(["augment", "--run", run, "--method", "s2cgan", *FAST_FLAGS]) == 0
+        assert os.path.exists(os.path.join(run, "augmented.tbl"))
 
     def test_eval_reads_only_the_classifier(self, bench_csv, tmp_path, capsys):
         out = tmp_path / "run"
@@ -369,6 +400,7 @@ class TestRunAllChain:
                 "--clf-epochs", "1", "--scarce-min-ir", "5", "--eta", "0.3"]
         # class_2 is scarce, then rare (no generator), then scarce again
         last = [["run-all", "--seed", "2", "--rare-min-ir", "12", *fast],
+                ["train-scgan", "--seed", "2", "--rare-min-ir", "50", *fast],
                 ["augment", "--method", "s2cgan", "--seed", "2", "--rare-min-ir", "50", *fast]]
         used, fresh = tmp_path / "used", tmp_path / "fresh"
         assert main(["run-all", "--out", str(used), "--method", "s2cgan", "--seed", "1",
@@ -377,7 +409,8 @@ class TestRunAllChain:
         for run in (used, fresh):
             assert main([*last[0], "--out", str(run)]) == 0
             assert not (run / "scgan_2.ckpt").exists()
-            assert main([*last[1], "--run", str(run)]) == 0
+            for argv in last[1:]:
+                assert main([*argv, "--run", str(run)]) == 0
         for name in ("scgan_2.ckpt", "augmented.csv"):
             assert (used / name).read_bytes() == (fresh / name).read_bytes(), name
         assert (used / "notes.txt").read_text() == "kept"

@@ -270,34 +270,6 @@ class TestPredict:
         assert np.array_equal(base.argmax(axis=1), scaled.argmax(axis=1))
 
 
-class TestModelReuse:
-    def test_only_missing_generators_are_trained(self):
-        train = leveled_dataset(seed=12, n_ample=80, n_scarce=16, n_rare=3)
-        config = fast_config(seed=4)
-        config.scgan.epochs = 10
-        full, _ = pipeline.train_augmentation_models(train, config)
-        kept, missing = sorted(full.scgan_models)
-        reused, _ = pipeline.train_augmentation_models(
-            train, config, None, full.san_model, {kept: full.scgan_models[kept]})
-        assert reused.san_model is full.san_model and not reused.san_history
-        assert reused.scgan_models[kept] is full.scgan_models[kept]
-        assert set(reused.scgan_histories) == {missing}
-        for a, b in zip(reused.scgan_models[missing].generator.parameters(),
-                        full.scgan_models[missing].generator.parameters()):
-            assert np.array_equal(a, b)
-
-    def test_generators_without_their_san_are_retrained(self):
-        train = leveled_dataset(seed=12, n_ample=80, n_scarce=16, n_rare=3)
-        config = fast_config(seed=4)
-        config.scgan.epochs = 10
-        full, _ = pipeline.train_augmentation_models(train, config)
-        again, _ = pipeline.train_augmentation_models(train, config, None, None,
-                                                      full.scgan_models)
-        assert set(again.scgan_histories) == set(full.scgan_models)
-        assert all(again.scgan_models[c] is not m for c, m in full.scgan_models.items())
-        assert again.san_history == full.san_history
-
-
 def _save_checkpoint(path):
     """Save a freshly built model of the kind the run-directory file ``path``
     names; return its loader, its magic and its number of networks."""
@@ -401,11 +373,11 @@ class TestSaveLoadRun:
         pipeline.save_run(run_dir)
         (run_dir / "format.txt").write_text("idsaug-run-999\n")
         with pytest.raises(FormatError):
-            pipeline.load_run(run_dir)
+            pipeline.check_run_format(run_dir)
 
     def test_missing_marker_rejected(self, tmp_path):
         with pytest.raises(FormatError):
-            pipeline.load_run(tmp_path)
+            pipeline.check_run_format(tmp_path)
 
     def test_scgan_checkpoints_round_trip(self, tmp_path, ):
         train = leveled_dataset(seed=11, n_ample=80, n_scarce=16, n_rare=3)
@@ -415,11 +387,9 @@ class TestSaveLoadRun:
         run_dir = tmp_path / "run"
         pipeline.save_run(run_dir, san_model=models.san_model,
                           scgan_models=models.scgan_models)
-        loaded = pipeline.load_run(run_dir)
-        assert set(loaded["scgan_models"]) == set(models.scgan_models)
+        loaded = pipeline.load_run(run_dir, train, config.thresholds)
+        assert set(loaded.scgan_models) == set(models.scgan_models)
+        assert loaded.targets == models.targets
         augmented_a, _ = pipeline.synthesize_augmented(train, config, models)
-        rebuilt = pipeline.AugmentationModels(models.part, models.targets,
-                                              loaded["san_model"],
-                                              loaded["scgan_models"])
-        augmented_b, _ = pipeline.synthesize_augmented(train, config, rebuilt)
+        augmented_b, _ = pipeline.synthesize_augmented(train, config, loaded)
         assert np.array_equal(augmented_a.dataset.features, augmented_b.dataset.features)

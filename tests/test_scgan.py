@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import idsaug.scgan as scgan_module
 from idsaug.errors import ConfigError, DataError, StateError, YieldError
 from idsaug.nncore import adversarial_losses
 from idsaug.san import SanConfig, encode, train_san
@@ -75,14 +76,37 @@ class TestTrain:
         assert 0.0 < min(tail_d) and max(tail_d) < 5.0
         assert 0.0 < min(tail_g) and max(tail_g) < 5.0
 
-    def test_recorded_scores_reproduce_losses_exactly(self, trained):
-        # the recorded step losses must equal the loss op applied to the
-        # recorded scores
-        _, _, _, history = trained
-        d_loss, _ = adversarial_losses(history.last_real_scores, history.last_fake_scores)
-        _, g_loss = adversarial_losses(history.last_real_scores, history.last_gen_scores)
-        assert d_loss == history.last_d_loss
-        assert g_loss == history.last_g_loss
+    def test_recorded_scores_reproduce_losses_exactly(self, monkeypatch):
+        # every step's scores and losses, recorded where train_scgan computes
+        # them, interleaved with the observer's update events
+        scarce, san_model = scarce_fixture(seed=4, n_scarce=33)
+        events = []
+
+        def recording(real_scores, fake_scores):
+            losses = adversarial_losses(real_scores, fake_scores)
+            events.append((real_scores.copy(), fake_scores.copy(), losses))
+            return losses
+
+        monkeypatch.setattr(scgan_module, "adversarial_losses", recording)
+        config = ScganConfig(epochs=4, seed=2)
+        _, history = train_scgan(scarce, 1, san_model, config,
+                                 observer=lambda event, model: events.append(event))
+        # 33 rows at batch 16: two steps an epoch, the lone last row skipped
+        per_epoch = 2
+        steps = [events[i:i + 4] for i in range(0, len(events), 4)]
+        assert len(events) == 4 * per_epoch * config.epochs
+        d_losses, g_losses = [], []
+        for d_pass, d_event, g_pass, g_event in steps:
+            assert (d_event, g_event) == ("d-updated", "g-updated")
+            # the generator pass rescores the same fakes with the updated
+            # discriminator against the pre-update real scores
+            assert np.array_equal(d_pass[0], g_pass[0])
+            assert not np.array_equal(d_pass[1], g_pass[1])
+            d_losses.append(d_pass[2][0])
+            g_losses.append(g_pass[2][1])
+        starts = range(0, len(steps), per_epoch)
+        assert history.d_loss == [float(np.mean(d_losses[i:i + per_epoch])) for i in starts]
+        assert history.g_loss == [float(np.mean(g_losses[i:i + per_epoch])) for i in starts]
 
     def test_normalization_mismatch_rejected(self):
         scarce, san_model = scarce_fixture(seed=6)
