@@ -358,25 +358,32 @@ def train_classifier(data: Dataset, config: ClassifierConfig) -> tuple[Classifie
         return model, []
 
     net = model.net
-    # the one input check of the call: every batch is a slice of this matrix
+    # the one input check of the call: every batch is a slice of a shuffled
+    # copy of this matrix
     features = check_batch(data.features, net.in_dim, "train_classifier", net.dtype)
-    col = {c: i for i, c in enumerate(class_ids)}
     targets = np.zeros((data.n_rows, len(class_ids)), dtype=net.dtype)
-    targets[np.arange(data.n_rows), [col[int(c)] for c in data.labels]] = 1.0
+    # a Dataset names every label it holds, so each label has a column
+    targets[np.arange(data.n_rows), np.searchsorted(class_ids, data.labels)] = 1.0
 
     params = net.parameters()
     optimizer = Adam(params, lr=config.lr)
+    # each epoch's shuffled copy, rewritten in place; batches are row slices
+    shuffled_x = np.empty(features.shape, features.dtype)
+    shuffled_t = np.empty(targets.shape, targets.dtype)
     history: list[float] = []
     best = np.inf
     stale = 0
     for epoch in range(config.epochs):
         order = rng_train.permutation(data.n_rows)
+        # a permutation is in range; "clip" writes straight into ``out``
+        np.take(features, order, axis=0, out=shuffled_x, mode="clip")
+        np.take(targets, order, axis=0, out=shuffled_t, mode="clip")
         losses = []
         for start in range(0, data.n_rows, config.batch_size):
-            idx = order[start:start + config.batch_size]
-            probs = net.forward(features[idx], check=False)
+            stop = start + config.batch_size
+            probs = net.forward(shuffled_x[start:stop], check=False)
             # softmax and cross-entropy backward fused: (probs - targets) / batch
-            loss, grad = cross_entropy_loss(probs, targets[idx], wrt="logits")
+            loss, grad = cross_entropy_loss(probs, shuffled_t[start:stop], wrt="logits")
             if not np.isfinite(loss):
                 raise TrainingDivergedError(
                     f"classifier loss became non-finite at epoch {epoch + 1}",

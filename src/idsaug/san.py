@@ -125,6 +125,13 @@ def sample_pairs(features, labels, pair_count: int, dissimilar_fraction: float,
                  rng) -> PairBatch:
     """Draw index pairs, a fixed fraction from different classes.
 
+    A similar pair takes a uniform class among those with at least two rows,
+    then a uniform row ``i`` of it and a uniform row ``j`` among the others
+    (``j`` uniform in [0, n-1), shifted past ``i``). A dissimilar pair takes
+    a uniform class ``ca``, a uniform class ``cb`` among the others, then a
+    uniform row of each. Each kind is drawn in a few vectorised calls, and a
+    final permutation mixes the kinds.
+
     The two rows of a pair are always distinct. With a single class (or no
     class holding two samples) the impossible kind degrades with a warning.
     """
@@ -136,32 +143,34 @@ def sample_pairs(features, labels, pair_count: int, dissimilar_fraction: float,
         raise ConfigError("pair_count must be positive")
     rng = as_generator(rng)
 
-    by_class = {c: np.nonzero(labels == c)[0] for c in np.unique(labels)}
-    class_ids = sorted(by_class)
-    sim_classes = [c for c in class_ids if by_class[c].size >= 2]
+    # each class's row indices, ascending, as one slice of ``members``
+    _, inverse, sizes = np.unique(labels, return_inverse=True, return_counts=True)
+    members = np.argsort(inverse, kind="stable")
+    starts = np.cumsum(sizes) - sizes
+    sim_classes = np.flatnonzero(sizes >= 2)
 
     n_dissimilar = int(np.floor(pair_count * dissimilar_fraction + 0.5))
-    if len(class_ids) < 2 and n_dissimilar > 0:
+    if sizes.size < 2 and n_dissimilar > 0:
         warnings.warn("only one class present; all pairs will be similar")
         n_dissimilar = 0
     n_similar = pair_count - n_dissimilar
-    if not sim_classes and n_similar > 0:
+    if not sim_classes.size and n_similar > 0:
         warnings.warn("no class has two samples; all pairs will be dissimilar")
         n_dissimilar = pair_count
         n_similar = 0
 
-    idx1 = np.empty(pair_count, dtype=np.int64)
-    idx2 = np.empty(pair_count, dtype=np.int64)
-    y = np.zeros(pair_count, dtype=np.float64)
-    for p in range(n_similar):
-        c = sim_classes[rng.integers(len(sim_classes))]
-        i, j = rng.choice(by_class[c], size=2, replace=False)
-        idx1[p], idx2[p] = i, j
-    for p in range(n_similar, pair_count):
-        ca, cb = rng.choice(len(class_ids), size=2, replace=False)
-        idx1[p] = rng.choice(by_class[class_ids[ca]])
-        idx2[p] = rng.choice(by_class[class_ids[cb]])
-        y[p] = 1.0
+    c = sim_classes[rng.integers(sim_classes.size, size=n_similar)]
+    i = rng.integers(sizes[c])
+    j = rng.integers(sizes[c] - 1)
+    j += j >= i
+    ca = rng.integers(sizes.size, size=n_dissimilar)
+    cb = rng.integers(sizes.size - 1, size=n_dissimilar)
+    cb += cb >= ca
+    a = rng.integers(sizes[ca])
+    b = rng.integers(sizes[cb])
+    idx1 = members[np.concatenate([starts[c] + i, starts[ca] + a])]
+    idx2 = members[np.concatenate([starts[c] + j, starts[cb] + b])]
+    y = np.repeat([0.0, 1.0], [n_similar, n_dissimilar])
     order = rng.permutation(pair_count)
     idx1, idx2, y = idx1[order], idx2[order], y[order]
     return PairBatch(features[idx1], features[idx2], y, idx1, idx2)

@@ -131,10 +131,19 @@ def train_scgan(class_data, class_id, san_model: SanModel,
                 config: ScganConfig, observer=None) -> tuple[ScganModel, ScganHistory]:
     """Adversarial training on one class's rows.
 
-    Conditions are the autoencoder codes of the real rows. Returns the model
-    in eval mode and per-epoch mean loss histories. ``observer``, when given,
-    is called as observer(event, model) after each sub-update ("d-updated",
-    "g-updated"), which makes the update alternation externally checkable.
+    Conditions are the autoencoder codes of the real rows. Each step writes
+    its batch into buffers kept per batch size: the generator input
+    ``[cond | noise]`` and a discriminator input of 2b rows, the real rows
+    ``[x | cond]`` over the generated rows ``[fake | cond]``. The
+    discriminator update is one forward and one backward over those 2b
+    rows: every discriminator layer maps a row on its own, so this equals
+    two passes with their gradients summed, up to summation order. The
+    generator step then rescores the generated half in place.
+
+    Returns the model in eval mode and per-epoch mean loss histories.
+    ``observer``, when given, is called as observer(event, model) after each
+    sub-update ("d-updated", "g-updated"), which makes the update alternation
+    externally checkable.
     """
     data = np.asarray(class_data, dtype=np.float64)
     if data.size == 0:
@@ -151,46 +160,50 @@ def train_scgan(class_data, class_id, san_model: SanModel,
     if config.epochs == 0:
         return model.eval(), history
 
-    codes = encode(san_model, data)
+    feature_dim = model.feature_dim
+    real_rows = np.concatenate([data, encode(san_model, data)], axis=1)
     gen, disc = model.generator, model.discriminator
     gen_params, disc_params = gen.parameters(), disc.parameters()
     opt_g = Adam(gen_params, lr=config.lr)
     opt_d = Adam(disc_params, lr=config.lr)
+    buffers: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     steps = 0
     for epoch in range(config.epochs):
         order = rng_train.permutation(data.shape[0])
         d_losses, g_losses = [], []
         for start in range(0, data.shape[0], config.batch_size):
             batch_idx = order[start:start + config.batch_size]
-            if batch_idx.size < 2:
+            b = batch_idx.size
+            if b < 2:
                 continue
-            real = data[batch_idx]
-            cond = codes[batch_idx]
-            noise = rng_train.standard_normal((batch_idx.size, config.noise_dim))
+            if b not in buffers:
+                buffers[b] = (np.empty((b, model.code_dim + config.noise_dim)),
+                              np.empty((2 * b, real_rows.shape[1])))
+            gen_in, disc_in = buffers[b]
+            # a permutation is in range; "clip" writes straight into ``out``
+            np.take(real_rows, batch_idx, axis=0, out=disc_in[:b], mode="clip")
+            cond = disc_in[:b, feature_dim:]
+            disc_in[b:, feature_dim:] = cond
+            gen_in[:, :model.code_dim] = cond
+            gen_in[:, model.code_dim:] = rng_train.standard_normal((b, config.noise_dim))
 
-            fake = gen.forward(np.concatenate([cond, noise], axis=1), check=False)
+            disc_in[b:, :feature_dim] = gen.forward(gen_in, check=False)
             tape_gen = gen.take_tape()
 
-            d_real = disc.forward(np.concatenate([real, cond], axis=1), check=False)
-            tape_real = disc.take_tape()
-            d_fake = disc.forward(np.concatenate([fake, cond], axis=1), check=False)
-            tape_fake = disc.take_tape()
-
+            scores = disc.forward(disc_in, check=False)
+            d_real, d_fake = scores[:b], scores[b:]
             d_loss, _ = adversarial_losses(d_real, d_fake)
-            grad_real, grad_fake = discriminator_score_grads(d_real, d_fake)
-            disc.backward(grad_real, tape_real, input_grad=False)
-            disc.backward(grad_fake, tape_fake, input_grad=False, accumulate=True)
+            disc.backward(np.concatenate(discriminator_score_grads(d_real, d_fake)),
+                          input_grad=False)
             opt_d.step(disc_params, disc.grad)
             if observer is not None:
                 observer("d-updated", model)
 
             # generator step against the updated, frozen discriminator
-            d_fake2 = disc.forward(np.concatenate([fake, cond], axis=1), check=False)
-            tape_fake2 = disc.take_tape()
+            d_fake2 = disc.forward(disc_in[b:], check=False)
             _, g_loss = adversarial_losses(d_real, d_fake2)
-            grad_scores = generator_score_grad(d_fake2)
-            grad_disc_in, _ = disc.backward(grad_scores, tape_fake2, param_grad=False)
-            gen.backward(grad_disc_in[:, :model.feature_dim], tape_gen, input_grad=False)
+            grad_disc_in, _ = disc.backward(generator_score_grad(d_fake2), param_grad=False)
+            gen.backward(grad_disc_in[:, :feature_dim], tape_gen, input_grad=False)
             opt_g.step(gen_params, gen.grad)
             if observer is not None:
                 observer("g-updated", model)

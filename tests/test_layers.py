@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -276,9 +276,15 @@ def _reference(kind, layer, x, g, train):
 @settings(max_examples=120, deadline=None)
 @given(st.sampled_from(sorted(LAYER_KINDS)), st.sampled_from([np.float32, np.float64]),
        st.integers(2, 9), st.integers(1, 7), st.booleans(), st.integers(0, 2**31))
+# an ill-conditioned float32 batch: a column of variance 1.6e-3 in a 2-row
+# batch, where the input gradient cancels terms of about 30 down to 0.08
+@example(kind="batchnorm", dtype=np.float32, rows=2, dim=7, train=True, seed=2)
 def test_every_layer_matches_its_textbook_form(kind, dtype, rows, dim, train, seed):
     # the layers sum through BLAS and reuse buffers, so they may differ from
-    # the textbook form in the last bits: the tolerance is set by the dtype
+    # the textbook form in the last bits: the tolerance is set by the dtype.
+    # A float32 element may also miss the float64 form by a few times what
+    # the textbook form itself misses it by in float32, which is large where
+    # float32 rounding is amplified by cancellation
     rng = np.random.default_rng(seed)
     if kind == "dense":
         layer = Dense(dim, dim + 1, rng)
@@ -294,9 +300,15 @@ def test_every_layer_matches_its_textbook_form(kind, dtype, rows, dim, train, se
     out, cache = layer.forward(x, train)
     g = rng.standard_normal(out.shape).astype(dtype)
     grad_in, param_grads = layer.backward(g, cache, train)
+    narrow = _reference(kind, layer, x, g, train)
     wide = _in_dtype(layer, np.float64)
     expected = _reference(kind, wide, x.astype(np.float64), g.astype(np.float64), train)
-    tol = dict(rtol=1e-4, atol=1e-4) if dtype == np.float32 else dict(rtol=1e-9, atol=1e-9)
-    for ours, theirs in zip([out, grad_in, *param_grads],
-                            [expected[0], expected[1], *expected[2]]):
-        np.testing.assert_allclose(ours, theirs, **tol)
+    for ours, textbook, theirs in zip([out, grad_in, *param_grads],
+                                      [narrow[0], narrow[1], *narrow[2]],
+                                      [expected[0], expected[1], *expected[2]]):
+        if dtype == np.float64:
+            np.testing.assert_allclose(ours, theirs, rtol=1e-9, atol=1e-9)
+            continue
+        miss = np.abs(ours.astype(np.float64) - theirs)
+        bound = 1e-4 + 1e-4 * np.abs(theirs) + 4.0 * np.abs(textbook.astype(np.float64) - theirs)
+        assert np.all(miss <= bound), (miss - bound).max()

@@ -222,6 +222,34 @@ class TestClassifier:
         model, _ = pipeline.train_classifier(data, pipeline.ClassifierConfig(epochs=1))
         assert model.net.out_dim == 3
 
+    def test_batches_are_the_rows_of_each_epochs_permutation(self, monkeypatch):
+        # 300 rows at batch 128: batches of 128, 128 and 44 an epoch
+        data = separable_dataset(seed=13)
+        config = pipeline.ClassifierConfig(epochs=3, seed=6)
+        batches = []
+        forward = Network.forward
+
+        def recording(net, x, check=True):
+            if net.mode == "train":
+                batches.append(np.array(x, copy=True))
+            return forward(net, x, check)
+
+        monkeypatch.setattr(Network, "forward", recording)
+        _, history = pipeline.train_classifier(data, config)
+        monkeypatch.undo()
+
+        rng_train = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(2)[1])
+        features = data.features.astype(np.float32)
+        expected = []
+        for _ in history:
+            order = rng_train.permutation(data.n_rows)
+            expected += [features[order[a:a + config.batch_size]]
+                         for a in range(0, data.n_rows, config.batch_size)]
+        assert [len(b) for b in batches] == [128, 128, 44] * config.epochs
+        assert len(batches) == len(expected)
+        for got, want in zip(batches, expected):
+            assert got.dtype == np.float32 and np.array_equal(got, want)
+
     def test_training_is_bit_reproducible(self):
         data = separable_dataset(seed=12)
         config = pipeline.ClassifierConfig(epochs=5, seed=3)

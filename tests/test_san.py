@@ -66,6 +66,57 @@ class TestSamplePairs:
         with pytest.raises(DataError):
             sample_pairs(np.ones((1, 3)), [0], 4, 0.5, rng=0)
 
+    def test_no_class_with_two_rows_makes_every_pair_dissimilar(self):
+        features = np.random.default_rng(0).random((3, 4))
+        with pytest.warns(UserWarning, match="no class has two samples"):
+            batch = sample_pairs(features, [0, 1, 2], 20, 0.5, rng=1)
+        assert np.array_equal(batch.y, np.ones(20))
+
+
+class TestPairDistribution:
+    """20,000 pairs over classes of 2, 5 and 40 rows: a similar pair's class
+    is uniform over the classes with two rows, a dissimilar pair's ordered
+    class pair uniform over the distinct ones, whatever the class sizes."""
+
+    SIZES = (2, 5, 40)
+    PAIRS = 20_000
+
+    @pytest.fixture(scope="class")
+    def drawn(self):
+        labels = np.repeat(np.arange(len(self.SIZES)), self.SIZES)
+        features = np.random.default_rng(0).random((labels.size, 3))
+        batch = sample_pairs(features, labels, self.PAIRS, 0.5, rng=11)
+        return labels, batch
+
+    def test_kind_counts_are_exact(self, drawn):
+        _, batch = drawn
+        assert int((batch.y == 1.0).sum()) == self.PAIRS // 2
+        assert int((batch.y == 0.0).sum()) == self.PAIRS // 2
+
+    def test_rows_of_a_pair_are_distinct(self, drawn):
+        _, batch = drawn
+        assert np.all(batch.idx1 != batch.idx2)
+
+    def test_kind_decides_whether_the_classes_match(self, drawn):
+        labels, batch = drawn
+        same = labels[batch.idx1] == labels[batch.idx2]
+        assert np.array_equal(same, batch.y == 0.0)
+
+    def test_similar_pairs_spread_evenly_over_classes(self, drawn):
+        labels, batch = drawn
+        classes = labels[batch.idx1[batch.y == 0.0]]
+        shares = np.bincount(classes, minlength=3) / classes.size
+        np.testing.assert_allclose(shares, 1 / 3, atol=0.02)
+
+    def test_dissimilar_pairs_spread_evenly_over_ordered_class_pairs(self, drawn):
+        labels, batch = drawn
+        dissimilar = batch.y == 1.0
+        cells = 3 * labels[batch.idx1[dissimilar]] + labels[batch.idx2[dissimilar]]
+        shares = np.bincount(cells, minlength=9).reshape(3, 3) / dissimilar.sum()
+        off_diagonal = ~np.eye(3, dtype=bool)
+        assert np.all(shares[~off_diagonal] == 0.0)
+        np.testing.assert_allclose(shares[off_diagonal], 1 / 6, atol=0.02)
+
 
 class TestSanModel:
     def test_architecture_dims(self):

@@ -1,9 +1,11 @@
+import copy
+
 import numpy as np
 import pytest
 
 import idsaug.scgan as scgan_module
 from idsaug.errors import ConfigError, DataError, StateError, YieldError
-from idsaug.nncore import adversarial_losses
+from idsaug.nncore import Network, adversarial_losses, discriminator_score_grads
 from idsaug.san import SanConfig, encode, train_san
 from idsaug.scgan import (
     FilterPolicy,
@@ -107,6 +109,62 @@ class TestTrain:
         starts = range(0, len(steps), per_epoch)
         assert history.d_loss == [float(np.mean(d_losses[i:i + per_epoch])) for i in starts]
         assert history.g_loss == [float(np.mean(g_losses[i:i + per_epoch])) for i in starts]
+
+    def test_merged_discriminator_pass_matches_two_accumulated_passes(self, monkeypatch):
+        # each step's discriminator update runs once over real rows stacked on
+        # generated rows; a copy of the discriminator taken before it, run as
+        # two passes whose gradients accumulate, must agree with it
+        scarce, san_model = scarce_fixture(seed=7, n_scarce=34)
+        build, forward = scgan_module.build_scgan, Network.forward
+        models, steps, losses = [], [], []
+        # the first discriminator forward of a step is the update's pass, the
+        # second the generator step's rescoring
+        state = {"update_pass_next": True}
+
+        def keeping(*args, **kwargs):
+            models.append(build(*args, **kwargs))
+            return models[-1]
+
+        def recording(net, x, check=True):
+            if models and net is models[0].discriminator and state["update_pass_next"]:
+                steps.append({"rows": np.array(x, copy=True),
+                              "before": Network(copy.deepcopy(net.layers))})
+                state["update_pass_next"] = False
+            return forward(net, x, check)
+
+        def observer(event, model):
+            if event == "d-updated":
+                steps[-1]["grad"] = model.discriminator.grad.copy()
+            else:
+                state["update_pass_next"] = True
+
+        def losses_recording(real_scores, fake_scores):
+            result = adversarial_losses(real_scores, fake_scores)
+            losses.append(result)
+            return result
+
+        monkeypatch.setattr(scgan_module, "build_scgan", keeping)
+        monkeypatch.setattr(Network, "forward", recording)
+        monkeypatch.setattr(scgan_module, "adversarial_losses", losses_recording)
+        train_scgan(scarce, 1, san_model, ScganConfig(epochs=2, seed=3), observer=observer)
+        monkeypatch.undo()
+
+        # 34 rows at batch 16: steps of 16, 16 and 2 rows an epoch, each pass
+        # over twice its rows
+        assert [len(step["rows"]) for step in steps] == [32, 32, 4] * 2
+        for step, d_losses in zip(steps, losses[::2]):
+            disc, rows = step["before"], step["rows"]
+            b = len(rows) // 2
+            d_real = disc.forward(rows[:b])
+            tape_real = disc.take_tape()
+            d_fake = disc.forward(rows[b:])
+            tape_fake = disc.take_tape()
+            expected = adversarial_losses(d_real, d_fake)
+            np.testing.assert_allclose(d_losses, expected, rtol=0, atol=1e-12)
+            grad_real, grad_fake = discriminator_score_grads(d_real, d_fake)
+            disc.backward(grad_real, tape_real, input_grad=False)
+            disc.backward(grad_fake, tape_fake, input_grad=False, accumulate=True)
+            np.testing.assert_allclose(step["grad"], disc.grad, rtol=1e-10)
 
     def test_normalization_mismatch_rejected(self):
         scarce, san_model = scarce_fixture(seed=6)
