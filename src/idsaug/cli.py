@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dataio, evalreport, leveling, pipeline, san, scgan, skn, synthbench
-from .errors import ConfigError, IdsAugError, ReportError
+from .errors import ConfigError, DataError, IdsAugError, ReportError
 from .seeding import derive_seed
 
 OUT_ENV = "IDSAUG_OUT"
@@ -178,21 +178,20 @@ def _add_config_flags(parser: argparse.ArgumentParser):
 
 
 # ---------------------------------------------------------------------------
-# stages: each reads its inputs from the run directory and writes its outputs
-# there, so run-all and the staged commands run the same code. The test split
-# is sealed by that boundary: only the full-scope level report (counts) and
+# stages: each reads its inputs through a pipeline.Run and writes its outputs
+# to the run directory with Run.save, so run-all and the staged commands run
+# the same code. run-all passes one Run through every stage, so it decodes
+# each input once; each staged command builds its own. The test split is
+# sealed by the run directory: only the full-scope level report (counts) and
 # eval read it. pipeline.RUN_FILES names every file.
 
 
-def _normalized_train(run_dir) -> dataio.Dataset:
-    return dataio.normalized_dataset(pipeline.read_split(run_dir, "train"),
-                                     pipeline.read_norm(run_dir))
-
-
-def _preprocess(config: RunConfig, run_dir):
+def _preprocess(run: pipeline.Run):
     """Load and label-map the dataset, split it, fit min-max scaling on the
     training side, and write the split with what describes it; writing the
-    split clears an earlier run's stage outputs."""
+    split clears an earlier run's stage outputs. A split that leaves either
+    side empty is refused before anything is written."""
+    config = run.config
     dataset, report = dataio.load_dataset(config.dataset, config.label_column)
     # the run directory's tables add these columns to the features
     clash = sorted({dataio.DEFAULT_LABEL_COLUMN, "provenance"} & set(dataset.feature_names))
@@ -205,107 +204,105 @@ def _preprocess(config: RunConfig, run_dir):
     spec = dataio.SplitSpec(config.train_ratio, derive_seed(config.master_seed, "split"),
                             config.stratified)
     train, test = dataio.stratified_split(dataset, spec)
-    pipeline.save_run(run_dir, config_text=config.snapshot(),
-                      norm_params=dataio.fit_minmax(train), ingest_report=report,
-                      split=(train, test))
-    print(f"preprocess: {train.n_rows} train rows, {test.n_rows} test rows -> {run_dir}")
+    if not (train.n_rows and test.n_rows):
+        raise DataError(f"{config.dataset}: the split leaves {train.n_rows} train rows and "
+                        f"{test.n_rows} test rows at train_ratio {config.train_ratio}; "
+                        "both sides need rows")
+    run.save(config_text=config.snapshot(), norm_params=dataio.fit_minmax(train),
+             ingest_report=report, split=(train, test))
+    print(f"preprocess: {train.n_rows} train rows, {test.n_rows} test rows -> {run.dir}")
 
 
-def _levels(config: RunConfig, run_dir, scope: str):
-    data = pipeline.read_split(run_dir, "train")
-    if scope == "full":
+def _levels(run: pipeline.Run, scope: str):
+    data = run.split("train")
+    if scope == "train":
+        leveled = run.leveling()
+    else:
         # ratios over the complete dataset are the published-figure view;
         # training-scope ratios are what drive augmentation targets
-        test = pipeline.read_split(run_dir, "test")
+        test = run.split("test")
         data = dataio.Dataset(
             np.concatenate([data.features, test.features]),
             np.concatenate([data.labels, test.labels]),
             dict(data.label_names), data.feature_names)
-    counts, part, targets = pipeline.level_training_set(data, config.thresholds())
-    rows = leveling.build_level_report(counts, part, targets, data.label_names)
-    pipeline.save_run(run_dir, levels={scope: rows})
+        leveled = pipeline.level_training_set(data, run.config.thresholds())
+    rows = leveling.build_level_report(*leveled, data.label_names)
+    run.save(levels={scope: rows})
     print(leveling.level_report_text(rows), end="")
 
 
-def _augment(config: RunConfig, run_dir):
+def _augment(run: pipeline.Run):
     """Top the scaled training split up by the configured method; s2cgan
     synthesizes with the SAN and SCGAN checkpoints of the run."""
-    train_norm = _normalized_train(run_dir)
+    config = run.config
+    train = run.train()
     aug_config = config.augment_config()
     report = pipeline.StageReport()
+    counts, _, targets = run.leveling()
     if config.method == "s2cgan":
-        models = pipeline.load_run(run_dir, train_norm, aug_config.thresholds)
-        augmented, _ = pipeline.synthesize_augmented(train_norm, aug_config, models, report)
+        augmented, _ = pipeline.synthesize_augmented(train, aug_config,
+                                                     pipeline.load_run(run), report)
+    elif config.method == "baseline":
+        # every target is the class's own count: there is nothing to sample
+        augmented = pipeline.top_up(train, counts, None)
+    elif config.method == "ros":
+        augmented = pipeline.augment_ros(train, targets, config.master_seed)
     else:
-        counts, _, targets = pipeline.level_training_set(train_norm, aug_config.thresholds)
-        if config.method == "baseline":
-            # every target is the class's own count: there is nothing to sample
-            augmented = pipeline.top_up(train_norm, counts, None)
-        elif config.method == "ros":
-            augmented = pipeline.augment_ros(train_norm, targets, config.master_seed)
-        else:
-            augmented = pipeline.augment_smote(train_norm, targets, aug_config.skn,
-                                               config.master_seed)
-    pipeline.save_run(run_dir, augmented=augmented, stage_report=report)
+        augmented = pipeline.augment_smote(train, targets, aug_config.skn, config.master_seed)
+    run.save(augmented=augmented, stage_report=report)
     before = sum(augmented.before_counts.values())
     print(f"augment[{config.method}]: {before} -> {augmented.dataset.n_rows} rows")
 
 
-def _train_san(config: RunConfig, run_dir):
+def _train_san(run: pipeline.Run):
     """Train the SAN when some scarce class is below its target."""
-    train_norm = _normalized_train(run_dir)
-    counts, part, targets = pipeline.level_training_set(train_norm, config.thresholds())
-    if not pipeline.scgan_classes(counts, part, targets):
+    if not run.scgan_classes():
         print("train-san: no scarce class below its target")
         return
-    model, history = pipeline.train_san_stage(train_norm, part, config.augment_config())
-    pipeline.save_run(run_dir, san_model=model, san_history=history)
+    _, part, _ = run.leveling()
+    model, history = pipeline.train_san_stage(run.train(), part, run.config.augment_config())
+    run.save(san_model=model, san_history=history)
     print(f"train-san: {len(history)} epochs, final loss "
           f"{history[-1] if history else float('nan'):.6f}")
 
 
-def _train_scgan(config: RunConfig, run_dir, class_name: str | None):
+def _train_scgan(run: pipeline.Run, class_name: str | None):
     """Train a generator for ``class_name``, or for each scarce class below
     its target, against the run's SAN."""
-    train_norm = _normalized_train(run_dir)
-    if class_name:
-        wanted = [train_norm.id_of(class_name)]
-    else:
-        wanted = pipeline.scgan_classes(
-            *pipeline.level_training_set(train_norm, config.thresholds()))
-    san_model = pipeline.read_san(run_dir) if wanted else None
-    aug_config = config.augment_config()
+    train = run.train()
+    wanted = [train.id_of(class_name)] if class_name else run.scgan_classes()
+    aug_config = run.config.augment_config()
     models, histories = {}, {}
     for class_id in wanted:
         models[class_id], histories[class_id] = pipeline.train_scgan_stage(
-            train_norm, class_id, san_model, aug_config)
-        print(f"train-scgan[{train_norm.name_of(class_id)}]: "
+            train, class_id, run.san(), aug_config)
+        print(f"train-scgan[{train.name_of(class_id)}]: "
               f"{len(histories[class_id].d_loss)} epochs")
-    pipeline.save_run(run_dir, scgan_models=models, scgan_histories=histories)
+    run.save(scgan_models=models, scgan_histories=histories)
 
 
-def _train_clf(config: RunConfig, run_dir):
-    dataset = pipeline.read_augmented(run_dir)
-    classifier, history = pipeline.train_classifier(dataset, config.classifier_config())
-    pipeline.save_run(run_dir, classifier=classifier, clf_history=history)
+def _train_clf(run: pipeline.Run):
+    classifier, history = pipeline.train_classifier(run.augmented(),
+                                                    run.config.classifier_config())
+    run.save(classifier=classifier, clf_history=history)
     print(f"train-clf: {len(history)} epochs, final loss "
           f"{history[-1] if history else float('nan'):.6f}")
 
 
-def _eval(config: RunConfig, run_dir):
+def _eval(run: pipeline.Run):
     """Score the classifier on the test split, after checking that the split
     still has the fingerprint recorded at preprocess, and write the metrics."""
-    classifier = pipeline.read_classifier(run_dir)
-    test = pipeline.read_split(run_dir, "test")
-    if dataio.dataset_fingerprint(test) != pipeline.read_fingerprint(run_dir):
-        raise ReportError(f"{run_dir}: test split fingerprint changed since preprocess")
-    features = dataio.apply_minmax(pipeline.read_norm(run_dir), test)
+    classifier = run.classifier()
+    test = run.split("test")
+    if dataio.dataset_fingerprint(test) != pipeline.read_fingerprint(run.dir):
+        raise ReportError(f"{run.dir}: test split fingerprint changed since preprocess")
+    features = dataio.apply_minmax(run.norm(), test)
     predicted, _ = pipeline.predict(classifier, features)
     class_ids, names = sorted(test.label_names), test.label_names
     report = evalreport.build_report(test.labels, predicted, class_ids)
     cm = evalreport.confusion(test.labels, predicted, class_ids)
-    pca = (evalreport.pca2d(features)[0], test.labels, names) if config.emit_pca else None
-    pipeline.save_run(run_dir, metrics=(report, cm, names), pca=pca)
+    pca = (evalreport.pca2d(features)[0], test.labels, names) if run.config.emit_pca else None
+    run.save(metrics=(report, cm, names), pca=pca)
     print(evalreport.render_summary(report, names), end="")
 
 
@@ -315,17 +312,17 @@ def _eval(config: RunConfig, run_dir):
 
 def cmd_preprocess(args) -> int:
     config = _config_from_args(args).validate(need_dataset=True)
-    _preprocess(config, config.out or _default_out(config))
+    _preprocess(pipeline.Run(config.out or _default_out(config), config))
     return 0
 
 
 def _staged(stage, *arg_names):
-    """The command that runs ``stage`` in the existing run directory ``--run``,
-    passing it the arguments ``arg_names``."""
+    """The command that runs ``stage`` on its own Run of the existing run
+    directory ``--run``, passing it the arguments ``arg_names``."""
     def run_stage(args) -> int:
         config = _config_from_args(args).validate()
         pipeline.check_run_format(args.run)
-        stage(config, args.run, *(getattr(args, name) for name in arg_names))
+        stage(pipeline.Run(args.run, config), *(getattr(args, name) for name in arg_names))
         return 0
     return run_stage
 
@@ -335,15 +332,15 @@ def cmd_run_all(args) -> int:
     augment stage. preprocess clears what an earlier run left in ``--out``, so
     a run never depends on it."""
     config = _config_from_args(args).validate(need_dataset=True)
-    run_dir = config.out or _default_out(config)
+    run = pipeline.Run(config.out or _default_out(config), config)
     models = ((("augment", _train_san, ()), ("augment", _train_scgan, (None,)))
               if config.method == "s2cgan" else ())
     stages = (("ingest", _preprocess, ()), ("level", _levels, ("train",)),
               ("level", _levels, ("full",)), *models, ("augment", _augment, ()),
               ("train-classifier", _train_clf, ()), ("evaluate", _eval, ()))
-    for stage, run, extra in stages:
+    for stage, stage_fn, extra in stages:
         try:
-            run(config, run_dir, *extra)
+            stage_fn(run, *extra)
         except IdsAugError as exc:
             raise type(exc)(f"[stage {stage}] {exc}") from exc
     return 0

@@ -200,25 +200,43 @@ class _Lines:
             yield line
 
 
-class _Ingest:
-    """The rows ``load_dataset`` has kept so far, block by block, and its report."""
+def _line_bound(path) -> int:
+    """The most lines the text reader can split ``path`` into: one per
+    ``\n``, ``\r`` or ``\r\n`` ending, plus an unterminated last line.
+    Counted over the raw bytes, so nothing is decoded."""
+    endings = 0
+    prev_cr = False
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            endings += chunk.count(b"\n") + chunk.count(b"\r") - chunk.count(b"\r\n")
+            endings -= prev_cr and chunk.startswith(b"\n")
+            prev_cr = chunk.endswith(b"\r")
+    return endings + 1
 
-    def __init__(self, path, n_fields: int, label_idx: int, feature_cols: list[int]):
+
+class _Ingest:
+    """The rows ``load_dataset`` has kept so far, block by block, and its report.
+
+    Kept rows fill the next rows of one array sized by a bound on the data
+    rows, so the features are never held twice."""
+
+    def __init__(self, path, n_fields: int, label_idx: int, feature_cols: list[int],
+                 max_rows: int):
         self.path = path
         self.n_fields = n_fields
         self.label_idx = label_idx
         self.feature_cols = feature_cols
         self.report = IngestReport()
-        self.features: list[np.ndarray] = []
-        self.label_ids: list[np.ndarray] = []
+        self.features = np.empty((max_rows, len(feature_cols)))
+        self.label_ids = np.empty(max_rows, dtype=np.int64)
+        self.n_kept = 0
         self.label_index: dict[str, int] = {}  # label -> id in order of first sight
 
     def keep(self, features: np.ndarray, labels: list[str]):
-        if labels:
-            index = self.label_index
-            self.features.append(features)
-            self.label_ids.append(np.array([index.setdefault(s, len(index)) for s in labels],
-                                           dtype=np.int64))
+        index = self.label_index
+        at, self.n_kept = self.n_kept, self.n_kept + len(labels)
+        self.features[at:self.n_kept] = features
+        self.label_ids[at:self.n_kept] = [index.setdefault(s, len(index)) for s in labels]
 
     def bulk(self, block: list[str]) -> bool:
         """Convert the rows of ``block`` in one numpy call. False, with nothing
@@ -296,15 +314,17 @@ class _Ingest:
         return None, values
 
     def result(self, feature_names: list[str]) -> tuple[Dataset, IngestReport]:
-        if not self.features:
+        if not self.n_kept:
             raise DataError(f"{self.path}: no rows left after filtering")
         names = sorted(self.label_index)
         # ids in order of first sight -> ids in sorted-name order
         ids = np.empty(len(names), dtype=np.int64)
         ids[[self.label_index[name] for name in names]] = np.arange(len(names))
-        features = np.concatenate(self.features)
-        self.report.rows_kept = len(features)
-        return (Dataset(features, ids[np.concatenate(self.label_ids)], dict(enumerate(names)),
+        # shrink in place; no view of the array is left
+        features = self.features
+        features.resize((self.n_kept, features.shape[1]), refcheck=False)
+        self.report.rows_kept = self.n_kept
+        return (Dataset(features, ids[self.label_ids[:self.n_kept]], dict(enumerate(names)),
                         feature_names), self.report)
 
 
@@ -338,7 +358,8 @@ def load_dataset(path, label_column: str = DEFAULT_LABEL_COLUMN,
         label_idx = names.index(label_column)
         skip = {label_idx} | {i for i, n in enumerate(names) if n in ignore_columns}
         feature_cols = [i for i in range(len(names)) if i not in skip]
-        ingest = _Ingest(path, len(names), label_idx, feature_cols)
+        # the header took at least one line
+        ingest = _Ingest(path, len(names), label_idx, feature_cols, _line_bound(path) - 1)
         while block := list(itertools.islice(fh, INGEST_BLOCK)):
             if not ingest.bulk(block):
                 ingest.per_row(block, fh)

@@ -23,10 +23,12 @@ import numpy as np
 from . import evalreport, leveling, san, scgan, skn
 from .dataio import (
     Dataset,
+    NormalizationParams,
     _check_unit_range,
     dataset_fingerprint,
     load_normalization,
     load_table,
+    normalized_dataset,
     save_dataset,  # noqa: F401  perfbench's tracer test checks this binding
     save_normalization,
     save_table,
@@ -538,34 +540,6 @@ def check_run_format(run_dir):
         raise FormatError(f"{run_dir}: unsupported run format {version!r}")
 
 
-def _read_table(run_dir, name: str) -> Dataset:
-    """The run table ``name`` from its ``.tbl`` record, checked against its CSV."""
-    for ext in (".csv", ".tbl"):
-        _existing(run_dir, name + ext)
-    return load_table(os.path.join(run_dir, name + ".csv"))
-
-
-def read_split(run_dir, which: str) -> Dataset:
-    """The ``train`` or ``test`` split."""
-    return _read_table(run_dir, f"split_{which}")
-
-
-def read_augmented(run_dir) -> Dataset:
-    return _read_table(run_dir, "augmented")
-
-
-def read_norm(run_dir):
-    return load_normalization(_existing(run_dir, "norm.json"))
-
-
-def read_san(run_dir) -> san.SanModel:
-    return san.load_san(_existing(run_dir, "san.ckpt"))
-
-
-def read_classifier(run_dir) -> ClassifierModel:
-    return load_classifier(_existing(run_dir, "classifier.ckpt"))
-
-
 def read_fingerprint(run_dir) -> str:
     """The test split's fingerprint recorded at preprocess."""
     with open(_existing(run_dir, "test_fingerprint.txt", ReportError), encoding="utf-8") as fh:
@@ -576,12 +550,106 @@ def read_metrics(run_dir) -> tuple[evalreport.MetricsReport, dict[int, str]]:
     return evalreport.load_metrics(_existing(run_dir, "metrics/metrics.json", ReportError))
 
 
-def load_run(run_dir, train: Dataset, thresholds: LevelThresholds) -> AugmentationModels:
-    """Level ``train`` and read the models that synthesize its scarce rows:
+def _read_only(value):
+    """``value`` with every array it holds marked read-only: its own, its
+    attributes' and, for a model, its networks' layers'."""
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    elif isinstance(value, Network):
+        for layer in value.layers:
+            _read_only(layer)
+    elif hasattr(value, "__dict__"):
+        for item in vars(value).values():
+            _read_only(item)
+    return value
+
+
+class Run:
+    """A run directory as one process reads it, under the process's config.
+
+    Nothing is read when a Run is built. Each input is decoded on first use
+    and kept, read-only, so the stages that share a Run share one copy and
+    none can change it for the next. ``save`` writes through ``save_run`` and
+    drops what the write replaced. A missing input is refused, naming the
+    command that writes it. ``config`` is the command's ``cli.RunConfig``; a
+    Run reads only its ``thresholds()``.
+    """
+
+    def __init__(self, run_dir, config):
+        self.dir = run_dir
+        self.config = config
+        # (the save_run argument that replaces it, detail) -> decoded value
+        self._memo: dict[tuple, object] = {}
+
+    def _kept(self, key: tuple, read, *args):
+        if key not in self._memo:
+            self._memo[key] = _read_only(read(*args))
+        return self._memo[key]
+
+    def _table(self, name: str) -> Dataset:
+        """The run table ``name`` from its ``.tbl`` record, checked against its CSV."""
+        path = _existing(self.dir, name + ".csv")
+        _existing(self.dir, name + ".tbl")
+        return load_table(path)
+
+    def split(self, which: str) -> Dataset:
+        """The ``train`` or ``test`` split."""
+        return self._kept(("split", which), self._table, f"split_{which}")
+
+    def norm(self) -> NormalizationParams:
+        return self._kept(("norm_params",),
+                          lambda: load_normalization(_existing(self.dir, "norm.json")))
+
+    def train(self) -> Dataset:
+        """The training split, min-max scaled by ``norm.json``. Scaling takes
+        the unscaled split out of the memo, so the process holds one copy:
+        the stages that read it (the level reports) run before any that
+        reads the scaled one."""
+        def scale():
+            unscaled = self._memo.pop(("split", "train"), None) or self._table("split_train")
+            return normalized_dataset(unscaled, self.norm())
+        return self._kept(("norm_params", "scaled"), scale)
+
+    def leveling(self):
+        """``level_training_set`` of the training split under the config's
+        thresholds: of the scaled split if it is kept, as the unscaled one
+        holds the same labels."""
+        return self._kept(("split", "leveling"), lambda: level_training_set(
+            self._memo.get(("norm_params", "scaled")) or self.split("train"),
+            self.config.thresholds()))
+
+    def scgan_classes(self) -> list[int]:
+        return self._kept(("split", "scgan_classes"), lambda: scgan_classes(*self.leveling()))
+
+    def san(self) -> san.SanModel:
+        return self._kept(("san_model",), lambda: san.load_san(_existing(self.dir, "san.ckpt")))
+
+    def scgan(self, class_id: int) -> scgan.ScganModel:
+        return self._kept(("scgan_models", class_id),
+                          lambda: scgan.load_scgan(_existing(self.dir, f"scgan_{class_id}.ckpt")))
+
+    def augmented(self) -> Dataset:
+        return self._kept(("augmented",), self._table, "augmented")
+
+    def classifier(self) -> ClassifierModel:
+        return self._kept(("classifier",),
+                          lambda: load_classifier(_existing(self.dir, "classifier.ckpt")))
+
+    def save(self, **artifacts):
+        """``save_run`` these artifacts, then drop the memo of every file the
+        write replaced. Writing the split drops everything: ``save_run`` then
+        removes every stage's outputs."""
+        save_run(self.dir, **artifacts)
+        written = {name for name, value in artifacts.items() if value is not None}
+        self._memo = {} if "split" in written else {
+            key: value for key, value in self._memo.items() if key[0] not in written}
+
+
+def load_run(run: Run) -> AugmentationModels:
+    """The run's leveling and the models that synthesize its scarce rows:
     ``san.ckpt`` and the ``scgan_<id>.ckpt`` of each scarce class below its
-    target. A missing checkpoint is refused, naming the command that writes it."""
-    counts, part, targets = level_training_set(train, thresholds)
-    wanted = scgan_classes(counts, part, targets)
-    san_model = read_san(run_dir) if wanted else None
-    return AugmentationModels(part, targets, san_model, {
-        c: scgan.load_scgan(_existing(run_dir, f"scgan_{c}.ckpt")) for c in wanted})
+    target."""
+    _, part, targets = run.leveling()
+    wanted = run.scgan_classes()
+    return AugmentationModels(part, targets, run.san() if wanted else None,
+                              {c: run.scgan(c) for c in wanted})

@@ -5,6 +5,7 @@ import pytest
 
 from idsaug import dataio, pipeline, san, scgan
 from idsaug.cli import RunConfig, build_run_config, main, parse_config_file
+from idsaug.nncore.checkpoint import read_record
 
 
 
@@ -149,6 +150,17 @@ class TestRunAll:
 
     def test_missing_dataset_flag_is_config_error(self, tmp_path):
         assert main(["run-all", "--out", str(tmp_path / "r")]) == 2
+
+    def test_split_without_test_rows_is_refused_before_any_write(self, tmp_path, capsys):
+        path = tmp_path / "tiny.csv"
+        path.write_text("a,Label\n1,x\n2,x\n3,y\n")
+        run = tmp_path / "run"
+        with pytest.warns(UserWarning, match="single sample"):
+            code = main(["preprocess", "--dataset", str(path), "--out", str(run)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "3 train rows and 0 test rows at train_ratio 0.8" in err
+        assert not run.exists()
 
     def test_nonexistent_dataset_path_is_config_error(self, tmp_path, capsys):
         code = main(["run-all", "--dataset", str(tmp_path / "nope.csv"),
@@ -460,6 +472,67 @@ class TestRunAllChain:
         assert code == 2
         err = capsys.readouterr().err
         assert "[stage ingest]" in err and f"{name!r}" in err
+
+
+class TestRun:
+    """A Run decodes each input on first use and keeps it, so run-all, which
+    passes one Run through every stage, decodes each one once."""
+
+    def test_each_table_and_checkpoint_is_decoded_once(self, bench_csv, tmp_path,
+                                                        monkeypatch):
+        reads = []
+
+        def counting(path, *args, **kwargs):
+            reads.append(os.path.basename(path))
+            return read_record(path, *args, **kwargs)
+
+        for module in (dataio, san, scgan, pipeline):
+            monkeypatch.setattr(module, "read_record", counting)
+        out = tmp_path / "run"
+        assert run_all(bench_csv, out, method="s2cgan") == 0
+        records = sorted(p for p in os.listdir(out) if p.endswith((".tbl", ".ckpt")))
+        assert {"split_train.tbl", "split_test.tbl", "san.ckpt", "scgan_1.ckpt",
+                "augmented.tbl", "classifier.ckpt"} <= set(records)
+        assert sorted(reads) == records
+        # so does each staged command, with its own Run
+        for argv in (["levels"], ["levels", "--scope", "full"], ["train-san"], ["train-scgan"],
+                     ["augment", "--method", "s2cgan"], ["train-clf"], ["eval"]):
+            reads.clear()
+            assert main([*argv, "--run", str(out), *FAST_FLAGS]) == 0, argv
+            assert reads and len(reads) == len(set(reads)), (argv, reads)
+
+    def test_run_all_scales_and_levels_the_training_split_once(self, bench_csv, tmp_path,
+                                                               monkeypatch):
+        calls = []
+
+        def counting(name, original):
+            def call(dataset, *args, **kwargs):
+                calls.append((name, dataset.n_rows))
+                return original(dataset, *args, **kwargs)
+            return call
+
+        for module, name in ((pipeline, "level_training_set"), (pipeline, "normalized_dataset"),
+                             (dataio, "normalized_dataset")):
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        assert run_all(bench_csv, tmp_path / "run", method="s2cgan") == 0
+        # 264 training rows; the full-scope level report levels all 330
+        assert sorted(calls) == [("level_training_set", 264), ("level_training_set", 330),
+                                 ("normalized_dataset", 264)]
+
+    def test_inputs_are_kept_read_only_until_a_write_replaces_them(self, bench_csv, tmp_path):
+        out = tmp_path / "run"
+        assert run_all(bench_csv, out, method="ros") == 0
+        run = pipeline.Run(out, RunConfig(scarce_min_ir=5, rare_min_ir=30))
+        train, augmented = run.train(), run.augmented()
+        assert run.train() is train and run.augmented() is augmented
+        for array in (train.features, run.split("train").labels, run.norm().x_min,
+                      augmented.features, run.classifier().net.layers[0].weights):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] += 1
+        run.save(augmented=pipeline.top_up(train, train.class_counts(), None))
+        assert run.train() is train and run.augmented() is not augmented
+        run.save(split=(run.split("train"), run.split("test")))
+        assert run.train() is not train
 
 
 class TestRunDirSelfDescription:

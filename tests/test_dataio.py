@@ -217,6 +217,40 @@ class TestBlockIngest:
         assert np.array_equal(ds.features, values)
         assert peak <= 3 * ds.features.nbytes + 16 * block_bytes
 
+    def test_features_are_held_once(self, tmp_path):
+        # blocks fill one preallocated array: no second copy of the
+        # features, only label-sized arrays and a block beside them
+        rows, width = 50_000, 20
+        values = np.random.default_rng(4).integers(0, 100, size=(rows, width))
+        line = "{}" + ",{}" * (width - 1) + ",x\n"
+        path = tmp_path / "clean.csv"
+        path.write_text(",".join(f"f{i}" for i in range(width)) + ",Label\n"
+                        + "".join(line.format(*row) for row in values.tolist()))
+        block_bytes = dataio.INGEST_BLOCK * (3 * width + 2)
+        tracemalloc.start()
+        try:
+            ds, _ = dataio.load_dataset(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(ds.features, values)
+        assert ds.features.base is None
+        assert peak <= ds.features.nbytes + 8 * ds.labels.nbytes + 16 * block_bytes
+
+    @pytest.mark.parametrize("text, lines", [
+        (b"", 0), (b"a", 1), (b"a\n", 1), (b"a\r\nb", 2), (b"a\rb\r", 2), (b"\n\r\r\n", 3),
+        # a \r\n split across two of the counter's reads is one ending
+        (b"a" * ((1 << 20) - 1) + b"\r\nb", 2)],
+        ids=["empty", "unterminated", "lf", "crlf", "cr", "mixed", "crlf-across-reads"])
+    def test_line_bound_covers_every_line_the_reader_sees(self, tmp_path, text, lines):
+        path = tmp_path / "t.csv"
+        path.write_bytes(text)
+        with open(path, newline="", encoding="utf-8") as fh:
+            assert len(fh.readlines()) == lines
+        assert dataio._line_bound(path) in (lines, lines + 1)
+        assert dataio._line_bound(path) == text.count(b"\n") + text.count(b"\r") \
+            - text.count(b"\r\n") + 1
+
 
 class TestRoundTrip:
     def test_save_then_load_is_identical(self, tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from idsaug import dataio, leveling, pipeline, san, scgan, synthbench
+from idsaug.cli import RunConfig
 from idsaug.dataio import Dataset
 from idsaug.errors import ConfigError, DataError, FormatError, InputDataError, PipelineError
 from idsaug.nncore import Adam, Network, Softmax
@@ -413,9 +414,12 @@ class TestSaveLoadRun:
         config.scgan.epochs = 20
         models, _ = pipeline.train_augmentation_models(train, config)
         run_dir = tmp_path / "run"
-        pipeline.save_run(run_dir, san_model=models.san_model,
+        # a Run levels the training split of its directory
+        pipeline.save_run(run_dir, split=(train, train), san_model=models.san_model,
                           scgan_models=models.scgan_models)
-        loaded = pipeline.load_run(run_dir, train, config.thresholds)
+        run_config = RunConfig(scarce_min_ir=config.thresholds.scarce_min_ir,
+                               rare_min_ir=config.thresholds.rare_min_ir)
+        loaded = pipeline.load_run(pipeline.Run(run_dir, run_config))
         assert set(loaded.scgan_models) == set(models.scgan_models)
         assert loaded.targets == models.targets
         augmented_a, _ = pipeline.synthesize_augmented(train, config, models)
