@@ -15,8 +15,6 @@ import os
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import dataio, evalreport, leveling, pipeline, san, scgan, skn, synthbench
 from .errors import ConfigError, DataError, IdsAugError, ReportError
 from .seeding import derive_seed
@@ -188,19 +186,24 @@ def _add_config_flags(parser: argparse.ArgumentParser):
 
 def _preprocess(run: pipeline.Run):
     """Load and label-map the dataset, split it, fit min-max scaling on the
-    training side, and write the split with what describes it; writing the
-    split clears an earlier run's stage outputs. A split that leaves either
-    side empty is refused before anything is written."""
+    training side, and write both sides scaled, with what describes them;
+    writing the split clears an earlier run's stage outputs. A split that
+    leaves either side empty is refused before anything is written."""
     config = run.config
     dataset, report = dataio.load_dataset(config.dataset, config.label_column)
-    # the run directory's tables add these columns to the features
+    if config.mapping != "none":
+        dataset = dataio.map_labels(dataset, None if config.mapping == "builtin"
+                                    else dataio.load_label_map(config.mapping))
+    # the run directory's tables add these columns to the features, and write
+    # each row on one line
     clash = sorted({dataio.DEFAULT_LABEL_COLUMN, "provenance"} & set(dataset.feature_names))
     if clash:
         raise ConfigError(f"{config.dataset}: feature column {clash[0]!r} would clash with "
                           "a column of the run directory's tables; rename it")
-    if config.mapping != "none":
-        dataset = dataio.map_labels(dataset, None if config.mapping == "builtin"
-                                    else dataio.load_label_map(config.mapping))
+    broken = sorted(n for n in dataset.label_names.values() if "\r" in n or "\n" in n)
+    if broken:
+        raise ConfigError(f"{config.dataset}: label {broken[0]!r} holds a line break, which "
+                          "a row of the run directory's tables cannot; rename it")
     spec = dataio.SplitSpec(config.train_ratio, derive_seed(config.master_seed, "split"),
                             config.stratified)
     train, test = dataio.stratified_split(dataset, spec)
@@ -208,34 +211,36 @@ def _preprocess(run: pipeline.Run):
         raise DataError(f"{config.dataset}: the split leaves {train.n_rows} train rows and "
                         f"{test.n_rows} test rows at train_ratio {config.train_ratio}; "
                         "both sides need rows")
-    run.save(config_text=config.snapshot(), norm_params=dataio.fit_minmax(train),
-             ingest_report=report, split=(train, test))
+    del dataset  # the split holds copies of its rows
+    params = dataio.fit_minmax(train)
+    run.save(config_text=config.snapshot(), norm_params=params, ingest_report=report,
+             split=(dataio.normalized_dataset(train, params),
+                    dataio.normalized_dataset(test, params)))
     print(f"preprocess: {train.n_rows} train rows, {test.n_rows} test rows -> {run.dir}")
 
 
 def _levels(run: pipeline.Run, scope: str):
-    data = run.split("train")
+    train = run.split("train")
     if scope == "train":
         leveled = run.leveling()
     else:
         # ratios over the complete dataset are the published-figure view;
         # training-scope ratios are what drive augmentation targets
-        test = run.split("test")
-        data = dataio.Dataset(
-            np.concatenate([data.features, test.features]),
-            np.concatenate([data.labels, test.labels]),
-            dict(data.label_names), data.feature_names)
-        leveled = pipeline.level_training_set(data, run.config.thresholds())
-    rows = leveling.build_level_report(*leveled, data.label_names)
+        train_counts, test_counts = train.class_counts(), run.split("test").class_counts()
+        leveled = pipeline.level_counts(
+            {c: train_counts.get(c, 0) + test_counts.get(c, 0)
+             for c in sorted(train_counts.keys() | test_counts.keys())},
+            run.config.thresholds())
+    rows = leveling.build_level_report(*leveled, train.label_names)
     run.save(levels={scope: rows})
     print(leveling.level_report_text(rows), end="")
 
 
 def _augment(run: pipeline.Run):
-    """Top the scaled training split up by the configured method; s2cgan
+    """Top the training split up by the configured method; s2cgan
     synthesizes with the SAN and SCGAN checkpoints of the run."""
     config = run.config
-    train = run.train()
+    train = run.split("train")
     aug_config = config.augment_config()
     report = pipeline.StageReport()
     counts, _, targets = run.leveling()
@@ -260,7 +265,8 @@ def _train_san(run: pipeline.Run):
         print("train-san: no scarce class below its target")
         return
     _, part, _ = run.leveling()
-    model, history = pipeline.train_san_stage(run.train(), part, run.config.augment_config())
+    model, history = pipeline.train_san_stage(run.split("train"), part,
+                                              run.config.augment_config())
     run.save(san_model=model, san_history=history)
     print(f"train-san: {len(history)} epochs, final loss "
           f"{history[-1] if history else float('nan'):.6f}")
@@ -269,7 +275,7 @@ def _train_san(run: pipeline.Run):
 def _train_scgan(run: pipeline.Run, class_name: str | None):
     """Train a generator for ``class_name``, or for each scarce class below
     its target, against the run's SAN."""
-    train = run.train()
+    train = run.split("train")
     wanted = [train.id_of(class_name)] if class_name else run.scgan_classes()
     aug_config = run.config.augment_config()
     models, histories = {}, {}
@@ -296,12 +302,12 @@ def _eval(run: pipeline.Run):
     test = run.split("test")
     if dataio.dataset_fingerprint(test) != pipeline.read_fingerprint(run.dir):
         raise ReportError(f"{run.dir}: test split fingerprint changed since preprocess")
-    features = dataio.apply_minmax(run.norm(), test)
-    predicted, _ = pipeline.predict(classifier, features)
+    predicted, _ = pipeline.predict(classifier, test.features)
     class_ids, names = sorted(test.label_names), test.label_names
     report = evalreport.build_report(test.labels, predicted, class_ids)
     cm = evalreport.confusion(test.labels, predicted, class_ids)
-    pca = (evalreport.pca2d(features)[0], test.labels, names) if run.config.emit_pca else None
+    pca = ((evalreport.pca2d(test.features)[0], test.labels, names) if run.config.emit_pca
+           else None)
     run.save(metrics=(report, cm, names), pca=pca)
     print(evalreport.render_summary(report, names), end="")
 

@@ -75,10 +75,15 @@ class Dataset:
             raise ShapeError("labels length must equal the number of feature rows")
         if not self.feature_names:
             self.feature_names = [f"f{i}" for i in range(self.features.shape[1])]
-        present = set(np.unique(self.labels).tolist())
-        missing = present - set(self.label_names)
-        if missing:
-            raise DataError(f"label ids {sorted(missing)} have no name")
+        if self.labels.size:
+            lo, hi = int(self.labels.min()), int(self.labels.max())
+            # ids in 0 .. len(label_names) - 1 are counted, not sorted; other
+            # ids (unnamed ones, or names with gaps) are rare
+            present = (np.flatnonzero(np.bincount(self.labels))
+                       if 0 <= lo and hi < len(self.label_names) else np.unique(self.labels))
+            missing = set(present.tolist()) - set(self.label_names)
+            if missing:
+                raise DataError(f"label ids {sorted(missing)} have no name")
 
     @property
     def n_rows(self) -> int:
@@ -373,8 +378,70 @@ def _csv_line(fields) -> str:
     return buf.getvalue()
 
 
+@dataclass
+class Table(Dataset):
+    """A Dataset read from a run table's record, with the CSV twin it was
+    checked against and that CSV's sha256 as the record holds it."""
+
+    csv_path: str = ""
+    csv_sha256: str = ""
+
+
+def _check_prefix(dataset: Dataset, provenance, prefix: Table) -> bytes:
+    """The line ending of ``dataset``'s copies of ``prefix``'s CSV lines:
+    ``\r\n``, or the provenance cell of those rows then ``\r\n``. Raises
+    unless ``dataset`` starts with ``prefix``'s rows under one provenance tag,
+    and every row of ``prefix``'s CSV is one line ending in ``\r\n``."""
+    n = prefix.n_rows
+    head = slice(0, n)
+    if not prefix.n_features:
+        # a lone empty label is written '""', and as the first of two cells ''
+        raise ShapeError(f"{prefix.csv_path} has no feature column to copy lines after")
+    if not (dataset.n_features == prefix.n_features and dataset.n_rows >= n
+            and list(dataset.feature_names) == list(prefix.feature_names)
+            and dataset.label_names == prefix.label_names
+            and np.array_equal(dataset.labels[head], prefix.labels)
+            # bit patterns: -0.0 and 0.0 have different CSV text
+            and np.array_equal(dataset.features[head].view(np.int64),
+                               prefix.features.view(np.int64))):
+        raise DataError(f"the table's first rows are not the rows of {prefix.csv_path}")
+    broken = [name for name in prefix.label_names.values() if "\r" in name or "\n" in name]
+    if broken:
+        raise DataError(f"label {broken[0]!r} holds a line break, so a row of "
+                        f"{prefix.csv_path} is not one line")
+    if provenance is None:
+        return b"\r\n"
+    tags = {str(tag) for tag in provenance[head]}
+    if len(tags) > 1:
+        raise DataError(f"the rows copied from {prefix.csv_path} have provenance tags "
+                        f"{sorted(tags)}; they need one")
+    return _csv_line(["", *tags]).encode("utf-8") if tags else b"\r\n"
+
+
+def _copy_lines(prefix: Table, ending: bytes, emit):
+    """Emit the data lines of ``prefix``'s CSV with ``ending`` for each
+    ``\r\n``, read in blocks of 1 MiB; raises FormatError, after the last
+    block, if the file's bytes do not have the sha256 of its record."""
+    digest = hashlib.sha256()
+    header = _csv_line(list(prefix.feature_names) + [DEFAULT_LABEL_COLUMN]).encode("utf-8")
+    with open(prefix.csv_path, "rb") as src:
+        first = src.read(len(header))
+        digest.update(first)
+        rest = b""
+        for block in iter(lambda: src.read(1 << 20), b""):
+            digest.update(block)
+            block = rest + block
+            # no label holds a line break, so each \n ends a row
+            cut = block.rfind(b"\n") + 1
+            emit(block[:cut].replace(b"\r\n", ending))
+            rest = block[cut:]
+    if first != header or rest or digest.hexdigest() != prefix.csv_sha256:
+        raise FormatError(f"{prefix.csv_path} no longer matches the fingerprint in its "
+                          ".tbl record")
+
+
 def save_dataset(path, dataset: Dataset, label_column: str = DEFAULT_LABEL_COLUMN,
-                 provenance: np.ndarray | None = None) -> str:
+                 provenance: np.ndarray | None = None, prefix: Table | None = None) -> str:
     """Write a dataset back to CSV with full-precision floats; returns the
     sha256 of the bytes written.
 
@@ -384,9 +451,18 @@ def save_dataset(path, dataset: Dataset, label_column: str = DEFAULT_LABEL_COLUM
     a ``repr`` float never needs quoting, so the floats are joined directly
     and only the label/provenance tail goes through ``csv``, once per
     distinct pair.
+
+    ``prefix`` is a table, saved without provenance, whose rows ``dataset``
+    starts with (the training split of an augmented set). Those rows are not
+    formatted again: their lines are copied from ``prefix``'s CSV, with the
+    provenance cell appended, after checking that the rows match and, once
+    copied, that the CSV still has the sha256 of ``prefix``'s record. The
+    bytes are the same as without ``prefix``. A failed check raises before
+    the file is moved into place.
     """
     if provenance is not None and len(provenance) != dataset.n_rows:
         raise ShapeError("provenance length must equal the number of rows")
+    ending = None if prefix is None else _check_prefix(dataset, provenance, prefix)
     header = list(dataset.feature_names) + [label_column]
     if provenance is not None:
         header.append("provenance")
@@ -403,19 +479,21 @@ def save_dataset(path, dataset: Dataset, label_column: str = DEFAULT_LABEL_COLUM
 
     digest = hashlib.sha256()
     with atomic_file(path, "wb") as fh:
-        def emit(text: str):
-            data = text.encode("utf-8")
+        def emit(data: bytes):
             digest.update(data)
             fh.write(data)
 
-        emit(_csv_line(header))
-        for start in range(0, dataset.n_rows, _WRITE_ROWS):
+        emit(_csv_line(header).encode("utf-8"))
+        if prefix is not None:
+            _copy_lines(prefix, ending, emit)
+        for start in range(0 if prefix is None else prefix.n_rows, dataset.n_rows, _WRITE_ROWS):
             stop = start + _WRITE_ROWS
             labels = dataset.labels[start:stop].tolist()
             tags = ([None] * len(labels) if provenance is None
                     else [str(p) for p in provenance[start:stop]])
             emit("".join(",".join(map(repr, row)) + tail(label, tag) for row, label, tag
-                         in zip(dataset.features[start:stop].tolist(), labels, tags)))
+                         in zip(dataset.features[start:stop].tolist(), labels, tags)
+                         ).encode("utf-8"))
     return digest.hexdigest()
 
 
@@ -431,28 +509,29 @@ def _file_sha256(path) -> str:
     return digest.hexdigest()
 
 
-def save_table(path, dataset: Dataset, provenance: np.ndarray | None = None):
+def save_table(path, dataset: Dataset, provenance: np.ndarray | None = None,
+               prefix: Table | None = None):
     """Write ``dataset`` to the CSV at ``path``, then its record beside it
     (``.tbl`` for ``.csv``): the features, the labels, both name lists and
     the sha256 of the CSV bytes. ``load_table`` reads the record alone; the
-    CSV is its human-readable twin."""
-    csv_sha256 = save_dataset(path, dataset, provenance=provenance)
+    CSV is its human-readable twin. ``prefix`` is ``save_dataset``'s."""
+    csv_sha256 = save_dataset(path, dataset, provenance=provenance, prefix=prefix)
     metadata = {"csv_sha256": csv_sha256, "feature_names": list(dataset.feature_names),
                 "label_names": {str(k): v for k, v in dataset.label_names.items()}}
     write_record(_record_path(path), TABLE_MAGIC, metadata,
                  arrays=[dataset.features, dataset.labels])
 
 
-def load_table(path) -> Dataset:
+def load_table(path) -> Table:
     """The dataset ``save_table`` wrote for the CSV at ``path``, read from its
     record. The CSV is never parsed: one changed since it was written is
     refused."""
     meta, _, (features, labels) = read_record(_record_path(path), TABLE_MAGIC, n_arrays=2)
     if _file_sha256(path) != meta["csv_sha256"]:
         raise FormatError(f"{path} no longer matches the fingerprint in its .tbl record")
-    return Dataset(features, labels.astype(np.int64),
-                   {int(k): v for k, v in meta["label_names"].items()},
-                   list(meta["feature_names"]))
+    return Table(features, labels.astype(np.int64),
+                 {int(k): v for k, v in meta["label_names"].items()},
+                 list(meta["feature_names"]), os.fspath(path), meta["csv_sha256"])
 
 
 def load_label_map(path) -> dict[str, str]:

@@ -23,12 +23,10 @@ import numpy as np
 from . import evalreport, leveling, san, scgan, skn
 from .dataio import (
     Dataset,
-    NormalizationParams,
+    Table,
     _check_unit_range,
     dataset_fingerprint,
-    load_normalization,
     load_table,
-    normalized_dataset,
     save_dataset,  # noqa: F401  perfbench's tracer test checks this binding
     save_normalization,
     save_table,
@@ -57,7 +55,7 @@ PROV_SKN = "skn"
 PROV_ROS = "ros"
 
 CLASSIFIER_MAGIC = b"IDSAUG-CLF-3\n"
-RUN_FORMAT = "idsaug-run-1"
+RUN_FORMAT = "idsaug-run-2"
 
 
 @dataclass
@@ -145,7 +143,11 @@ def san_training_rows(train: Dataset, part: leveling.LevelPartition,
 
 
 def level_training_set(train: Dataset, thresholds: leveling.LevelThresholds):
-    counts = train.class_counts()
+    return level_counts(train.class_counts(), thresholds)
+
+
+def level_counts(counts: dict[int, int], thresholds: leveling.LevelThresholds):
+    """The counts, level partition and targets of classes with ``counts``."""
     irs = leveling.imbalance_ratios(counts)
     part = leveling.partition(irs, thresholds)
     targets = leveling.augmentation_targets(part, counts)
@@ -457,17 +459,20 @@ def _history_text(series) -> str:
 
 def save_run(run_dir, *, config_text=None, norm_params=None, ingest_report=None, split=None,
              levels: dict | None = None, augmented: AugmentedDataset | None = None,
-             stage_report: StageReport | None = None, san_model=None, san_history=None,
-             scgan_models: dict | None = None, scgan_histories: dict | None = None,
-             classifier: ClassifierModel | None = None, clf_history=None,
-             metrics=None, pca=None):
+             train_table: Table | None = None, stage_report: StageReport | None = None,
+             san_model=None, san_history=None, scgan_models: dict | None = None,
+             scgan_histories: dict | None = None, classifier: ClassifierModel | None = None,
+             clf_history=None, metrics=None, pca=None):
     """Write the given artifacts under ``run_dir``, each under its ``RUN_FILES``
     name and each through ``atomic_file``.
 
-    ``split`` is the (train, test) pair; writing it first removes every
-    ``STAGE_OUTPUTS`` file. ``levels`` maps a scope (``train`` or ``full``) to its
-    level report rows. ``metrics`` is the (report, confusion matrix, class
-    names) triple of eval, ``pca`` the (projection, labels, class names) one.
+    ``split`` is the (train, test) pair, min-max scaled; writing it first
+    removes every ``STAGE_OUTPUTS`` file. ``train_table``, the training split
+    as read from ``run_dir``, is the table whose CSV lines ``augmented.csv``
+    copies for the rows ``augmented`` starts with. ``levels`` maps a scope
+    (``train`` or ``full``) to its level report rows. ``metrics`` is the
+    (report, confusion matrix, class names) triple of eval, ``pca`` the
+    (projection, labels, class names) one.
     """
     def path(name):
         return os.path.join(run_dir, name)
@@ -497,7 +502,8 @@ def save_run(run_dir, *, config_text=None, norm_params=None, ingest_report=None,
         name = "levels" if scope == "train" else f"levels_{scope}"
         leveling.write_level_report(path(f"{name}.csv"), path(f"{name}.txt"), rows)
     if augmented is not None:
-        save_table(path("augmented.csv"), augmented.dataset, provenance=augmented.provenance)
+        save_table(path("augmented.csv"), augmented.dataset, provenance=augmented.provenance,
+                   prefix=train_table)
     if stage_report is not None:
         _write_text(path("stage_report.txt"), stage_report.summary())
     if san_model is not None:
@@ -586,37 +592,21 @@ class Run:
             self._memo[key] = _read_only(read(*args))
         return self._memo[key]
 
-    def _table(self, name: str) -> Dataset:
+    def _table(self, name: str) -> Table:
         """The run table ``name`` from its ``.tbl`` record, checked against its CSV."""
         path = _existing(self.dir, name + ".csv")
         _existing(self.dir, name + ".tbl")
         return load_table(path)
 
-    def split(self, which: str) -> Dataset:
-        """The ``train`` or ``test`` split."""
+    def split(self, which: str) -> Table:
+        """The ``train`` or ``test`` split, min-max scaled at preprocess."""
         return self._kept(("split", which), self._table, f"split_{which}")
-
-    def norm(self) -> NormalizationParams:
-        return self._kept(("norm_params",),
-                          lambda: load_normalization(_existing(self.dir, "norm.json")))
-
-    def train(self) -> Dataset:
-        """The training split, min-max scaled by ``norm.json``. Scaling takes
-        the unscaled split out of the memo, so the process holds one copy:
-        the stages that read it (the level reports) run before any that
-        reads the scaled one."""
-        def scale():
-            unscaled = self._memo.pop(("split", "train"), None) or self._table("split_train")
-            return normalized_dataset(unscaled, self.norm())
-        return self._kept(("norm_params", "scaled"), scale)
 
     def leveling(self):
         """``level_training_set`` of the training split under the config's
-        thresholds: of the scaled split if it is kept, as the unscaled one
-        holds the same labels."""
+        thresholds."""
         return self._kept(("split", "leveling"), lambda: level_training_set(
-            self._memo.get(("norm_params", "scaled")) or self.split("train"),
-            self.config.thresholds()))
+            self.split("train"), self.config.thresholds()))
 
     def scgan_classes(self) -> list[int]:
         return self._kept(("split", "scgan_classes"), lambda: scgan_classes(*self.leveling()))
@@ -638,7 +628,10 @@ class Run:
     def save(self, **artifacts):
         """``save_run`` these artifacts, then drop the memo of every file the
         write replaced. Writing the split drops everything: ``save_run`` then
-        removes every stage's outputs."""
+        removes every stage's outputs. An augmented set starts with the
+        training split's rows, so its CSV copies their lines from the split's."""
+        if artifacts.get("augmented") is not None:
+            artifacts["train_table"] = self.split("train")
         save_run(self.dir, **artifacts)
         written = {name for name, value in artifacts.items() if value is not None}
         self._memo = {} if "split" in written else {

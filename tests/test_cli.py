@@ -213,6 +213,47 @@ class TestStageCommands:
         assert main(["eval", "--run", str(out), *FAST_FLAGS]) == 1
         assert "fingerprint" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("when", ["before_augment", "while_augmenting"])
+    def test_augment_refuses_an_edited_training_split(self, bench_csv, tmp_path, capsys,
+                                                      monkeypatch, when):
+        run = tmp_path / "run"
+        assert main(["preprocess", "--dataset", str(bench_csv), "--out", str(run),
+                     *FAST_FLAGS]) == 0
+        split = run / "split_train.csv"
+
+        def edit():
+            data = split.read_bytes()
+            assert b",class_0\r\n" in data
+            split.write_bytes(data.replace(b",class_0\r\n", b",class_1\r\n", 1))
+
+        if when == "before_augment":
+            edit()
+        else:
+            # after augment has read the split's record and checked its CSV
+            save_run = pipeline.save_run
+
+            def editing(*args, **kwargs):
+                edit()
+                return save_run(*args, **kwargs)
+
+            monkeypatch.setattr(pipeline, "save_run", editing)
+        assert (run / "split_train.tbl").exists()
+        assert main(["augment", "--run", str(run), "--method", "smote", *FAST_FLAGS]) == 1
+        assert f"{split} no longer matches the fingerprint" in capsys.readouterr().err
+        assert not [p for p in os.listdir(run)
+                    if p.startswith("augmented") or p.endswith(".tmp")]
+
+    def test_a_run_directory_of_the_previous_format_is_refused(self, bench_csv, tmp_path,
+                                                               capsys):
+        # its tables hold unscaled features
+        run = tmp_path / "run"
+        assert main(["preprocess", "--dataset", str(bench_csv), "--out", str(run),
+                     *FAST_FLAGS]) == 0
+        (run / "format.txt").write_text("idsaug-run-1\n")
+        for argv in (["levels"], ["augment", "--method", "smote"], ["eval"]):
+            assert main([*argv, "--run", str(run), *FAST_FLAGS]) == 1, argv
+            assert "unsupported run format 'idsaug-run-1'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("method", ["baseline", "ros", "smote", "s2cgan"])
     def test_staged_chain_reproduces_run_all(self, bench_csv, tmp_path, method):
         seed = ["--seed", "4"]
@@ -349,7 +390,7 @@ class TestStageCommands:
     @pytest.mark.parametrize("table, command, producer", [
         ("split_train", ["levels"], "preprocess"),
         ("augmented", ["train-clf"], "augment"),
-        ("norm.json", ["augment", "--method", "smote"], "preprocess"),
+        ("split_train", ["augment", "--method", "smote"], "preprocess"),
         ("san.ckpt", ["train-scgan"], "train-san"),
         ("classifier.ckpt", ["eval"], "train-clf")])
     def test_table_without_its_record_fails_cleanly(self, bench_csv, tmp_path, capsys,
@@ -473,6 +514,18 @@ class TestRunAllChain:
         err = capsys.readouterr().err
         assert "[stage ingest]" in err and f"{name!r}" in err
 
+    @pytest.mark.parametrize("line_break", ["\n", "\r", "\r\n"])
+    def test_label_with_a_line_break_is_refused(self, bench_csv, tmp_path, capsys,
+                                                line_break):
+        text = bench_csv.read_text()
+        assert text.endswith(",class_2\n")
+        bench_csv.write_text(text.replace(",class_2\n", f',"class{line_break}2"\n'))
+        run = tmp_path / "run"
+        assert main(["preprocess", "--dataset", str(bench_csv), "--out", str(run),
+                     *FAST_FLAGS]) == 2
+        assert f"label {f'class{line_break}2'!r} holds a line break" in capsys.readouterr().err
+        assert not run.exists()
+
 
 class TestRun:
     """A Run decodes each input on first use and keeps it, so run-all, which
@@ -505,34 +558,35 @@ class TestRun:
                                                                monkeypatch):
         calls = []
 
-        def counting(name, original):
-            def call(dataset, *args, **kwargs):
-                calls.append((name, dataset.n_rows))
-                return original(dataset, *args, **kwargs)
+        def counting(name, original, rows):
+            def call(first, *args, **kwargs):
+                calls.append((name, rows(first)))
+                return original(first, *args, **kwargs)
             return call
 
-        for module, name in ((pipeline, "level_training_set"), (pipeline, "normalized_dataset"),
-                             (dataio, "normalized_dataset")):
-            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        for module, name, rows in ((pipeline, "level_counts", lambda c: sum(c.values())),
+                                   (dataio, "normalized_dataset", lambda d: d.n_rows)):
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name), rows))
         assert run_all(bench_csv, tmp_path / "run", method="s2cgan") == 0
-        # 264 training rows; the full-scope level report levels all 330
-        assert sorted(calls) == [("level_training_set", 264), ("level_training_set", 330),
-                                 ("normalized_dataset", 264)]
+        # preprocess scales 264 training and 66 test rows; the full-scope
+        # level report levels the counts of all 330
+        assert sorted(calls) == [("level_counts", 264), ("level_counts", 330),
+                                 ("normalized_dataset", 66), ("normalized_dataset", 264)]
 
     def test_inputs_are_kept_read_only_until_a_write_replaces_them(self, bench_csv, tmp_path):
         out = tmp_path / "run"
         assert run_all(bench_csv, out, method="ros") == 0
         run = pipeline.Run(out, RunConfig(scarce_min_ir=5, rare_min_ir=30))
-        train, augmented = run.train(), run.augmented()
-        assert run.train() is train and run.augmented() is augmented
-        for array in (train.features, run.split("train").labels, run.norm().x_min,
-                      augmented.features, run.classifier().net.layers[0].weights):
+        train, augmented = run.split("train"), run.augmented()
+        assert run.split("train") is train and run.augmented() is augmented
+        for array in (train.features, train.labels, augmented.features,
+                      run.classifier().net.layers[0].weights):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] += 1
         run.save(augmented=pipeline.top_up(train, train.class_counts(), None))
-        assert run.train() is train and run.augmented() is not augmented
-        run.save(split=(run.split("train"), run.split("test")))
-        assert run.train() is not train
+        assert run.split("train") is train and run.augmented() is not augmented
+        run.save(split=(train, run.split("test")))
+        assert run.split("train") is not train
 
 
 class TestRunDirSelfDescription:

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import os
+import re
 import tempfile
 import tracemalloc
 
@@ -275,6 +276,32 @@ class TestRoundTrip:
         assert loaded.n_rows == 2
 
 
+class TestLabelNames:
+    @pytest.mark.parametrize("labels, names, missing", [
+        ([0, 1, 1], {0: "a", 1: "b"}, None),
+        ([5, 5], {5: "x"}, None),
+        ([], {0: "a"}, None),
+        ([0, 2], {0: "a", 1: "b"}, [2]),
+        ([0, 1, 2], {0: "a", 2: "c", 3: "d"}, [1]),
+        ([-1, 0, 7], {0: "a"}, [-1, 7]),
+    ])
+    def test_every_label_id_needs_a_name(self, labels, names, missing):
+        features = np.zeros((len(labels), 1))
+        if missing is None:
+            dataio.Dataset(features, labels, names)
+        else:
+            with pytest.raises(DataError, match=re.escape(f"label ids {missing} have no name")):
+                dataio.Dataset(features, labels, names)
+
+    def test_ids_within_the_names_are_not_sorted(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("named ids are counted, not sorted")
+
+        labels = np.random.default_rng(0).integers(0, 3, 1000)
+        monkeypatch.setattr(np, "unique", refuse)
+        assert dataio.Dataset(np.zeros((1000, 2)), labels, {0: "a", 1: "b", 2: "c"}).n_rows == 1000
+
+
 class TestMapLabels:
     def test_builtin_grouping(self, tmp_path):
         text = "a,Label\n1,DoS Hulk\n2,FTP-Patator\n3,BENIGN\n4,SSH-Patator\n"
@@ -490,10 +517,10 @@ any_float = st.one_of(finite, st.sampled_from([np.nan, np.inf, -np.inf]))
 
 
 @st.composite
-def tables(draw, values=finite, min_rows=0):
+def tables(draw, values=finite, min_rows=0, min_dim=0, label_names=names):
     """A dataset, its provenance (None, object or str array) and its ignore set."""
     n = draw(st.integers(min_rows, 8))
-    d = draw(st.integers(0, 3))
+    d = draw(st.integers(min_dim, 3))
     k = draw(st.integers(1, 3))
     feature_names = draw(st.lists(st.one_of(st.sampled_from(["f", "Label", "provenance", " f"]),
                                             names), min_size=d, max_size=d))
@@ -501,7 +528,8 @@ def tables(draw, values=finite, min_rows=0):
                         dtype=np.float64).reshape(n, d)
     labels = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
     dataset = dataio.Dataset(features, labels,
-                             dict(enumerate(draw(st.lists(names, min_size=k, max_size=k)))),
+                             dict(enumerate(draw(st.lists(label_names, min_size=k,
+                                                          max_size=k)))),
                              feature_names or [f"f{i}" for i in range(d)])
     kind = draw(st.sampled_from([None, object, str]))
     provenance = None
@@ -668,3 +696,108 @@ class TestTableCompanion:
             blobs.append((tmp_path / f"{name}.tbl").read_bytes())
         assert blobs[0] == blobs[1]
         assert blobs[0].startswith(dataio.TABLE_MAGIC)
+
+
+one_line_names = names.filter(lambda name: "\r" not in name and "\n" not in name)
+
+
+def _extend(split, features, labels):
+    more = np.reshape(features, (len(labels), split.n_features))
+    return dataio.Dataset(np.concatenate([split.features, more]),
+                          np.concatenate([split.labels, np.array(labels, dtype=np.int64)]),
+                          dict(split.label_names), split.feature_names)
+
+
+class TestCopiedLines:
+    """A table that starts with a saved table's rows copies that table's CSV
+    lines instead of formatting the rows again."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(tables(values=any_float, min_dim=1, label_names=one_line_names), st.data())
+    def test_extended_table_matches_the_csv_writer_oracle(self, table, data):
+        split = table[0]
+        n_more = data.draw(st.integers(0, 5))
+        more = data.draw(st.lists(any_float, min_size=n_more * split.n_features,
+                                  max_size=n_more * split.n_features))
+        ids = data.draw(st.lists(st.sampled_from(sorted(split.label_names)),
+                                 min_size=n_more, max_size=n_more))
+        extended = _extend(split, more, ids)
+        tags = [data.draw(names)] * split.n_rows + data.draw(
+            st.lists(names, min_size=n_more, max_size=n_more))
+        provenance = data.draw(st.sampled_from([None, np.array(tags, dtype=object)]))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = {name: os.path.join(tmp, f"{name}.csv") for name in ("split", "new", "old")}
+            dataio.save_table(path["split"], split)
+            prefix = dataio.load_table(path["split"])
+            dataio.save_table(path["new"], extended, provenance=provenance, prefix=prefix)
+            csv_writer_oracle(path["old"], extended, provenance=provenance)
+            with open(path["new"], "rb") as new, open(path["old"], "rb") as old:
+                assert new.read() == old.read()
+            assert_same(dataio.load_table(path["new"]), extended)
+
+    def test_blocks_of_the_copy_end_anywhere_in_a_line(self, tmp_path):
+        # the copy reads 1 MiB blocks: a table this size ends one inside a line
+        split = _dataset_with_counts([9000, 1000], dim=6, seed=9)
+        dataio.save_table(tmp_path / "split.csv", split)
+        assert (tmp_path / "split.csv").stat().st_size > 1 << 20
+        extended = _extend(split, np.ones((3, 6)), [1, 1, 1])
+        provenance = np.array(["original"] * split.n_rows + ["skn"] * 3, dtype=object)
+        dataio.save_table(tmp_path / "new.csv", extended, provenance=provenance,
+                          prefix=dataio.load_table(tmp_path / "split.csv"))
+        csv_writer_oracle(tmp_path / "old.csv", extended, provenance=provenance)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    @pytest.mark.parametrize("change", ["edit_row", "append_row", "drop_row", "edit_header"])
+    def test_a_csv_changed_after_its_record_was_read_is_refused(self, tmp_path, change):
+        split = _dataset_with_counts([4, 3], dim=3, seed=3)
+        dataio.save_table(tmp_path / "split.csv", split)
+        prefix = dataio.load_table(tmp_path / "split.csv")
+        lines = (tmp_path / "split.csv").read_bytes().split(b"\r\n")
+        if change == "edit_row":
+            lines[2] = lines[2].replace(repr(float(split.features[1, 0])).encode(), b"0.5", 1)
+        elif change == "append_row":
+            lines.insert(-1, lines[1])
+        elif change == "drop_row":
+            del lines[1]
+        else:
+            lines[0] = lines[0].replace(b"f1", b"g1")
+        (tmp_path / "split.csv").write_bytes(b"\r\n".join(lines))
+        before = sorted(p.name for p in tmp_path.iterdir())
+        extended = _extend(split, np.zeros(3), [1])
+        provenance = np.array(["original"] * 7 + ["skn"], dtype=object)
+        with pytest.raises(FormatError, match="split.csv no longer matches the fingerprint"):
+            dataio.save_table(tmp_path / "aug.csv", extended, provenance=provenance,
+                              prefix=prefix)
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("change", ["feature", "negative_zero", "label", "label_name",
+                                        "short", "tags", "line_break", "no_features"])
+    def test_rows_other_than_the_prefix_are_refused(self, tmp_path, change):
+        split = _dataset_with_counts([4, 3], dim=3, seed=3)
+        split.features[0, 0] = 0.0
+        if change == "line_break":
+            split.label_names[1] = "c\n1"
+        elif change == "no_features":
+            split = dataio.Dataset(np.zeros((7, 0)), split.labels, split.label_names)
+        dataio.save_table(tmp_path / "split.csv", split)
+        prefix = dataio.load_table(tmp_path / "split.csv")
+        extended = _extend(split, np.zeros(split.n_features), [1])
+        provenance = np.array(["original"] * 7 + ["skn"], dtype=object)
+        if change == "feature":
+            extended.features[6, 2] += 1e-12
+        elif change == "negative_zero":
+            extended.features[0, 0] = -0.0
+        elif change == "label":
+            extended.labels[3] = 1 - extended.labels[3]
+        elif change == "label_name":
+            extended.label_names[0] = "c9"
+        elif change == "short":
+            extended = dataio.Dataset(split.features[:6], split.labels[:6], split.label_names)
+            provenance = provenance[:6]
+        elif change == "tags":
+            provenance[2] = "ros"
+        before = sorted(p.name for p in tmp_path.iterdir())
+        with pytest.raises((DataError, ShapeError)):
+            dataio.save_table(tmp_path / "aug.csv", extended, provenance=provenance,
+                              prefix=prefix)
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
