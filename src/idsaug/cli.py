@@ -60,10 +60,7 @@ class RunConfig:
     def validate(self, need_dataset: bool = False) -> "RunConfig":
         if self.method not in METHODS:
             raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
-        if not 0.0 < self.train_ratio < 1.0:
-            raise ConfigError(f"train_ratio must be inside (0, 1), got {self.train_ratio}")
-        if self.level_mode not in ("fixed", "auto-gap"):
-            raise ConfigError(f"level_mode must be fixed or auto-gap, got {self.level_mode!r}")
+        self.split_spec()
         if need_dataset:
             if not self.dataset:
                 raise ConfigError("a --dataset path is required")
@@ -75,6 +72,10 @@ class RunConfig:
         self.augment_config()
         self.classifier_config()
         return self
+
+    def split_spec(self) -> dataio.SplitSpec:
+        return dataio.SplitSpec(self.train_ratio, derive_seed(self.master_seed, "split"),
+                                self.stratified)
 
     def thresholds(self) -> leveling.LevelThresholds:
         return leveling.LevelThresholds(self.scarce_min_ir, self.rare_min_ir, self.level_mode)
@@ -194,19 +195,12 @@ def _preprocess(run: pipeline.Run):
     if config.mapping != "none":
         dataset = dataio.map_labels(dataset, None if config.mapping == "builtin"
                                     else dataio.load_label_map(config.mapping))
-    # the run directory's tables add these columns to the features, and write
-    # each row on one line
+    # the run directory's tables add these columns to the features
     clash = sorted({dataio.DEFAULT_LABEL_COLUMN, "provenance"} & set(dataset.feature_names))
     if clash:
         raise ConfigError(f"{config.dataset}: feature column {clash[0]!r} would clash with "
                           "a column of the run directory's tables; rename it")
-    broken = sorted(n for n in dataset.label_names.values() if "\r" in n or "\n" in n)
-    if broken:
-        raise ConfigError(f"{config.dataset}: label {broken[0]!r} holds a line break, which "
-                          "a row of the run directory's tables cannot; rename it")
-    spec = dataio.SplitSpec(config.train_ratio, derive_seed(config.master_seed, "split"),
-                            config.stratified)
-    train, test = dataio.stratified_split(dataset, spec)
+    train, test = dataio.stratified_split(dataset, config.split_spec())
     if not (train.n_rows and test.n_rows):
         raise DataError(f"{config.dataset}: the split leaves {train.n_rows} train rows and "
                         f"{test.n_rows} test rows at train_ratio {config.train_ratio}; "

@@ -29,6 +29,7 @@ from .nncore.checkpoint import atomic_file, read_record, write_record
 from .seeding import as_generator
 
 DEFAULT_LABEL_COLUMN = "Label"
+ORIGINAL = "original"  # the provenance tag of a row read from the input dataset
 TABLE_MAGIC = b"IDSAUG-TABLE-2\n"
 _WRITE_ROWS = 2048  # rows formatted per write
 
@@ -320,7 +321,10 @@ class _Ingest:
 
     def result(self, feature_names: list[str]) -> tuple[Dataset, IngestReport]:
         if not self.n_kept:
-            raise DataError(f"{self.path}: no rows left after filtering")
+            dropped = "".join(f"; dropped {reason}: {count}"
+                          for reason, count in sorted(self.report.dropped.items()))
+            raise DataError(f"{self.path}: no rows left after filtering "
+                            f"({self.report.rows_read} rows read{dropped})")
         names = sorted(self.label_index)
         # ids in order of first sight -> ids in sorted-name order
         ids = np.empty(len(names), dtype=np.int64)
@@ -387,57 +391,20 @@ class Table(Dataset):
     csv_sha256: str = ""
 
 
-def _check_prefix(dataset: Dataset, provenance, prefix: Table) -> bytes:
-    """The line ending of ``dataset``'s copies of ``prefix``'s CSV lines:
-    ``\r\n``, or the provenance cell of those rows then ``\r\n``. Raises
-    unless ``dataset`` starts with ``prefix``'s rows under one provenance tag,
-    and every row of ``prefix``'s CSV is one line ending in ``\r\n``."""
-    n = prefix.n_rows
-    head = slice(0, n)
-    if not prefix.n_features:
-        # a lone empty label is written '""', and as the first of two cells ''
-        raise ShapeError(f"{prefix.csv_path} has no feature column to copy lines after")
-    if not (dataset.n_features == prefix.n_features and dataset.n_rows >= n
+def _check_prefix(dataset: Dataset, provenance, prefix: Table):
+    """Raises unless ``dataset`` starts with ``prefix``'s rows, each tagged
+    ``ORIGINAL``."""
+    head = slice(0, prefix.n_rows)
+    if not (dataset.n_features == prefix.n_features and dataset.n_rows >= prefix.n_rows
             and list(dataset.feature_names) == list(prefix.feature_names)
             and dataset.label_names == prefix.label_names
             and np.array_equal(dataset.labels[head], prefix.labels)
             # bit patterns: -0.0 and 0.0 have different CSV text
             and np.array_equal(dataset.features[head].view(np.int64),
-                               prefix.features.view(np.int64))):
-        raise DataError(f"the table's first rows are not the rows of {prefix.csv_path}")
-    broken = [name for name in prefix.label_names.values() if "\r" in name or "\n" in name]
-    if broken:
-        raise DataError(f"label {broken[0]!r} holds a line break, so a row of "
-                        f"{prefix.csv_path} is not one line")
-    if provenance is None:
-        return b"\r\n"
-    tags = {str(tag) for tag in provenance[head]}
-    if len(tags) > 1:
-        raise DataError(f"the rows copied from {prefix.csv_path} have provenance tags "
-                        f"{sorted(tags)}; they need one")
-    return _csv_line(["", *tags]).encode("utf-8") if tags else b"\r\n"
-
-
-def _copy_lines(prefix: Table, ending: bytes, emit):
-    """Emit the data lines of ``prefix``'s CSV with ``ending`` for each
-    ``\r\n``, read in blocks of 1 MiB; raises FormatError, after the last
-    block, if the file's bytes do not have the sha256 of its record."""
-    digest = hashlib.sha256()
-    header = _csv_line(list(prefix.feature_names) + [DEFAULT_LABEL_COLUMN]).encode("utf-8")
-    with open(prefix.csv_path, "rb") as src:
-        first = src.read(len(header))
-        digest.update(first)
-        rest = b""
-        for block in iter(lambda: src.read(1 << 20), b""):
-            digest.update(block)
-            block = rest + block
-            # no label holds a line break, so each \n ends a row
-            cut = block.rfind(b"\n") + 1
-            emit(block[:cut].replace(b"\r\n", ending))
-            rest = block[cut:]
-    if first != header or rest or digest.hexdigest() != prefix.csv_sha256:
-        raise FormatError(f"{prefix.csv_path} no longer matches the fingerprint in its "
-                          ".tbl record")
+                               prefix.features.view(np.int64))
+            and provenance is not None and np.all(provenance[head] == ORIGINAL)):
+        raise DataError(f"the table's first rows are not the rows of {prefix.csv_path}, "
+                        f"each tagged {ORIGINAL!r}")
 
 
 def save_dataset(path, dataset: Dataset, label_column: str = DEFAULT_LABEL_COLUMN,
@@ -452,17 +419,18 @@ def save_dataset(path, dataset: Dataset, label_column: str = DEFAULT_LABEL_COLUM
     and only the label/provenance tail goes through ``csv``, once per
     distinct pair.
 
-    ``prefix`` is a table, saved without provenance, whose rows ``dataset``
-    starts with (the training split of an augmented set). Those rows are not
-    formatted again: their lines are copied from ``prefix``'s CSV, with the
-    provenance cell appended, after checking that the rows match and, once
-    copied, that the CSV still has the sha256 of ``prefix``'s record. The
-    bytes are the same as without ``prefix``. A failed check raises before
-    the file is moved into place.
+    ``prefix`` is a run table saved with every row tagged ``ORIGINAL`` (a
+    split), whose rows ``dataset`` starts with under that tag: the training
+    split of an augmented set. Its CSV, header included, is copied byte for
+    byte and only the rows after it are formatted, after checking that the
+    rows match and, once copied, that the CSV still has the sha256 of
+    ``prefix``'s record. The bytes are the same as without ``prefix``. A
+    failed check raises before the file is moved into place.
     """
     if provenance is not None and len(provenance) != dataset.n_rows:
         raise ShapeError("provenance length must equal the number of rows")
-    ending = None if prefix is None else _check_prefix(dataset, provenance, prefix)
+    if prefix is not None:
+        _check_prefix(dataset, provenance, prefix)
     header = list(dataset.feature_names) + [label_column]
     if provenance is not None:
         header.append("provenance")
@@ -483,9 +451,11 @@ def save_dataset(path, dataset: Dataset, label_column: str = DEFAULT_LABEL_COLUM
             digest.update(data)
             fh.write(data)
 
-        emit(_csv_line(header).encode("utf-8"))
-        if prefix is not None:
-            _copy_lines(prefix, ending, emit)
+        if prefix is None:
+            emit(_csv_line(header).encode("utf-8"))
+        elif _file_sha256(prefix.csv_path, emit) != prefix.csv_sha256:
+            raise FormatError(f"{prefix.csv_path} no longer matches the fingerprint in its "
+                              ".tbl record")
         for start in range(0 if prefix is None else prefix.n_rows, dataset.n_rows, _WRITE_ROWS):
             stop = start + _WRITE_ROWS
             labels = dataset.labels[start:stop].tolist()
@@ -501,12 +471,17 @@ def _record_path(path) -> str:
     return os.path.splitext(os.fspath(path))[0] + ".tbl"
 
 
-def _file_sha256(path) -> str:
+def _file_sha256(path, emit=None) -> str:
+    """The sha256 of the file at ``path``, read in 1 MiB blocks; ``emit``,
+    if given, gets each block."""
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for block in iter(lambda: fh.read(1 << 20), b""):
             digest.update(block)
+            if emit is not None:
+                emit(block)
     return digest.hexdigest()
+
 
 
 def save_table(path, dataset: Dataset, provenance: np.ndarray | None = None,
@@ -514,7 +489,11 @@ def save_table(path, dataset: Dataset, provenance: np.ndarray | None = None,
     """Write ``dataset`` to the CSV at ``path``, then its record beside it
     (``.tbl`` for ``.csv``): the features, the labels, both name lists and
     the sha256 of the CSV bytes. ``load_table`` reads the record alone; the
-    CSV is its human-readable twin. ``prefix`` is ``save_dataset``'s."""
+    CSV is its human-readable twin. Every run table's CSV has the feature
+    columns, ``Label`` and ``provenance``; no ``provenance`` tags every row
+    ``ORIGINAL``. ``prefix`` is ``save_dataset``'s."""
+    if provenance is None:
+        provenance = np.full(dataset.n_rows, ORIGINAL, dtype=object)
     csv_sha256 = save_dataset(path, dataset, provenance=provenance, prefix=prefix)
     metadata = {"csv_sha256": csv_sha256, "feature_names": list(dataset.feature_names),
                 "label_names": {str(k): v for k, v in dataset.label_names.items()}}

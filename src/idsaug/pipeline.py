@@ -22,6 +22,7 @@ import numpy as np
 
 from . import evalreport, leveling, san, scgan, skn
 from .dataio import (
+    ORIGINAL,
     Dataset,
     Table,
     _check_unit_range,
@@ -49,13 +50,13 @@ from .nncore.layers import check_batch
 from .nncore.checkpoint import atomic_file, read_record, write_record
 from .seeding import derive_seed, substream
 
-PROV_ORIGINAL = "original"
+PROV_ORIGINAL = ORIGINAL
 PROV_SCGAN = "scgan"
 PROV_SKN = "skn"
 PROV_ROS = "ros"
 
 CLASSIFIER_MAGIC = b"IDSAUG-CLF-3\n"
-RUN_FORMAT = "idsaug-run-2"
+RUN_FORMAT = "idsaug-run-3"
 
 
 @dataclass
@@ -466,10 +467,11 @@ def save_run(run_dir, *, config_text=None, norm_params=None, ingest_report=None,
     """Write the given artifacts under ``run_dir``, each under its ``RUN_FILES``
     name and each through ``atomic_file``.
 
-    ``split`` is the (train, test) pair, min-max scaled; writing it first
-    removes every ``STAGE_OUTPUTS`` file. ``train_table``, the training split
-    as read from ``run_dir``, is the table whose CSV lines ``augmented.csv``
-    copies for the rows ``augmented`` starts with. ``levels`` maps a scope
+    ``split`` is the (train, test) pair, min-max scaled, each row tagged
+    ``ORIGINAL``; writing it first removes every ``STAGE_OUTPUTS`` file.
+    ``train_table``, the training split as read from ``run_dir``, is the
+    table whose CSV ``augmented.csv`` starts with, copied byte for byte: the
+    rows ``augmented`` starts with. ``levels`` maps a scope
     (``train`` or ``full``) to its level report rows. ``metrics`` is the
     (report, confusion matrix, class names) triple of eval, ``pca`` the
     (projection, labels, class names) one.
@@ -629,7 +631,7 @@ class Run:
         """``save_run`` these artifacts, then drop the memo of every file the
         write replaced. Writing the split drops everything: ``save_run`` then
         removes every stage's outputs. An augmented set starts with the
-        training split's rows, so its CSV copies their lines from the split's."""
+        training split's rows, so its CSV starts with a copy of the split's."""
         if artifacts.get("augmented") is not None:
             artifacts["train_table"] = self.split("train")
         save_run(self.dir, **artifacts)

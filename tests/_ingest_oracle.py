@@ -98,7 +98,10 @@ def load_dataset(path, label_column: str = DEFAULT_LABEL_COLUMN,
             labels.append(raw[label_idx].strip())
 
     if not rows:
-        raise DataError(f"{path}: no rows left after filtering")
+        dropped = "".join(f"; dropped {reason}: {count}"
+                          for reason, count in sorted(report.dropped.items()))
+        raise DataError(f"{path}: no rows left after filtering "
+                        f"({report.rows_read} rows read{dropped})")
     report.rows_kept = len(rows)
     ids, label_names = _label_ids(labels)
     features = np.array(rows, dtype=np.float64)

@@ -7,6 +7,7 @@ from idsaug import dataio, pipeline, san, scgan
 from idsaug.cli import RunConfig, build_run_config, main, parse_config_file
 from idsaug.nncore.checkpoint import read_record
 
+from test_dataio import csv_writer_oracle
 
 
 @pytest.fixture
@@ -81,6 +82,13 @@ class TestConfigHandling:
         assert merged.emit_pca is True
         assert merged.stratified is False
 
+    def test_invalid_level_mode_fails_before_any_work(self, bench_csv, tmp_path, capsys):
+        code = main(["run-all", "--dataset", str(bench_csv), "--level-mode", "gap",
+                     "--out", str(tmp_path / "r"), *FAST_FLAGS])
+        assert code == 2
+        assert "leveling mode 'gap'" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
     def test_invalid_method_rejected(self):
         from idsaug.errors import ConfigError
         with pytest.raises(ConfigError):
@@ -128,8 +136,11 @@ class TestRunAll:
             assert (out / name).exists(), name
         augmented, _ = dataio.load_dataset(out / "augmented.csv",
                                            ignore_columns=("provenance",))
-        train, _ = dataio.load_dataset(out / "split_train.csv")
+        train, _ = dataio.load_dataset(out / "split_train.csv",
+                                       ignore_columns=("provenance",))
         assert augmented.n_rows == train.n_rows
+        # both tables tag every row original
+        assert (out / "augmented.csv").read_bytes() == (out / "split_train.csv").read_bytes()
 
     def test_s2cgan_method_tops_up_counts(self, bench_csv, tmp_path):
         out = tmp_path / "gan"
@@ -223,8 +234,9 @@ class TestStageCommands:
 
         def edit():
             data = split.read_bytes()
-            assert b",class_0\r\n" in data
-            split.write_bytes(data.replace(b",class_0\r\n", b",class_1\r\n", 1))
+            assert b",class_0,original\r\n" in data
+            split.write_bytes(data.replace(b",class_0,original\r\n",
+                                           b",class_1,original\r\n", 1))
 
         if when == "before_augment":
             edit()
@@ -245,14 +257,16 @@ class TestStageCommands:
 
     def test_a_run_directory_of_the_previous_format_is_refused(self, bench_csv, tmp_path,
                                                                capsys):
-        # its tables hold unscaled features
         run = tmp_path / "run"
         assert main(["preprocess", "--dataset", str(bench_csv), "--out", str(run),
                      *FAST_FLAGS]) == 0
-        (run / "format.txt").write_text("idsaug-run-1\n")
-        for argv in (["levels"], ["augment", "--method", "smote"], ["eval"]):
-            assert main([*argv, "--run", str(run), *FAST_FLAGS]) == 1, argv
-            assert "unsupported run format 'idsaug-run-1'" in capsys.readouterr().err
+        # idsaug-run-1 tables hold unscaled features; idsaug-run-2 splits have
+        # no provenance column
+        for version in ("idsaug-run-1", "idsaug-run-2"):
+            (run / "format.txt").write_text(version + "\n")
+            for argv in (["levels"], ["augment", "--method", "smote"], ["eval"]):
+                assert main([*argv, "--run", str(run), *FAST_FLAGS]) == 1, argv
+                assert f"unsupported run format {version!r}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("method", ["baseline", "ros", "smote", "s2cgan"])
     def test_staged_chain_reproduces_run_all(self, bench_csv, tmp_path, method):
@@ -500,7 +514,8 @@ class TestRunAllChain:
             assert main([command, "--run", str(run), *flags]) == 0, command
         for name in ("augmented.csv", "classifier.ckpt", "metrics/metrics.json"):
             assert (whole / name).read_bytes() == (run / name).read_bytes(), name
-        assert (run / "split_train.csv").read_text().split("\n", 1)[0].endswith(",Label")
+        assert (run / "split_train.csv").read_text().split("\n", 1)[0].endswith(
+            ",Label,provenance")
 
     @pytest.mark.parametrize("name", ["Label", "provenance"])
     def test_input_feature_named_like_a_run_column_is_refused(self, tag_csv, tmp_path,
@@ -515,16 +530,28 @@ class TestRunAllChain:
         assert "[stage ingest]" in err and f"{name!r}" in err
 
     @pytest.mark.parametrize("line_break", ["\n", "\r", "\r\n"])
-    def test_label_with_a_line_break_is_refused(self, bench_csv, tmp_path, capsys,
-                                                line_break):
+    def test_label_with_a_line_break_runs_end_to_end(self, bench_csv, tmp_path, line_break):
         text = bench_csv.read_text()
         assert text.endswith(",class_2\n")
         bench_csv.write_text(text.replace(",class_2\n", f',"class{line_break}2"\n'))
         run = tmp_path / "run"
-        assert main(["preprocess", "--dataset", str(bench_csv), "--out", str(run),
-                     *FAST_FLAGS]) == 2
-        assert f"label {f'class{line_break}2'!r} holds a line break" in capsys.readouterr().err
-        assert not run.exists()
+        assert run_all(bench_csv, run, method="smote") == 0
+        train = dataio.load_table(run / "split_train.csv")
+        augmented = dataio.load_table(run / "augmented.csv")
+        assert f"class{line_break}2" in augmented.label_names.values()
+        provenance = ([pipeline.PROV_ORIGINAL] * train.n_rows
+                      + [pipeline.PROV_SKN] * (augmented.n_rows - train.n_rows))
+        csv_writer_oracle(tmp_path / "oracle.csv", augmented, provenance=provenance)
+        written = (run / "augmented.csv").read_bytes()
+        assert written == (tmp_path / "oracle.csv").read_bytes()
+        assert written.startswith((run / "split_train.csv").read_bytes())
+
+    def test_an_input_that_leaves_no_rows_says_why(self, bench_csv, tmp_path, capsys):
+        # the real label column is read as a feature, so every row is non-numeric
+        code = run_all(bench_csv, tmp_path / "run", extra=("--label-column", "f0"))
+        assert code == 1
+        assert (f"[stage ingest] {bench_csv}: no rows left after filtering "
+                "(330 rows read; dropped non_numeric: 330)") in capsys.readouterr().err
 
 
 class TestRun:
