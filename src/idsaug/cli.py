@@ -236,11 +236,9 @@ def _augment(run: pipeline.Run):
     config = run.config
     train = run.split("train")
     aug_config = config.augment_config()
-    report = pipeline.StageReport()
     counts, _, targets = run.leveling()
     if config.method == "s2cgan":
-        augmented, _ = pipeline.synthesize_augmented(train, aug_config,
-                                                     pipeline.load_run(run), report)
+        augmented = pipeline.synthesize_augmented(train, aug_config, pipeline.load_run(run))
     elif config.method == "baseline":
         # every target is the class's own count: there is nothing to sample
         augmented = pipeline.top_up(train, counts, None)
@@ -248,7 +246,7 @@ def _augment(run: pipeline.Run):
         augmented = pipeline.augment_ros(train, targets, config.master_seed)
     else:
         augmented = pipeline.augment_smote(train, targets, aug_config.skn, config.master_seed)
-    run.save(augmented=augmented, stage_report=report)
+    run.save(augmented=augmented)
     before = sum(augmented.before_counts.values())
     print(f"augment[{config.method}]: {before} -> {augmented.dataset.n_rows} rows")
 
@@ -342,7 +340,9 @@ def cmd_run_all(args) -> int:
         try:
             stage_fn(run, *extra)
         except IdsAugError as exc:
-            raise type(exc)(f"[stage {stage}] {exc}") from exc
+            # prefixed in place, so the error keeps its fields (stage, epoch, ...)
+            exc.args = (f"[stage {stage}] {exc}", *exc.args[1:])
+            raise
     return 0
 
 

@@ -382,6 +382,17 @@ def _csv_line(fields) -> str:
     return buf.getvalue()
 
 
+def write_csv(path, header: list, rows):
+    """Write ``header`` and ``rows`` through ``csv.writer`` into ``atomic_file``;
+    each float cell is written as ``repr(float(cell))``, which round-trips."""
+    with atomic_file(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([repr(float(cell)) if isinstance(cell, (float, np.floating))
+                             else cell for cell in row])
+
+
 @dataclass
 class Table(Dataset):
     """A Dataset read from a run table's record, with the CSV twin it was

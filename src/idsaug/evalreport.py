@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dataio import write_csv
 from .errors import ConfigError, DataError, DegenerateDataError, InputDataError, ReportError
 from .nncore.checkpoint import atomic_file
 
@@ -201,56 +201,40 @@ def pca2d(data) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def write_per_class_csv(path, report: MetricsReport, names: dict[int, str]):
-    with atomic_file(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["class", "support", "precision", "recall", "f_beta"])
-        for i, class_id in enumerate(report.class_ids):
-            writer.writerow([
-                names.get(class_id, str(class_id)),
-                int(report.supports[i]),
-                repr(float(report.precision[i])),
-                repr(float(report.recall[i])),
-                repr(float(report.f_beta[i])),
-            ])
+    write_csv(path, ["class", "support", "precision", "recall", "f_beta"], (
+        [names.get(class_id, str(class_id)), int(report.supports[i]),
+         report.precision[i], report.recall[i], report.f_beta[i]]
+        for i, class_id in enumerate(report.class_ids)))
+
+
+def _aggregate_rows(report: MetricsReport):
+    for scope in ("weighted", "macro"):
+        values = getattr(report, scope)
+        yield [scope, values["precision"], values["recall"], values["f_beta"]]
 
 
 def write_aggregates_csv(path, report: MetricsReport):
-    with atomic_file(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["scope", "precision", "recall", "f_beta"])
-        for scope in ("weighted", "macro"):
-            values = getattr(report, scope)
-            writer.writerow([scope, repr(values["precision"]), repr(values["recall"]),
-                             repr(values["f_beta"])])
+    write_csv(path, ["scope", "precision", "recall", "f_beta"], _aggregate_rows(report))
 
 
 def write_confusion_csv(path, cm: ConfusionMatrix, names: dict[int, str]):
-    with atomic_file(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        header = ["true\\pred"] + [names.get(c, str(c)) for c in cm.class_ids]
-        writer.writerow(header)
-        for i, class_id in enumerate(cm.class_ids):
-            writer.writerow([names.get(class_id, str(class_id))] + cm.matrix[i].tolist())
+    write_csv(path, ["true\\pred"] + [names.get(c, str(c)) for c in cm.class_ids], (
+        [names.get(class_id, str(class_id))] + cm.matrix[i].tolist()
+        for i, class_id in enumerate(cm.class_ids)))
 
 
 def write_comparison_csv(path, table: ComparisonTable, names: dict[int, str]):
-    with atomic_file(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["method", "class", "d_precision", "d_recall", "d_f_beta"])
-        for method in sorted(table.per_class_deltas):
-            deltas = table.per_class_deltas[method]
-            for i, class_id in enumerate(table.class_ids):
-                writer.writerow([
-                    method, names.get(class_id, str(class_id)),
-                    repr(float(deltas["precision"][i])),
-                    repr(float(deltas["recall"][i])),
-                    repr(float(deltas["f_beta"][i])),
-                ])
-        writer.writerow([])
-        writer.writerow(["method", "aggregate", "delta"])
-        for method in sorted(table.aggregate_deltas):
-            for key, value in sorted(table.aggregate_deltas[method].items()):
-                writer.writerow([method, key, repr(float(value))])
+    rows = []
+    for method in sorted(table.per_class_deltas):
+        deltas = table.per_class_deltas[method]
+        rows += [[method, names.get(class_id, str(class_id)), deltas["precision"][i],
+                  deltas["recall"][i], deltas["f_beta"][i]]
+                 for i, class_id in enumerate(table.class_ids)]
+    rows += [[], ["method", "aggregate", "delta"]]
+    for method in sorted(table.aggregate_deltas):
+        rows += [[method, key, value]
+                 for key, value in sorted(table.aggregate_deltas[method].items())]
+    write_csv(path, ["method", "class", "d_precision", "d_recall", "d_f_beta"], rows)
 
 
 def write_comparison(out_dir, reports: dict[str, MetricsReport], baseline_name: str,
@@ -260,23 +244,15 @@ def write_comparison(out_dir, reports: dict[str, MetricsReport], baseline_name: 
     os.makedirs(out_dir, exist_ok=True)
     deltas, aggregates = (os.path.join(out_dir, n) for n in ("deltas.csv", "aggregates.csv"))
     write_comparison_csv(deltas, compare(reports, baseline_name), names)
-    with atomic_file(aggregates, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["method", "scope", "precision", "recall", "f_beta"])
-        for label, report in sorted(reports.items()):
-            for scope in ("weighted", "macro"):
-                values = getattr(report, scope)
-                writer.writerow([label, scope, repr(values["precision"]),
-                                 repr(values["recall"]), repr(values["f_beta"])])
+    write_csv(aggregates, ["method", "scope", "precision", "recall", "f_beta"], (
+        [label, *row] for label, report in sorted(reports.items())
+        for row in _aggregate_rows(report)))
     return [deltas, aggregates]
 
 
 def write_pca_csv(path, projection: np.ndarray, labels, names: dict[int, str]):
-    with atomic_file(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y", "label"])
-        for (x, y), label in zip(projection, labels):
-            writer.writerow([repr(float(x)), repr(float(y)), names.get(int(label), str(label))])
+    write_csv(path, ["x", "y", "label"], (
+        [x, y, names.get(int(label), str(label))] for (x, y), label in zip(projection, labels)))
 
 
 def render_summary(report: MetricsReport, names: dict[int, str]) -> str:

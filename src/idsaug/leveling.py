@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
 
+from .dataio import write_csv
 from .errors import ConfigError, DataError, PolicyError
 from .nncore.checkpoint import atomic_file
 
@@ -186,10 +186,7 @@ def level_report_text(rows: list[LevelReportRow]) -> str:
 
 
 def write_level_report(csv_path, txt_path, rows: list[LevelReportRow]):
-    with atomic_file(csv_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["class", "count", "imbalance_ratio", "level", "target"])
-        for row in rows:
-            writer.writerow([row.name, row.count, repr(row.ir), row.level, row.target])
+    write_csv(csv_path, ["class", "count", "imbalance_ratio", "level", "target"],
+              ([row.name, row.count, row.ir, row.level, row.target] for row in rows))
     with atomic_file(txt_path, "w", encoding="utf-8") as fh:
         fh.write(level_report_text(rows))

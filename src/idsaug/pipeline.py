@@ -70,27 +70,26 @@ class AugmentConfig:
 
 
 @dataclass
-class StageReport:
-    timings: list[tuple[str, float]] = field(default_factory=list)
-    acceptance_rates: dict[str, float] = field(default_factory=dict)
-
-    def summary(self) -> str:
-        lines = [f"{name}: {seconds:.3f}s" for name, seconds in self.timings]
-        for class_name in sorted(self.acceptance_rates):
-            lines.append(f"acceptance[{class_name}]: {self.acceptance_rates[class_name]:.4f}")
-        return "\n".join(lines) + "\n"
-
-
-@dataclass
 class AugmentedDataset:
+    """An augmented training set and what its synthesis measured: the seconds
+    of each class's sampler call, keyed ``<provenance tag>[<class name>]``,
+    and each generator's filter acceptance rate, keyed by class name."""
     dataset: Dataset
     provenance: np.ndarray
     before_counts: dict[int, int]
     after_counts: dict[int, int]
+    timings: dict[str, float] = field(default_factory=dict)
+    acceptance_rates: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
         if len(self.provenance) != self.dataset.n_rows:
             raise ShapeError("provenance length must match the dataset")
+
+    def stage_report(self) -> str:
+        lines = [f"{key}: {seconds:.3f}s" for key, seconds in self.timings.items()]
+        lines += [f"acceptance[{name}]: {rate:.4f}"
+                  for name, rate in sorted(self.acceptance_rates.items())]
+        return "".join(line + "\n" for line in lines)
 
 
 @dataclass
@@ -99,20 +98,6 @@ class AugmentationModels:
     targets: dict[int, int]
     san_model: san.SanModel | None
     scgan_models: dict[int, scgan.ScganModel]
-
-
-class _Timer:
-    def __init__(self, report: StageReport, name: str):
-        self.report = report
-        self.name = name
-
-    def __enter__(self):
-        self.start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc):
-        self.report.timings.append((self.name, time.perf_counter() - self.start))
-        return False
 
 
 @contextmanager
@@ -179,24 +164,19 @@ def train_scgan_stage(train: Dataset, class_id: int, san_model: san.SanModel,
                                  san_model, gan_cfg)
 
 
-def train_augmentation_models(train: Dataset, config: AugmentConfig,
-                              ) -> tuple[AugmentationModels, StageReport]:
+def train_augmentation_models(train: Dataset, config: AugmentConfig) -> AugmentationModels:
     """Level the training set and train the autoencoder plus one conditional
     GAN per scarce class that needs new rows."""
     _check_unit_range(train.features, "train_augmentation_models")
-    report = StageReport()
-    with _Timer(report, "leveling"):
-        counts, part, targets = level_training_set(train, config.thresholds)
+    counts, part, targets = level_training_set(train, config.thresholds)
     models = AugmentationModels(part, targets, None, {})
     needing = scgan_classes(counts, part, targets)
     if needing:
-        with _Timer(report, "san-training"):
-            models.san_model, _ = train_san_stage(train, part, config)
+        models.san_model, _ = train_san_stage(train, part, config)
     for class_id in needing:
-        with _Timer(report, f"scgan-training[{train.name_of(class_id)}]"):
-            models.scgan_models[class_id], _ = train_scgan_stage(
-                train, class_id, models.san_model, config)
-    return models, report
+        models.scgan_models[class_id], _ = train_scgan_stage(
+            train, class_id, models.san_model, config)
+    return models
 
 
 def _join(parts: list[np.ndarray]) -> np.ndarray:
@@ -209,26 +189,32 @@ def top_up(train: Dataset, targets: dict[int, int], sampler) -> AugmentedDataset
     its target, visiting classes in ``targets`` order.
 
     ``sampler(class_id, rows, need)`` gets the class's training rows and
-    returns ``need`` new rows plus their provenance tag. A failure raises a
-    PipelineError naming the stage and class. Every class must end exactly at
-    its target.
+    returns ``need`` new rows plus their provenance tag; the call's seconds
+    are kept in the result's ``timings`` as ``<tag>[<class name>]``. A failure
+    raises a PipelineError naming the stage and class. Every class must end
+    exactly at its target.
     """
     counts = train.class_counts()
     blocks = [train.features]
     labels = [train.labels]
     provenance = [np.full(train.n_rows, PROV_ORIGINAL, dtype=object)]
+    timings = {}
     for class_id, target in targets.items():
         need = target - counts.get(class_id, 0)
         if need <= 0:
             continue
-        with _stage("top-up", train.name_of(class_id)):
+        name = train.name_of(class_id)
+        with _stage("top-up", name):
+            start = time.perf_counter()
             rows, tag = sampler(class_id, train.features[train.rows_of(class_id)], need)
+            timings[f"{tag}[{name}]"] = time.perf_counter() - start
         blocks.append(rows)
         labels.append(np.full(len(rows), class_id, dtype=np.int64))
         provenance.append(np.full(len(rows), tag, dtype=object))
 
     dataset = Dataset(_join(blocks), _join(labels), dict(train.label_names), train.feature_names)
-    augmented = AugmentedDataset(dataset, _join(provenance), counts, dataset.class_counts())
+    augmented = AugmentedDataset(dataset, _join(provenance), counts, dataset.class_counts(),
+                                 timings)
     for class_id, target in targets.items():
         if augmented.after_counts.get(class_id, 0) != target:
             raise PipelineError(
@@ -239,39 +225,38 @@ def top_up(train: Dataset, targets: dict[int, int], sampler) -> AugmentedDataset
 
 
 def synthesize_augmented(train: Dataset, config: AugmentConfig,
-                         models: AugmentationModels,
-                         report: StageReport | None = None,
-                         ) -> tuple[AugmentedDataset, StageReport]:
+                         models: AugmentationModels) -> AugmentedDataset:
     """Top every scarce class up with its generator and every rare class
-    with neighbor interpolation, scarce classes first."""
+    with neighbor interpolation, scarce classes first; the result keeps each
+    generator's acceptance rate."""
     _check_unit_range(train.features, "synthesize_augmented")
-    report = report or StageReport()
     levels = models.part.levels
+    acceptance_rates = {}
 
     def sample(class_id, rows, need):
         name = train.name_of(class_id)
         if levels[class_id] == leveling.RARE:
-            with _Timer(report, f"skn[{name}]"), _stage("skn", name):
+            with _stage("skn", name):
                 return skn.skn_synthesize(rows, need, config.skn,
                                           substream(config.seed, "skn", class_id)), PROV_SKN
-        with _Timer(report, f"scgan-synthesis[{name}]"), _stage("scgan-synthesis", name):
+        with _stage("scgan-synthesis", name):
             if models.san_model is None or class_id not in models.scgan_models:
                 raise DataError("no trained generator available for this class")
             result = scgan.synthesize_to_target(
                 models.scgan_models[class_id], models.san_model, rows, need,
                 config.filter_policy, substream(config.seed, "scgan-gen", class_id))
-        report.acceptance_rates[name] = result.acceptance_rate
+        acceptance_rates[name] = result.acceptance_rate
         return result.samples, PROV_SCGAN
 
     order = sorted(models.targets, key=lambda c: (levels[c] != leveling.SCARCE, c))
     augmented = top_up(train, {c: models.targets[c] for c in order}, sample)
-    return augmented, report
+    augmented.acceptance_rates = acceptance_rates
+    return augmented
 
 
-def build_augmented(train: Dataset, config: AugmentConfig) -> tuple[AugmentedDataset, StageReport]:
+def build_augmented(train: Dataset, config: AugmentConfig) -> AugmentedDataset:
     """Train the models and synthesize in one shot."""
-    models, report = train_augmentation_models(train, config)
-    return synthesize_augmented(train, config, models, report)
+    return synthesize_augmented(train, config, train_augmentation_models(train, config))
 
 
 def augment_ros(train: Dataset, targets: dict[int, int], seed: int) -> AugmentedDataset:
@@ -460,10 +445,9 @@ def _history_text(series) -> str:
 
 def save_run(run_dir, *, config_text=None, norm_params=None, ingest_report=None, split=None,
              levels: dict | None = None, augmented: AugmentedDataset | None = None,
-             train_table: Table | None = None, stage_report: StageReport | None = None,
-             san_model=None, san_history=None, scgan_models: dict | None = None,
-             scgan_histories: dict | None = None, classifier: ClassifierModel | None = None,
-             clf_history=None, metrics=None, pca=None):
+             train_table: Table | None = None, san_model=None, san_history=None,
+             scgan_models: dict | None = None, scgan_histories: dict | None = None,
+             classifier: ClassifierModel | None = None, clf_history=None, metrics=None, pca=None):
     """Write the given artifacts under ``run_dir``, each under its ``RUN_FILES``
     name and each through ``atomic_file``.
 
@@ -471,7 +455,8 @@ def save_run(run_dir, *, config_text=None, norm_params=None, ingest_report=None,
     ``ORIGINAL``; writing it first removes every ``STAGE_OUTPUTS`` file.
     ``train_table``, the training split as read from ``run_dir``, is the
     table whose CSV ``augmented.csv`` starts with, copied byte for byte: the
-    rows ``augmented`` starts with. ``levels`` maps a scope
+    rows ``augmented`` starts with. ``stage_report.txt`` is
+    ``augmented.stage_report()``. ``levels`` maps a scope
     (``train`` or ``full``) to its level report rows. ``metrics`` is the
     (report, confusion matrix, class names) triple of eval, ``pca`` the
     (projection, labels, class names) one.
@@ -506,8 +491,7 @@ def save_run(run_dir, *, config_text=None, norm_params=None, ingest_report=None,
     if augmented is not None:
         save_table(path("augmented.csv"), augmented.dataset, provenance=augmented.provenance,
                    prefix=train_table)
-    if stage_report is not None:
-        _write_text(path("stage_report.txt"), stage_report.summary())
+        _write_text(path("stage_report.txt"), augmented.stage_report())
     if san_model is not None:
         san.save_san(path("san.ckpt"), san_model)
     if san_history is not None:

@@ -1,10 +1,12 @@
 import fnmatch
 import os
+import re
 
 import pytest
 
 from idsaug import dataio, pipeline, san, scgan
-from idsaug.cli import RunConfig, build_run_config, main, parse_config_file
+from idsaug.cli import RunConfig, build_parser, build_run_config, main, parse_config_file
+from idsaug.errors import PipelineError
 from idsaug.nncore.checkpoint import read_record
 
 from test_dataio import csv_writer_oracle
@@ -29,6 +31,15 @@ FAST_FLAGS = [
 def run_all(bench_csv, out, method="baseline", seed="0", extra=()):
     return main(["run-all", "--dataset", str(bench_csv), "--out", str(out),
                  "--method", method, "--seed", seed, *FAST_FLAGS, *extra])
+
+
+def stage_report_keys(run) -> list[str]:
+    """The keys of ``stage_report.txt``, each line checked to be a key, a
+    colon and a time or acceptance rate."""
+    lines = (run / "stage_report.txt").read_text().splitlines()
+    for line in lines:
+        assert re.fullmatch(r"[a-z]+\[class_\d\]: \d+\.(\d{3}s|\d{4})", line), line
+    return [line.split(":")[0] for line in lines]
 
 
 def run_file_entries(run) -> dict[str, str]:
@@ -141,6 +152,7 @@ class TestRunAll:
         assert augmented.n_rows == train.n_rows
         # both tables tag every row original
         assert (out / "augmented.csv").read_bytes() == (out / "split_train.csv").read_bytes()
+        assert (out / "stage_report.txt").read_text() == ""
 
     def test_s2cgan_method_tops_up_counts(self, bench_csv, tmp_path):
         out = tmp_path / "gan"
@@ -154,10 +166,14 @@ class TestRunAll:
         assert (out / "san.ckpt").exists()
         text = (out / "augmented.csv").read_text()
         assert "scgan" in text and "skn" in text
+        assert stage_report_keys(out) == ["scgan[class_1]", "skn[class_2]",
+                                          "acceptance[class_1]"]
 
     def test_ros_and_smote_methods_run(self, bench_csv, tmp_path):
-        for method in ("ros", "smote"):
+        for method, tag in (("ros", "ros"), ("smote", "skn")):
             assert run_all(bench_csv, tmp_path / method, method=method) == 0
+            assert stage_report_keys(tmp_path / method) == [f"{tag}[class_1]",
+                                                            f"{tag}[class_2]"]
 
     def test_missing_dataset_flag_is_config_error(self, tmp_path):
         assert main(["run-all", "--out", str(tmp_path / "r")]) == 2
@@ -490,6 +506,17 @@ class TestRunAllChain:
         assert "[stage augment]" in err and "class_1" in err
         # the stages before the failure leave their artifacts behind
         assert (tmp_path / "run" / "levels_full.csv").exists()
+
+    def test_failing_stage_keeps_the_error_fields(self, bench_csv, tmp_path):
+        args = build_parser().parse_args([
+            "run-all", "--dataset", str(bench_csv), "--out", str(tmp_path / "run"),
+            "--method", "s2cgan", "--seed", "0", *FAST_FLAGS,
+            "--eta", "1.0", "--max-attempt-factor", "1"])
+        with pytest.raises(PipelineError) as excinfo:
+            args.func(args)
+        err = excinfo.value
+        assert (err.stage, err.class_name) == ("scgan-synthesis", "class_1")
+        assert str(err).startswith("[stage augment] stage scgan-synthesis failed")
 
     def test_stdout_is_the_stage_outputs_in_order(self, bench_csv, tmp_path, capsys):
         assert run_all(bench_csv, tmp_path / "run", method="ros") == 0

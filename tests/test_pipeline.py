@@ -42,41 +42,39 @@ def fast_config(seed=0, eta=0.45):
 def augmented_run():
     train = leveled_dataset()
     config = fast_config()
-    augmented, report = pipeline.build_augmented(train, config)
-    return train, config, augmented, report
+    return train, config, pipeline.build_augmented(train, config)
 
 
 class TestBuildAugmented:
     def test_counts_hit_targets_exactly(self, augmented_run):
-        train, _, augmented, _ = augmented_run
+        train, _, augmented = augmented_run
         # scarce rises to the ample count, rare rises to the scarce count
         assert augmented.after_counts == {0: 400, 1: 400, 2: 40}
         assert augmented.before_counts == train.class_counts()
 
     def test_original_rows_preserved_byte_identical(self, augmented_run):
-        train, _, augmented, _ = augmented_run
+        train, _, augmented = augmented_run
         originals = augmented.provenance == pipeline.PROV_ORIGINAL
         assert int(originals.sum()) == train.n_rows
         assert np.array_equal(augmented.dataset.features[originals], train.features)
         assert np.array_equal(augmented.dataset.labels[originals], train.labels)
 
     def test_provenance_tags_match_levels(self, augmented_run):
-        _, _, augmented, _ = augmented_run
+        _, _, augmented = augmented_run
         labels = augmented.dataset.labels
         prov = augmented.provenance
         assert set(prov[labels == 1]) == {pipeline.PROV_ORIGINAL, pipeline.PROV_SCGAN}
         assert set(prov[labels == 2]) == {pipeline.PROV_ORIGINAL, pipeline.PROV_SKN}
 
     def test_stage_report_has_timings_and_acceptance(self, augmented_run):
-        _, _, _, report = augmented_run
-        stages = [name for name, _ in report.timings]
-        assert any(s.startswith("scgan-training") for s in stages)
-        assert any(s.startswith("skn") for s in stages)
-        assert "mid" in report.acceptance_rates
-        assert 0.0 < report.acceptance_rates["mid"] <= 1.0
+        _, _, augmented = augmented_run
+        assert list(augmented.timings) == ["scgan[mid]", "skn[tiny]"]
+        assert all(seconds >= 0.0 for seconds in augmented.timings.values())
+        assert list(augmented.acceptance_rates) == ["mid"]
+        assert 0.0 < augmented.acceptance_rates["mid"] <= 1.0
 
     def test_generated_rows_stay_in_unit_box(self, augmented_run):
-        _, _, augmented, _ = augmented_run
+        _, _, augmented = augmented_run
         assert augmented.dataset.features.min() >= 0.0
         assert augmented.dataset.features.max() <= 1.0
 
@@ -85,7 +83,7 @@ class TestBuildAugmented:
         train = Dataset(rng.random((60, 4)),
                         np.repeat([0, 1, 2], 20).astype(np.int64),
                         {0: "a", 1: "b", 2: "c"})
-        augmented, _ = pipeline.build_augmented(train, fast_config())
+        augmented = pipeline.build_augmented(train, fast_config())
         assert augmented.dataset.n_rows == train.n_rows
         assert np.array_equal(augmented.dataset.features, train.features)
         assert set(augmented.provenance) == {pipeline.PROV_ORIGINAL}
@@ -93,8 +91,8 @@ class TestBuildAugmented:
     def test_deterministic_for_fixed_seed(self):
         train = leveled_dataset(seed=2, n_ample=120, n_scarce=20, n_rare=4)
         config = fast_config(seed=7)
-        a, _ = pipeline.build_augmented(train, config)
-        b, _ = pipeline.build_augmented(train, config)
+        a = pipeline.build_augmented(train, config)
+        b = pipeline.build_augmented(train, config)
         assert np.array_equal(a.dataset.features, b.dataset.features)
         assert np.array_equal(a.dataset.labels, b.dataset.labels)
         assert np.array_equal(a.provenance, b.provenance)
@@ -412,7 +410,7 @@ class TestSaveLoadRun:
         train = leveled_dataset(seed=11, n_ample=80, n_scarce=16, n_rare=3)
         config = fast_config(seed=3)
         config.scgan.epochs = 20
-        models, _ = pipeline.train_augmentation_models(train, config)
+        models = pipeline.train_augmentation_models(train, config)
         run_dir = tmp_path / "run"
         # a Run levels the training split of its directory
         pipeline.save_run(run_dir, split=(train, train), san_model=models.san_model,
@@ -422,6 +420,6 @@ class TestSaveLoadRun:
         loaded = pipeline.load_run(pipeline.Run(run_dir, run_config))
         assert set(loaded.scgan_models) == set(models.scgan_models)
         assert loaded.targets == models.targets
-        augmented_a, _ = pipeline.synthesize_augmented(train, config, models)
-        augmented_b, _ = pipeline.synthesize_augmented(train, config, loaded)
+        augmented_a = pipeline.synthesize_augmented(train, config, models)
+        augmented_b = pipeline.synthesize_augmented(train, config, loaded)
         assert np.array_equal(augmented_a.dataset.features, augmented_b.dataset.features)
