@@ -31,8 +31,10 @@ class LevelThresholds:
     def __post_init__(self):
         if self.mode not in ("fixed", "auto-gap"):
             raise ConfigError(f"unknown leveling mode {self.mode!r}")
-        if self.scarce_min_ir <= 0 or self.rare_min_ir <= 0:
-            raise ConfigError("level thresholds must be positive")
+        for name in ("scarce_min_ir", "rare_min_ir"):
+            # written so that NaN fails it
+            if not getattr(self, name) > 0:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         if self.scarce_min_ir >= self.rare_min_ir:
             raise ConfigError("scarce_min_ir must be below rare_min_ir")
 

@@ -7,13 +7,14 @@ it. It is written to a temporary file and moved into place with
 A reader refuses a record of another kind or of an older format by its magic
 line, then any record whose checksum does not match.
 
-A network is a JSON spec of its mode and layers (kind, dims and constructor
-settings), then each layer's arrays in the order ``LAYER_STATE`` names them,
-running statistics included for batchnorm. An array is its shape, then its
-values as row-major little-endian float64. On load each array's shape must
-match its layer. Round trips are bit-exact. Float32 parameters are stored
-widened to float64, which is exact; ``read_network`` returns float64 arrays,
-and a caller that trains in float32 narrows them back to the same bits.
+A network is a JSON spec of its mode and layers (kind, dims and the
+constructor settings ``LAYER_SETTINGS`` names), then each layer's
+``param_names`` arrays and its ``stat_names`` arrays (batchnorm's running
+statistics). An array is its shape, then its values as row-major
+little-endian float64. On load each array's shape must match its layer.
+Round trips are bit-exact. Float32 parameters are stored widened to float64,
+which is exact; a reader that asks for a float32 network gets the same bits
+back, and one that asks for none gets float64.
 """
 
 from __future__ import annotations
@@ -34,15 +35,15 @@ from .network import Network
 
 NETWORK_MAGIC = b"IDSAUG-NET-2\n"
 
-# layer kind -> (constructor settings, arrays) a checkpoint stores
-LAYER_STATE = {
-    "dense": ((), ("weights", "bias")),
-    "batchnorm": (("epsilon", "momentum"), ("scale", "shift", "running_mean", "running_var")),
-    "layernorm": (("epsilon",), ("scale", "shift")),
-    "leakyrelu": (("slope",), ()),
-    "relu": ((), ()),
-    "sigmoid": ((), ()),
-    "softmax": ((), ()),
+# layer kind -> the constructor settings a checkpoint stores
+LAYER_SETTINGS = {
+    "dense": (),
+    "batchnorm": ("epsilon", "momentum"),
+    "layernorm": ("epsilon",),
+    "leakyrelu": ("slope",),
+    "relu": (),
+    "sigmoid": (),
+    "softmax": (),
 }
 
 
@@ -92,41 +93,40 @@ def _read_array(fh: BinaryIO) -> np.ndarray:
 def write_network(fh: BinaryIO, net: Network):
     specs = []
     for layer in net.layers:
-        if layer.kind not in LAYER_STATE:
+        if layer.kind not in LAYER_SETTINGS:
             raise FormatError(f"cannot serialize layer kind {layer.kind!r}")
-        settings, _ = LAYER_STATE[layer.kind]
         dims = [layer.in_dim] if isinstance(layer, Activation) else [layer.in_dim, layer.out_dim]
         specs.append({"kind": layer.kind, "dims": dims,
-                      **{name: getattr(layer, name) for name in settings}})
+                      **{name: getattr(layer, name) for name in LAYER_SETTINGS[layer.kind]}})
     write_metadata(fh, {"mode": net.mode, "layers": specs})
     for layer in net.layers:
-        for name in LAYER_STATE[layer.kind][1]:
+        for name in layer.param_names + layer.stat_names:
             _write_array(fh, getattr(layer, name))
 
 
-def read_network(fh: BinaryIO) -> Network:
+def read_network(fh: BinaryIO, dtype=None) -> Network:
+    """The next network of ``fh``, in ``dtype`` (float64 when None)."""
     spec = read_metadata(fh)
     layers = []
     try:
         for layer_spec in spec["layers"]:
             kind = layer_spec["kind"]
-            if kind not in LAYER_STATE:
+            if kind not in LAYER_SETTINGS:
                 raise FormatError(f"unknown layer kind {kind!r} in checkpoint")
-            settings, _ = LAYER_STATE[kind]
-            layers.append(LAYER_KINDS[kind](*layer_spec["dims"],
-                                            **{name: layer_spec[name] for name in settings}))
+            layers.append(LAYER_KINDS[kind](*layer_spec["dims"], **{
+                name: layer_spec[name] for name in LAYER_SETTINGS[kind]}))
         mode = spec["mode"]
     except (KeyError, TypeError) as exc:
         raise FormatError(f"bad network spec in checkpoint: {exc!r}") from exc
     for layer in layers:
-        for name in LAYER_STATE[layer.kind][1]:
+        for name in layer.param_names + layer.stat_names:
             arr = _read_array(fh)
             expected = getattr(layer, name).shape
             if arr.shape != expected:
                 raise FormatError(f"{layer.kind} {name} shape {arr.shape} does not match "
                                   f"its layer's {expected}")
             setattr(layer, name, arr)
-    return Network(layers, mode=mode)
+    return Network(layers, mode=mode, dtype=dtype)
 
 
 def save_network(path, net: Network):
@@ -190,10 +190,11 @@ def write_record(path, magic: bytes, metadata: dict, networks=(), arrays=()):
         raw.write(fh.digest.digest())
 
 
-def read_record(path, magic: bytes, n_networks: int = 0,
-                n_arrays: int = 0) -> tuple[dict, list[Network], list[np.ndarray]]:
-    """Read a record file; a FormatError means it is not one whole, unaltered
-    record of this kind and format."""
+def read_record(path, magic: bytes, n_networks: int = 0, n_arrays: int = 0,
+                dtype=None) -> tuple[dict, list[Network], list[np.ndarray]]:
+    """Read a record file, its networks in ``dtype`` (float64 when None); a
+    FormatError means it is not one whole, unaltered record of this kind and
+    format."""
     with open(path, "rb") as fh:
         data = fh.read()
     if not data.startswith(magic):
@@ -205,7 +206,7 @@ def read_record(path, magic: bytes, n_networks: int = 0,
     fh = io.BytesIO(data)
     fh.seek(len(magic))
     metadata = read_metadata(fh)
-    networks = [read_network(fh) for _ in range(n_networks)]
+    networks = [read_network(fh, dtype) for _ in range(n_networks)]
     arrays = [_read_array(fh) for _ in range(n_arrays)]
     if fh.tell() != size:
         raise FormatError(f"{path}: record length does not match its contents")

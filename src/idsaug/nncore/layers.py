@@ -9,7 +9,9 @@ None for the input gradient and skip computing it, and with
 ``grads`` untouched. Layers compute in the dtype of their input, which must
 be the dtype of their parameters: no float64 constant widens a float32
 batch, and every output and gradient comes back in the input's dtype. New
-parameters are float64.
+parameters are float64. ``param_names`` names a layer's parameter attributes
+and ``stat_names`` its other arrays; a ``Network`` rebinds the parameters to
+views of its flat vector and casts the others to its dtype.
 
 Buffers. ``forward(x, train, ws)`` writes its output and every intermediate
 into arrays it keeps in ``ws``, a dict of named buffers, and its cache holds
@@ -60,6 +62,10 @@ def _row_sums(a: np.ndarray, out: np.ndarray, ws: dict):
 
 class Layer:
     kind = "layer"
+    # the attributes holding the trained parameters, in ``params()`` order,
+    # and the other arrays a layer keeps (batchnorm's running statistics)
+    param_names: tuple[str, ...] = ()
+    stat_names: tuple[str, ...] = ()
 
     def __init__(self, in_dim: int, out_dim: int):
         if in_dim < 1 or out_dim < 1:
@@ -68,7 +74,7 @@ class Layer:
         self.out_dim = int(out_dim)
 
     def params(self) -> list[np.ndarray]:
-        return []
+        return [getattr(self, name) for name in self.param_names]
 
     def forward(self, x: np.ndarray, train: bool, ws: dict | None = None):
         raise NotImplementedError
@@ -92,6 +98,7 @@ class Activation(Layer):
 
 class Dense(Layer):
     kind = "dense"
+    param_names = ("weights", "bias")
 
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator | None = None):
         super().__init__(in_dim, out_dim)
@@ -100,9 +107,6 @@ class Dense(Layer):
         limit = math.sqrt(6.0 / (in_dim + out_dim))
         self.weights = rng.uniform(-limit, limit, size=(in_dim, out_dim))
         self.bias = np.zeros(out_dim)
-
-    def params(self):
-        return [self.weights, self.bias]
 
     def forward(self, x, train, ws=None):
         ws = {} if ws is None else ws
@@ -130,6 +134,8 @@ class BatchNorm(Activation):
     """Per-feature normalization over the batch with running statistics."""
 
     kind = "batchnorm"
+    param_names = ("scale", "shift")
+    stat_names = ("running_mean", "running_var")
 
     def __init__(self, dim: int, epsilon: float = 1e-5, momentum: float = 0.1):
         super().__init__(dim)
@@ -143,9 +149,6 @@ class BatchNorm(Activation):
         self.shift = np.zeros(dim)
         self.running_mean = np.zeros(dim)
         self.running_var = np.ones(dim)
-
-    def params(self):
-        return [self.scale, self.shift]
 
     def forward(self, x, train, ws=None):
         ws = {} if ws is None else ws
@@ -225,6 +228,7 @@ class LayerNorm(Activation):
     """Per-row normalization over features; identical in train and eval."""
 
     kind = "layernorm"
+    param_names = ("scale", "shift")
 
     def __init__(self, dim: int, epsilon: float = 1e-5):
         super().__init__(dim)
@@ -233,9 +237,6 @@ class LayerNorm(Activation):
         self.epsilon = float(epsilon)
         self.scale = np.ones(dim)
         self.shift = np.zeros(dim)
-
-    def params(self):
-        return [self.scale, self.shift]
 
     def forward(self, x, train, ws=None):
         ws = {} if ws is None else ws

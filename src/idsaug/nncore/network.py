@@ -5,8 +5,15 @@ per-layer caches that ``backward`` consumes. ``take_tape`` hands the tape to
 the caller instead, which lets shared-parameter models run several forward
 passes before backpropagating each one.
 
-A network computes in the dtype of its parameters: ``forward`` casts its
-input to that dtype and ``backward`` its upstream gradient.
+Parameters. The constructor copies every layer's parameters, in
+``parameters()`` order, into one flat vector ``params`` and rebinds each
+layer's parameter attributes to views of it, so a layer computes with the
+network's own storage and an update of ``params`` is an update of every
+layer. The dtype of that vector is given at construction, or is that of the
+layers' first parameter when none is given, and never changes; the layers'
+other arrays (batchnorm's running statistics) are cast to it. A network
+computes in that dtype: ``forward`` casts its input to it and ``backward``
+its upstream gradient.
 
 Buffers. A train-mode forward writes every layer's output and cache into a
 workspace: one buffer dict per layer (see ``layers``), made for one batch
@@ -18,12 +25,12 @@ train step allocates only the arrays it hands back: ``forward``'s output and
 is replaced by the next forward without a backward returns its workspace too.
 ``eval()`` drops the pool, and an eval-mode forward keeps nothing.
 
-Gradients. ``backward`` writes the parameter gradients into ``grad``, one
-flat vector in the parameters' dtype and in ``parameters()`` order (each
-layer writes straight into its slice), and returns per-parameter views of
-it. With ``accumulate=True`` it adds to what ``grad`` holds instead, which
-sums the gradients of several passes through shared parameters.
-``Adam.step(params, net.grad)`` takes that vector whole, with no gather.
+Gradients. ``backward`` writes the parameter gradients into ``grad``, a
+flat vector laid out as ``params`` (each layer writes straight into its
+slice), and returns per-parameter views of it. With ``accumulate=True`` it
+adds to what ``grad`` holds instead, which sums the gradients of several
+passes through shared parameters. ``Adam.step(net.params, net.grad)`` takes
+both vectors whole, with no gather and no scatter.
 """
 
 from __future__ import annotations
@@ -41,16 +48,16 @@ EVAL_BLOCK = 4096
 class Tape:
     """One train-mode forward: its layer caches and the workspace they live in."""
 
-    __slots__ = ("key", "workspace", "caches")
+    __slots__ = ("rows", "workspace", "caches")
 
-    def __init__(self, key, workspace: list[dict], caches: list):
-        self.key = key
+    def __init__(self, rows: int, workspace: list[dict], caches: list):
+        self.rows = rows
         self.workspace = workspace
         self.caches = caches
 
 
 class Network:
-    def __init__(self, layers: list[Layer], mode: str = "train"):
+    def __init__(self, layers: list[Layer], mode: str = "train", dtype=None):
         if not layers:
             raise ConfigError("network needs at least one layer")
         for first, second in zip(layers, layers[1:]):
@@ -64,13 +71,26 @@ class Network:
         self.layers = list(layers)
         self.mode = mode
         self._tape: Tape | None = None
-        # free workspaces by (rows, dtype)
+        # free workspaces by batch rows
         self._pool: dict[tuple, list[list[dict]]] = {}
-        # the flat parameter gradient, a second one to accumulate through, and
-        # each one's per-layer lists of views; made by the first backward
-        self.grad: np.ndarray | None = None
-        self.grads: list[np.ndarray] = []
-        self._layer_grads: list[list[np.ndarray]] = []
+        params = self.parameters()
+        if dtype is None:
+            dtype = params[0].dtype if params else np.float64
+        self.dtype = np.dtype(dtype)
+        size = sum(p.size for p in params)
+        self.params = np.empty(size, self.dtype)
+        for layer, views in zip(self.layers, self._views(self.params)):
+            for name, view in zip(layer.param_names, views):
+                view[...] = getattr(layer, name)
+                setattr(layer, name, view)
+            for name in layer.stat_names:
+                setattr(layer, name, getattr(layer, name).astype(self.dtype))
+        # the flat parameter gradient and its per-layer lists of views; a
+        # second one to accumulate through is made by the first backward
+        # that accumulates
+        self.grad = np.zeros(size, self.dtype)
+        self._layer_grads = self._views(self.grad)
+        self.grads = [g for views in self._layer_grads for g in views]
         self._extra: np.ndarray | None = None
         self._extra_grads: list[list[np.ndarray]] = []
 
@@ -95,14 +115,6 @@ class Network:
     def parameters(self) -> list[np.ndarray]:
         return [p for layer in self.layers for p in layer.params()]
 
-    @property
-    def dtype(self) -> np.dtype:
-        """The compute dtype: that of the first parameter, float64 if none."""
-        for layer in self.layers:
-            for p in layer.params():
-                return p.dtype
-        return np.dtype(np.float64)
-
     def forward(self, x, check: bool = True) -> np.ndarray:
         """Run the stack. Train mode stores a tape; eval mode mutates nothing.
 
@@ -119,22 +131,20 @@ class Network:
         pass in the last bits. Train mode cannot block: BatchNorm normalizes
         over the whole batch.
         """
-        dtype = self.dtype
         if check:
-            x = check_batch(x, self.in_dim, "forward", dtype)
+            x = check_batch(x, self.in_dim, "forward", self.dtype)
         else:
-            x = np.asarray(x, dtype=dtype)
+            x = np.asarray(x, dtype=self.dtype)
         if self.mode == "train":
             if self._tape is not None:
                 self._release(self._tape)
-            key = (x.shape[0], dtype)
-            free = self._pool.get(key)
+            free = self._pool.get(x.shape[0])
             workspace = free.pop() if free else [{} for _ in self.layers]
             caches = []
             for layer, ws in zip(self.layers, workspace):
                 x, cache = layer.forward(x, True, ws)
                 caches.append(cache)
-            self._tape = Tape(key, workspace, caches)
+            self._tape = Tape(x.shape[0], workspace, caches)
             return x.copy()
         out = np.empty((x.shape[0], self.out_dim), dtype=x.dtype)
         for start in range(0, x.shape[0], EVAL_BLOCK):
@@ -155,9 +165,10 @@ class Network:
     def _release(self, tape: Tape):
         """Return a tape's workspace to the pool; the tape is spent."""
         tape.caches = None
-        self._pool.setdefault(tape.key, []).append(tape.workspace)
+        self._pool.setdefault(tape.rows, []).append(tape.workspace)
 
-    def _grad_views(self, flat: np.ndarray) -> list[list[np.ndarray]]:
+    def _views(self, flat: np.ndarray) -> list[list[np.ndarray]]:
+        """Per-layer views of a vector laid out as ``params``."""
         views, pos = [], 0
         for layer in self.layers:
             views.append([])
@@ -195,23 +206,17 @@ class Network:
         top = len(self.layers) - 1 - skip_last
         if skip_last and self.layers[-1].params():
             raise ConfigError("skip_last needs a last layer without parameters")
-        dtype = self.dtype
-        grad_out = np.asarray(grad_out, dtype=dtype)
-        if grad_out.shape != (tape.key[0], self.layers[top].out_dim):
+        grad_out = np.asarray(grad_out, dtype=self.dtype)
+        if grad_out.shape != (tape.rows, self.layers[top].out_dim):
             raise ShapeError(
                 f"upstream gradient shape {grad_out.shape} does not match the forward "
-                f"pass's {(tape.key[0], self.layers[top].out_dim)}"
+                f"pass's {(tape.rows, self.layers[top].out_dim)}"
             )
         layer_grads = [None] * len(self.layers)
         if param_grad:
-            if self.grad is None or self.grad.dtype != dtype:
-                self.grad = np.zeros(sum(p.size for p in self.parameters()), dtype)
-                self._layer_grads = self._grad_views(self.grad)
-                self.grads = [g for views in self._layer_grads for g in views]
-                self._extra = None
             if accumulate and self._extra is None:
                 self._extra = np.empty_like(self.grad)
-                self._extra_grads = self._grad_views(self._extra)
+                self._extra_grads = self._views(self._extra)
             layer_grads = self._extra_grads if accumulate else self._layer_grads
         train = self.mode == "train"
         grad = grad_out

@@ -312,26 +312,16 @@ class ClassifierModel:
         self.class_ids = [int(c) for c in class_ids]
 
 
-def _float32(net: Network) -> Network:
-    """Narrow every array a layer holds to float32, so the network computes
-    in float32."""
-    for layer in net.layers:
-        for name, value in list(vars(layer).items()):
-            if isinstance(value, np.ndarray):
-                setattr(layer, name, value.astype(np.float32))
-    return net
-
-
 def build_classifier(input_dim: int, class_ids: list[int], config: ClassifierConfig,
                      rng: np.random.Generator) -> ClassifierModel:
-    """Draw the weights in float64 from ``rng``, then narrow them to float32."""
+    """Draw the weights in float64 from ``rng``; the network holds them in float32."""
     layers = []
     prev = input_dim
     for width in config.hidden:
         layers += [Dense(prev, width, rng), ReLU(width)]
         prev = width
     layers += [Dense(prev, len(class_ids), rng), Softmax(len(class_ids))]
-    return ClassifierModel(_float32(Network(layers)), class_ids)
+    return ClassifierModel(Network(layers, dtype=np.float32), class_ids)
 
 
 def train_classifier(data: Dataset, config: ClassifierConfig) -> tuple[ClassifierModel, list[float]]:
@@ -355,8 +345,7 @@ def train_classifier(data: Dataset, config: ClassifierConfig) -> tuple[Classifie
     # a Dataset names every label it holds, so each label has a column
     targets[np.arange(data.n_rows), np.searchsorted(class_ids, data.labels)] = 1.0
 
-    params = net.parameters()
-    optimizer = Adam(params, lr=config.lr)
+    optimizer = Adam(net.params, lr=config.lr)
     # each epoch's shuffled copy, rewritten in place; batches are row slices
     shuffled_x = np.empty(features.shape, features.dtype)
     shuffled_t = np.empty(targets.shape, targets.dtype)
@@ -379,7 +368,7 @@ def train_classifier(data: Dataset, config: ClassifierConfig) -> tuple[Classifie
                     f"classifier loss became non-finite at epoch {epoch + 1}",
                     epoch=epoch + 1)
             net.backward(grad, input_grad=False, skip_last=True)
-            optimizer.step(params, net.grad)
+            optimizer.step(net.params, net.grad)
             losses.append(loss)
         epoch_loss = float(np.mean(losses))
         history.append(epoch_loss)
@@ -408,8 +397,8 @@ def save_classifier(path, model: ClassifierModel):
 
 
 def load_classifier(path) -> ClassifierModel:
-    meta, (net,), _ = read_record(path, CLASSIFIER_MAGIC, n_networks=1)
-    return ClassifierModel(_float32(net), meta["class_ids"])
+    meta, (net,), _ = read_record(path, CLASSIFIER_MAGIC, n_networks=1, dtype=np.float32)
+    return ClassifierModel(net, meta["class_ids"])
 
 
 # Every file of a run directory, relative to it, by the command that writes
@@ -544,10 +533,12 @@ def read_metrics(run_dir) -> tuple[evalreport.MetricsReport, dict[int, str]]:
 
 def _read_only(value):
     """``value`` with every array it holds marked read-only: its own, its
-    attributes' and, for a model, its networks' layers'."""
+    attributes' and, for a model, its networks' parameter vectors and
+    layers' (views of that vector included)."""
     if isinstance(value, np.ndarray):
         value.flags.writeable = False
     elif isinstance(value, Network):
+        _read_only(value.params)
         for layer in value.layers:
             _read_only(layer)
     elif hasattr(value, "__dict__"):

@@ -8,6 +8,7 @@ contrastive term on the encoder outputs; the trained encoder supplies the
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -54,8 +55,10 @@ class SanConfig:
             raise ConfigError("pairs_per_epoch must be at least 2")
         if not 0.0 <= self.dissimilar_fraction <= 1.0:
             raise ConfigError("dissimilar_fraction must lie in [0, 1]")
-        if self.margin <= 0.0:
-            raise ConfigError("margin must be positive")
+        if not (math.isfinite(self.margin) and self.margin > 0.0):
+            raise ConfigError(f"margin must be finite and positive, got {self.margin}")
+        if not (math.isfinite(self.alpha) and self.alpha >= 0.0):
+            raise ConfigError(f"alpha must be finite and at least 0, got {self.alpha}")
         if not self.lr > 0.0:
             raise ConfigError(f"SAN learning rate must be positive, got {self.lr}")
 
@@ -229,10 +232,9 @@ def train_san(features, labels, config: SanConfig) -> tuple[SanModel, list[float
     if config.epochs == 0:
         return model.eval(), []
 
-    enc_params = model.encoder.parameters()
-    dec_params = model.decoder.parameters()
-    opt_enc = Adam(enc_params, lr=config.lr)
-    opt_dec = Adam(dec_params, lr=config.lr)
+    enc, dec = model.encoder, model.decoder
+    opt_enc = Adam(enc.params, lr=config.lr)
+    opt_dec = Adam(dec.params, lr=config.lr)
     history = []
     for epoch in range(config.epochs):
         pairs = sample_pairs(features, labels, config.pairs_per_epoch,
@@ -249,8 +251,8 @@ def train_san(features, labels, config: SanConfig) -> tuple[SanModel, list[float
                     f"siamese autoencoder loss became non-finite at epoch {epoch + 1}",
                     epoch=epoch + 1,
                 )
-            opt_enc.step(enc_params, model.encoder.grad)
-            opt_dec.step(dec_params, model.decoder.grad)
+            opt_enc.step(enc.params, enc.grad)
+            opt_dec.step(dec.params, dec.grad)
             losses.append(loss)
         history.append(float(np.mean(losses)))
     return model.eval(), history

@@ -163,9 +163,8 @@ def train_scgan(class_data, class_id, san_model: SanModel,
     feature_dim = model.feature_dim
     real_rows = np.concatenate([data, encode(san_model, data)], axis=1)
     gen, disc = model.generator, model.discriminator
-    gen_params, disc_params = gen.parameters(), disc.parameters()
-    opt_g = Adam(gen_params, lr=config.lr)
-    opt_d = Adam(disc_params, lr=config.lr)
+    opt_g = Adam(gen.params, lr=config.lr)
+    opt_d = Adam(disc.params, lr=config.lr)
     buffers: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     steps = 0
     for epoch in range(config.epochs):
@@ -195,7 +194,7 @@ def train_scgan(class_data, class_id, san_model: SanModel,
             d_loss, _ = adversarial_losses(d_real, d_fake)
             disc.backward(np.concatenate(discriminator_score_grads(d_real, d_fake)),
                           input_grad=False)
-            opt_d.step(disc_params, disc.grad)
+            opt_d.step(disc.params, disc.grad)
             if observer is not None:
                 observer("d-updated", model)
 
@@ -204,7 +203,7 @@ def train_scgan(class_data, class_id, san_model: SanModel,
             _, g_loss = adversarial_losses(d_real, d_fake2)
             grad_disc_in, _ = disc.backward(generator_score_grad(d_fake2), param_grad=False)
             gen.backward(grad_disc_in[:, :feature_dim], tape_gen, input_grad=False)
-            opt_g.step(gen_params, gen.grad)
+            opt_g.step(gen.params, gen.grad)
             if observer is not None:
                 observer("g-updated", model)
 

@@ -70,6 +70,18 @@ class TestConfigHandling:
             assert f"{stage} learning rate must be positive" in capsys.readouterr().err
             assert not (tmp_path / "r").exists(), flag
 
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--rare-min-ir", "nan", "rare_min_ir"), ("--scarce-min-ir", "nan", "scarce_min_ir"),
+        ("--san-margin", "nan", "margin"), ("--san-margin", "inf", "margin"),
+        ("--san-alpha", "nan", "alpha"), ("--san-alpha", "-1", "alpha")])
+    def test_nan_and_out_of_range_model_floats_fail_before_any_work(
+            self, bench_csv, tmp_path, capsys, flag, value, field):
+        code = main(["run-all", "--dataset", str(bench_csv), "--method", "s2cgan",
+                     "--out", str(tmp_path / "r"), *FAST_FLAGS, flag, value])
+        assert code == 2
+        assert f"{field} must be" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         config = tmp_path / "cfg.txt"
         config.write_text("not_a_key = 1\n")
@@ -629,12 +641,14 @@ class TestRun:
 
     def test_inputs_are_kept_read_only_until_a_write_replaces_them(self, bench_csv, tmp_path):
         out = tmp_path / "run"
-        assert run_all(bench_csv, out, method="ros") == 0
+        assert run_all(bench_csv, out, method="s2cgan") == 0
         run = pipeline.Run(out, RunConfig(scarce_min_ir=5, rare_min_ir=30))
         train, augmented = run.split("train"), run.augmented()
         assert run.split("train") is train and run.augmented() is augmented
+        # a layer's arrays are views of its network's flat vector; both are read-only
         for array in (train.features, train.labels, augmented.features,
-                      run.classifier().net.layers[0].weights):
+                      run.classifier().net.layers[0].weights, run.classifier().net.params,
+                      run.san().encoder.params):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] += 1
         run.save(augmented=pipeline.top_up(train, train.class_counts(), None))

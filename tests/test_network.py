@@ -293,12 +293,7 @@ def _build_stack(spec, seed, dtype):
         prev = width
     if softmax:
         layers.append(Softmax(prev))
-    net = Network(layers)
-    for layer in net.layers:
-        for name, value in list(vars(layer).items()):
-            if isinstance(value, np.ndarray):
-                setattr(layer, name, value.astype(dtype))
-    return net
+    return Network(layers, dtype=dtype)
 
 
 @settings(max_examples=60, deadline=None)

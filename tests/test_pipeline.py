@@ -1,12 +1,17 @@
 from pathlib import Path
 
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from idsaug import dataio, leveling, pipeline, san, scgan, synthbench
 from idsaug.cli import RunConfig
 from idsaug.dataio import Dataset
-from idsaug.errors import ConfigError, DataError, FormatError, InputDataError, PipelineError
+from idsaug.errors import (ConfigError, DataError, FormatError, InputDataError, PipelineError,
+                           PolicyError)
 from idsaug.nncore import Adam, Network, Softmax
 from idsaug.nncore.checkpoint import read_record, write_record
 from idsaug.san import SanConfig
@@ -423,3 +428,102 @@ class TestSaveLoadRun:
         augmented_a = pipeline.synthesize_augmented(train, config, models)
         augmented_b = pipeline.synthesize_augmented(train, config, loaded)
         assert np.array_equal(augmented_a.dataset.features, augmented_b.dataset.features)
+
+
+def _assemblies(train: Dataset, targets: dict[int, int], part, k: int):
+    """Each method's augmented set of ``train``, by method; s2cgan's
+    generators are untrained, and its filter accepts every candidate."""
+    rng = np.random.default_rng(0)
+    config = pipeline.AugmentConfig(filter_policy=FilterPolicy(eta=0.0), skn=SknConfig(k=k))
+    san_model = san.build_san(train.n_features, SanConfig(code_dim=2, hidden_dims=(3,)),
+                              rng).eval()
+    gan_config = ScganConfig(noise_dim=2, gen_hidden=(3,), disc_hidden=(3,))
+    models = pipeline.AugmentationModels(part, targets, san_model, {})
+    for c in part.classes_at(leveling.SCARCE):
+        gan = models.scgan_models[c] = scgan.build_scgan(train.n_features, 2, gan_config, rng,
+                                                         class_id=c).eval()
+        gan.trained = True
+    return models, {
+        "baseline": pipeline.top_up(train, train.class_counts(), None),
+        "ros": pipeline.augment_ros(train, targets, 1),
+        "smote": pipeline.augment_smote(train, targets, SknConfig(k=k), 1),
+        "s2cgan": pipeline.synthesize_augmented(train, config, models),
+    }
+
+
+count_profiles = st.lists(st.integers(1, 40), min_size=1, max_size=8)
+threshold_draws = st.builds(
+    lambda mode, scarce, factor: leveling.LevelThresholds(scarce, scarce * factor, mode),
+    st.sampled_from(["fixed", "auto-gap"]), st.floats(0.5, 40.0), st.floats(1.01, 40.0))
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@settings(max_examples=80, deadline=None)
+@given(count_profiles, threshold_draws, st.integers(1, 6), st.integers(0, 2**31))
+@example([1, 1, 1], leveling.LevelThresholds(5.0, 30.0), 3, 0)           # all ample
+@example([40, 1, 1, 2], leveling.LevelThresholds(5.0, 30.0), 3, 0)       # rare singletons
+@example([10, 5], leveling.LevelThresholds(0.5, 3.0), 3, 0)              # no ample class
+@example([40, 1], leveling.LevelThresholds(5.0, 30.0), 3, 0)             # rare, no scarce
+@example([40, 6, 3], leveling.LevelThresholds(5.0, 10.0), 5, 0)          # k above size - 1
+@example([40, 30, 6, 1], leveling.LevelThresholds(mode="auto-gap"), 2, 0)
+def test_every_assembly_reaches_its_targets_and_keeps_the_split(counts, thresholds, k, seed):
+    rng = np.random.default_rng(seed)
+    labels = rng.permutation(np.repeat(np.arange(len(counts)), counts))
+    train = Dataset(rng.random((labels.size, 3)), labels,
+                    {c: f"class_{c}" for c in range(len(counts))})
+    n = train.n_rows
+    # the majority's ratio is 1, so only a fixed scarce boundary at or below 1
+    # leaves no class ample
+    if thresholds.mode == "fixed" and thresholds.scarce_min_ir <= 1.0:
+        with pytest.raises(PolicyError):
+            pipeline.level_counts(train.class_counts(), thresholds)
+        return
+    counts, part, targets = pipeline.level_counts(train.class_counts(), thresholds)
+    models, assemblies = _assemblies(train, targets, part, k)
+    for method, augmented in assemblies.items():
+        want = counts if method == "baseline" else targets
+        data = augmented.dataset
+        assert augmented.after_counts == data.class_counts() == want, method
+        assert augmented.before_counts == counts
+        # the training split comes first, bit for bit, and only it is original
+        assert data.features[:n].tobytes() == train.features.tobytes()
+        assert data.labels[:n].tobytes() == train.labels.tobytes()
+        original = augmented.provenance == pipeline.PROV_ORIGINAL
+        assert original[:n].all() and not original[n:].any()
+        # each class's new rows carry its method's tag and number its shortfall
+        grown = [c for c in want if want[c] > counts[c]]
+        tags = {c: {"ros": pipeline.PROV_ROS, "smote": pipeline.PROV_SKN,
+                    "s2cgan": (pipeline.PROV_SCGAN if part.levels[c] == leveling.SCARCE
+                               else pipeline.PROV_SKN)}.get(method) for c in grown}
+        added = Counter(zip(data.labels[n:].tolist(), augmented.provenance[n:].tolist()))
+        assert added == Counter({(c, tags[c]): want[c] - counts[c] for c in grown}), method
+        assert data.n_rows == n + sum(want[c] - counts[c] for c in grown)
+        # the report names exactly the topped-up classes, in top-up order: s2cgan
+        # visits scarce classes first
+        if method == "s2cgan":
+            grown.sort(key=lambda c: (part.levels[c] != leveling.SCARCE, c))
+        keys = [line.split(":")[0] for line in augmented.stage_report().splitlines()]
+        timed = [key for key in keys if not key.startswith("acceptance[")]
+        assert timed == [f"{tags[c]}[class_{c}]" for c in grown], method
+        scarce_grown = [c for c in grown if part.levels[c] == leveling.SCARCE]
+        accepted = [key for key in keys if key.startswith("acceptance[")]
+        assert accepted == ([f"acceptance[class_{c}]" for c in sorted(scarce_grown)]
+                            if method == "s2cgan" else []), method
+
+    grown = [c for c in targets if targets[c] > counts[c]]
+    if not grown:
+        return
+
+    def failing(class_id, rows, need):
+        raise RuntimeError("sampler failed")
+
+    with pytest.raises(PipelineError) as failure:
+        pipeline.top_up(train, targets, failing)
+    assert (failure.value.stage, failure.value.class_name) == ("top-up", f"class_{grown[0]}")
+    scarce_grown = [c for c in grown if part.levels[c] == leveling.SCARCE]
+    if scarce_grown:
+        models.scgan_models.clear()
+        with pytest.raises(PipelineError) as failure:
+            pipeline.synthesize_augmented(train, pipeline.AugmentConfig(), models)
+        assert failure.value.stage == "scgan-synthesis"
+        assert failure.value.class_name == f"class_{min(scarce_grown)}"
