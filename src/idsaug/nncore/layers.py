@@ -11,7 +11,10 @@ be the dtype of their parameters: no float64 constant widens a float32
 batch, and every output and gradient comes back in the input's dtype. New
 parameters are float64. ``param_names`` names a layer's parameter attributes
 and ``stat_names`` its other arrays; a ``Network`` rebinds the parameters to
-views of its flat vector and casts the others to its dtype.
+views of its flat vector and casts the others to its dtype. From then on a
+parameter is written in place: rebinding it would cut it off from the
+vector that ``Adam`` updates and a checkpoint saves, so it raises
+``StateError``.
 
 Buffers. ``forward(x, train, ws)`` writes its output and every intermediate
 into arrays it keeps in ``ws``, a dict of named buffers, and its cache holds
@@ -31,7 +34,7 @@ import math
 
 import numpy as np
 
-from ..errors import ConfigError, InputDataError, ShapeError
+from ..errors import ConfigError, InputDataError, ShapeError, StateError
 
 
 def _buffer(ws: dict, name: str, shape, dtype) -> np.ndarray:
@@ -66,12 +69,21 @@ class Layer:
     # and the other arrays a layer keeps (batchnorm's running statistics)
     param_names: tuple[str, ...] = ()
     stat_names: tuple[str, ...] = ()
+    # set by the Network whose flat vector the parameters are views of; from
+    # then on they are written in place, and rebinding one is refused
+    _owned = False
 
     def __init__(self, in_dim: int, out_dim: int):
         if in_dim < 1 or out_dim < 1:
             raise ConfigError(f"{self.kind}: dims must be positive, got {in_dim}x{out_dim}")
         self.in_dim = int(in_dim)
         self.out_dim = int(out_dim)
+
+    def __setattr__(self, name: str, value):
+        if self._owned and name in self.param_names:
+            raise StateError(f"{self.kind}.{name} is a view of its network's parameters: "
+                             f"write into it ({name}[...] = ...) instead of rebinding it")
+        object.__setattr__(self, name, value)
 
     def params(self) -> list[np.ndarray]:
         return [getattr(self, name) for name in self.param_names]
@@ -172,14 +184,15 @@ class BatchNorm(Activation):
             np.divide(1.0, inv_std, out=inv_std)
             x_hat *= inv_std
             m = self.momentum
-            self.running_mean *= 1.0 - m
+            running_mean, running_var = self.running_mean, self.running_var
+            running_mean *= 1.0 - m
             np.multiply(mean, m, out=mean)
-            self.running_mean += mean
+            running_mean += mean
             # running variance tracks the unbiased estimate
-            self.running_var *= 1.0 - m
+            running_var *= 1.0 - m
             np.multiply(var, m, out=var)
             var *= n / (n - 1.0)
-            self.running_var += var
+            running_var += var
         else:
             np.add(self.running_var, self.epsilon, out=inv_std)
             np.sqrt(inv_std, out=inv_std)

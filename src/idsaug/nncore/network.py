@@ -9,11 +9,14 @@ Parameters. The constructor copies every layer's parameters, in
 ``parameters()`` order, into one flat vector ``params`` and rebinds each
 layer's parameter attributes to views of it, so a layer computes with the
 network's own storage and an update of ``params`` is an update of every
-layer. The dtype of that vector is given at construction, or is that of the
-layers' first parameter when none is given, and never changes; the layers'
-other arrays (batchnorm's running statistics) are cast to it. A network
-computes in that dtype: ``forward`` casts its input to it and ``backward``
-its upstream gradient.
+layer. From then on the layer refuses to have a parameter attribute
+rebound (``StateError``), since a rebound array would be cut off from
+``params``; only this constructor rebinds them, even for layers another
+network held. The dtype of that vector is given at construction, or is
+that of the layers' first parameter when none is given, and never changes;
+the layers' other arrays (batchnorm's running statistics) are cast to it. A
+network computes in that dtype: ``forward`` casts its input to it and
+``backward`` its upstream gradient.
 
 Buffers. A train-mode forward writes every layer's output and cache into a
 workspace: one buffer dict per layer (see ``layers``), made for one batch
@@ -82,9 +85,10 @@ class Network:
         for layer, views in zip(self.layers, self._views(self.params)):
             for name, view in zip(layer.param_names, views):
                 view[...] = getattr(layer, name)
-                setattr(layer, name, view)
+                object.__setattr__(layer, name, view)  # past the guard of an owned layer
             for name in layer.stat_names:
                 setattr(layer, name, getattr(layer, name).astype(self.dtype))
+            layer._owned = True
         # the flat parameter gradient and its per-layer lists of views; a
         # second one to accumulate through is made by the first backward
         # that accumulates

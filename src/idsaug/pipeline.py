@@ -56,7 +56,8 @@ PROV_SKN = "skn"
 PROV_ROS = "ros"
 
 CLASSIFIER_MAGIC = b"IDSAUG-CLF-3\n"
-RUN_FORMAT = "idsaug-run-3"
+# idsaug-run-4: run-table CSV floats are written as dataio.CELL_FORMAT, not repr
+RUN_FORMAT = "idsaug-run-4"
 
 
 @dataclass

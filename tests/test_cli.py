@@ -6,7 +6,7 @@ import pytest
 
 from idsaug import dataio, pipeline, san, scgan
 from idsaug.cli import RunConfig, build_parser, build_run_config, main, parse_config_file
-from idsaug.errors import PipelineError
+from idsaug.errors import PipelineError, StateError
 from idsaug.nncore.checkpoint import read_record
 
 from test_dataio import csv_writer_oracle
@@ -289,8 +289,8 @@ class TestStageCommands:
         assert main(["preprocess", "--dataset", str(bench_csv), "--out", str(run),
                      *FAST_FLAGS]) == 0
         # idsaug-run-1 tables hold unscaled features; idsaug-run-2 splits have
-        # no provenance column
-        for version in ("idsaug-run-1", "idsaug-run-2"):
+        # no provenance column; idsaug-run-3 tables write their floats as repr
+        for version in ("idsaug-run-1", "idsaug-run-2", "idsaug-run-3"):
             (run / "format.txt").write_text(version + "\n")
             for argv in (["levels"], ["augment", "--method", "smote"], ["eval"]):
                 assert main([*argv, "--run", str(run), *FAST_FLAGS]) == 1, argv
@@ -651,6 +651,9 @@ class TestRun:
                       run.san().encoder.params):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] += 1
+        # nor can a layer's array be rebound round the read-only vector
+        with pytest.raises(StateError, match=r"dense\.weights is a view"):
+            run.classifier().net.layers[0].weights = None
         run.save(augmented=pipeline.top_up(train, train.class_counts(), None))
         assert run.split("train") is train and run.augmented() is not augmented
         run.save(split=(train, run.split("test")))

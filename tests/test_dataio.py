@@ -493,7 +493,7 @@ class TestConformAndSeal:
 
 
 def csv_writer_oracle(path, dataset, label_column="Label", provenance=None):
-    """The reference writer: one ``repr`` per cell through ``csv.writer``."""
+    """The reference writer: one ``"%.17g"`` per float cell through ``csv.writer``."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         header = list(dataset.feature_names) + [label_column]
@@ -501,16 +501,16 @@ def csv_writer_oracle(path, dataset, label_column="Label", provenance=None):
             header.append("provenance")
         writer.writerow(header)
         for i in range(dataset.n_rows):
-            row = [repr(float(v)) for v in dataset.features[i]]
+            row = ["%.17g" % float(v) for v in dataset.features[i]]
             row.append(dataset.label_names[int(dataset.labels[i])])
             if provenance is not None:
                 row.append(str(provenance[i]))
             writer.writerow(row)
 
 
-EDGE_FLOATS = [-0.0, 5e-324, 1e-05, 1e16, 0.1, 2.0 ** 53]
-TRICKY_NAMES = ["", ",", '"', "a\nb", " lead", "x", "a,b", 'say "hi"', "\r"]
-names = st.one_of(st.sampled_from(TRICKY_NAMES), st.text(st.sampled_from('ab ,"\n\r\té'),
+EDGE_FLOATS = [-0.0, 5e-324, 1e-05, 1e16, 0.1, 2.0 ** 53, 0.1 + 0.2]
+TRICKY_NAMES = ["", ",", '"', "a\nb", " lead", "x", "a,b", 'say "hi"', "\r", "%", "%s", "50%,%d"]
+names = st.one_of(st.sampled_from(TRICKY_NAMES), st.text(st.sampled_from('ab ,"\n\r\té%s'),
                                                           max_size=4))
 finite = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
 any_float = st.one_of(finite, st.sampled_from([np.nan, np.inf, -np.inf]))
@@ -590,6 +590,20 @@ class TestVectorisedWriter:
         assert data == (tmp_path / "old.csv").read_bytes()
         assert digest == hashlib.sha256(data).hexdigest()
 
+    def test_edge_floats_have_their_pinned_text(self, tmp_path):
+        # 17 significant digits, no fewer: "%.16g" would write 0.1 + 0.2 as
+        # 0.3, which reads back as another float
+        pinned = ["-0", "4.9406564584124654e-324", "1.0000000000000001e-05",
+                  "10000000000000000", "0.10000000000000001", "9007199254740992",
+                  "0.30000000000000004", "nan", "inf", "-inf"]
+        values = EDGE_FLOATS + [np.nan, np.inf, -np.inf]
+        dataset = dataio.Dataset(np.array([values]), [0], {0: "a"})
+        dataio.save_dataset(tmp_path / "t.csv", dataset)
+        cells = (tmp_path / "t.csv").read_text().splitlines()[1].split(",")
+        assert cells == pinned + ["a"]
+        read_back = np.array([float(c) for c in pinned[:len(EDGE_FLOATS)]])
+        assert read_back.tobytes() == np.array(EDGE_FLOATS).tobytes()
+
     def test_lone_empty_field_is_quoted_like_csv_writer(self, tmp_path):
         dataset = dataio.Dataset(np.zeros((2, 0)), [0, 1], {0: "", 1: "a"})
         dataio.save_dataset(tmp_path / "new.csv", dataset, label_column="")
@@ -651,7 +665,9 @@ class TestTableCompanion:
         dataio.save_table(csv_path, dataset)
         text, blob = csv_path.read_text(), tbl.read_bytes()
         if change == "edit_csv":
-            csv_path.write_text(text.replace(repr(float(dataset.features[0, 0])), "7.5", 1))
+            edited = text.replace(dataio.CELL_FORMAT % dataset.features[0, 0], "7.5", 1)
+            assert edited != text
+            csv_path.write_text(edited)
         elif change == "truncate_csv":
             csv_path.write_text("".join(text.splitlines(keepends=True)[:-1]))
         elif change == "append_csv":
@@ -756,7 +772,10 @@ class TestCopiedLines:
         prefix = dataio.load_table(tmp_path / "split.csv")
         lines = (tmp_path / "split.csv").read_bytes().split(b"\r\n")
         if change == "edit_row":
-            lines[2] = lines[2].replace(repr(float(split.features[1, 0])).encode(), b"0.5", 1)
+            edited = lines[2].replace((dataio.CELL_FORMAT % split.features[1, 0]).encode(),
+                                      b"0.5", 1)
+            assert edited != lines[2]
+            lines[2] = edited
         elif change == "append_row":
             lines.insert(-1, lines[1])
         elif change == "drop_row":

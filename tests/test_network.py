@@ -182,11 +182,27 @@ def test_checkpoint_rejects_truncation(tmp_path):
 def test_checkpoint_rejects_an_array_of_the_wrong_shape(tmp_path, index, name):
     net = _full_zoo_network(np.random.default_rng(11))
     layer = net.layers[index]
-    setattr(layer, name, np.zeros(layer.out_dim + 1))
+    # through the instance dict: a network's layer refuses a rebound parameter
+    vars(layer)[name] = np.zeros(layer.out_dim + 1)
     path = tmp_path / "net.ckpt"
     save_network(path, net)
     with pytest.raises(FormatError, match=f"{layer.kind} {name} shape"):
         load_network(path)
+
+
+def test_a_rebound_parameter_is_refused():
+    net = _full_zoo_network(np.random.default_rng(12))
+    before = net.params.copy()
+    for layer in net.layers:
+        for name in layer.param_names:
+            with pytest.raises(StateError, match=rf"{layer.kind}\.{name} is a view"):
+                setattr(layer, name, np.zeros_like(getattr(layer, name)))
+    assert np.array_equal(net.params, before)
+    assert all(np.shares_memory(p, net.params) for p in net.parameters())
+    net.layers[0].bias[...] = 7.0  # written in place, a parameter stays the network's
+    assert not np.array_equal(net.params, before)
+    # a layer's other arrays are not in the flat vector and may be rebound
+    net.layers[1].running_var = np.full(net.layers[1].out_dim, 2.0)
 
 
 def test_unserializable_layer_leaves_no_file(tmp_path):

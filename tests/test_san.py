@@ -145,9 +145,9 @@ class TestSanLoss:
     def test_identity_autoencoder_same_class_is_zero(self):
         rng = np.random.default_rng(3)
         enc = Network([Dense(4, 4, rng)])
-        enc.layers[0].weights = np.eye(4)
+        enc.layers[0].weights[...] = np.eye(4)
         dec = Network([Dense(4, 4, rng)])
-        dec.layers[0].weights = np.eye(4)
+        dec.layers[0].weights[...] = np.eye(4)
         model = SanModel(enc, dec, margin=1.0, alpha=1.0)
         x = rng.random((5, 4))
         batch = PairBatch(x, x.copy(), np.zeros(5))
