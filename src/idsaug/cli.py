@@ -15,7 +15,7 @@ import os
 import sys
 from dataclasses import dataclass
 
-from . import dataio, evalreport, leveling, pipeline, san, scgan, skn, synthbench
+from . import dataio, evalreport, leveling, pipeline, san, scgan, synthbench
 from .errors import ConfigError, DataError, IdsAugError, ReportError
 from .seeding import derive_seed
 
@@ -25,36 +25,29 @@ METHODS = ("baseline", "ros", "smote", "s2cgan")
 
 @dataclass
 class RunConfig:
+    """The settings the CLI takes; each default is its stage config's."""
+
     dataset: str = ""
-    label_column: str = "Label"
+    label_column: str = dataio.DEFAULT_LABEL_COLUMN
     mapping: str = "none"            # none | builtin | <path>
-    train_ratio: float = 0.8
-    stratified: bool = True
+    train_ratio: float = dataio.SplitSpec.train_ratio
     master_seed: int = 0
     out: str = ""
     method: str = "s2cgan"
-    level_mode: str = "fixed"        # fixed | auto-gap
-    scarce_min_ir: float = 100.0
-    rare_min_ir: float = 10000.0
-    san_epochs: int = 50
-    san_lr: float = 1e-3
-    san_batch: int = 64
-    san_pairs: int = 512
-    san_margin: float = 1.0
-    san_alpha: float = 1.0
-    san_dissimilar_fraction: float = 0.5
-    san_code_dim: int = 16
-    scgan_epochs: int = 300
-    scgan_lr: float = 2e-4
-    scgan_batch: int = 16
-    scgan_noise_dim: int = 16
-    eta: float = 0.45
-    max_attempt_factor: int = 50
-    skn_k: int = 5
-    clf_epochs: int = 100
-    clf_lr: float = 1e-3
-    clf_batch: int = 128
-    clf_patience: int = 0            # 0 disables early stopping
+    level_mode: str = leveling.LevelThresholds.mode  # fixed | auto-gap
+    scarce_min_ir: float = leveling.LevelThresholds.scarce_min_ir
+    rare_min_ir: float = leveling.LevelThresholds.rare_min_ir
+    san_epochs: int = san.SanConfig.epochs
+    san_lr: float = san.SanConfig.lr
+    san_pairs: int = san.SanConfig.pairs_per_epoch
+    san_margin: float = san.SanConfig.margin
+    san_alpha: float = san.SanConfig.alpha
+    scgan_epochs: int = scgan.ScganConfig.epochs
+    scgan_lr: float = scgan.ScganConfig.lr
+    eta: float = scgan.FilterPolicy.eta
+    max_attempt_factor: int = scgan.FilterPolicy.max_attempt_factor
+    clf_epochs: int = pipeline.ClassifierConfig.epochs
+    clf_lr: float = pipeline.ClassifierConfig.lr
     emit_pca: bool = False
 
     def validate(self, need_dataset: bool = False) -> "RunConfig":
@@ -74,30 +67,24 @@ class RunConfig:
         return self
 
     def split_spec(self) -> dataio.SplitSpec:
-        return dataio.SplitSpec(self.train_ratio, derive_seed(self.master_seed, "split"),
-                                self.stratified)
+        return dataio.SplitSpec(self.train_ratio, derive_seed(self.master_seed, "split"))
 
     def thresholds(self) -> leveling.LevelThresholds:
         return leveling.LevelThresholds(self.scarce_min_ir, self.rare_min_ir, self.level_mode)
 
     def classifier_config(self) -> pipeline.ClassifierConfig:
-        return pipeline.ClassifierConfig(
-            epochs=self.clf_epochs, batch_size=self.clf_batch, lr=self.clf_lr,
-            seed=derive_seed(self.master_seed, "classifier"),
-            patience=self.clf_patience or None)
+        return pipeline.ClassifierConfig(epochs=self.clf_epochs, lr=self.clf_lr,
+                                         seed=derive_seed(self.master_seed, "classifier"))
 
     def augment_config(self) -> pipeline.AugmentConfig:
         return pipeline.AugmentConfig(
             thresholds=self.thresholds(),
-            san=san.SanConfig(code_dim=self.san_code_dim, epochs=self.san_epochs,
-                              batch_size=self.san_batch, pairs_per_epoch=self.san_pairs,
-                              dissimilar_fraction=self.san_dissimilar_fraction,
+            san=san.SanConfig(epochs=self.san_epochs, pairs_per_epoch=self.san_pairs,
                               margin=self.san_margin, alpha=self.san_alpha, lr=self.san_lr),
-            scgan=scgan.ScganConfig(noise_dim=self.scgan_noise_dim, epochs=self.scgan_epochs,
-                                    batch_size=self.scgan_batch, lr=self.scgan_lr),
+            scgan=scgan.ScganConfig(epochs=self.scgan_epochs, lr=self.scgan_lr),
             filter_policy=scgan.FilterPolicy(eta=self.eta,
                                              max_attempt_factor=self.max_attempt_factor),
-            skn=skn.SknConfig(k=self.skn_k), seed=self.master_seed)
+            seed=self.master_seed)
 
     def snapshot(self) -> str:
         lines = []
@@ -296,8 +283,8 @@ def _eval(run: pipeline.Run):
         raise ReportError(f"{run.dir}: test split fingerprint changed since preprocess")
     predicted, _ = pipeline.predict(classifier, test.features)
     class_ids, names = sorted(test.label_names), test.label_names
-    report = evalreport.build_report(test.labels, predicted, class_ids)
     cm = evalreport.confusion(test.labels, predicted, class_ids)
+    report = evalreport.per_class_metrics(cm)
     pca = ((evalreport.pca2d(test.features)[0], test.labels, names) if run.config.emit_pca
            else None)
     run.save(metrics=(report, cm, names), pca=pca)

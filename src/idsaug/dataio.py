@@ -118,6 +118,7 @@ class IngestReport:
     rows_read: int = 0
     rows_kept: int = 0
     dropped: dict[str, int] = field(default_factory=dict)
+    recoded: int = 0  # rows read as cp1252, since their bytes were not UTF-8
 
     def drop(self, reason: str, count: int = 1):
         if count:
@@ -129,6 +130,8 @@ class IngestReport:
 
     def summary(self) -> str:
         lines = [f"rows read: {self.rows_read}", f"rows kept: {self.rows_kept}"]
+        if self.recoded:
+            lines.append(f"recoded (cp1252): {self.recoded}")
         for reason in sorted(self.dropped):
             lines.append(f"dropped ({reason}): {self.dropped[reason]}")
         return "\n".join(lines)
@@ -154,7 +157,6 @@ class NormalizationParams:
 class SplitSpec:
     train_ratio: float = 0.8
     seed: int = 0
-    stratified: bool = True
 
     def __post_init__(self):
         if not 0.0 < self.train_ratio < 1.0:
@@ -186,26 +188,39 @@ _BLANK_LINES = frozenset(("\n", "\r", "\r\n"))
 _PER_ROW_CHARS = ('"', "\0", "\x1c", "\x1d", "\x1e", "\x1f")
 
 
-def _undecodable(line: str) -> bool:
-    """Whether a line read with ``errors="surrogateescape"`` held a byte that
-    is not UTF-8 (now a lone surrogate). isascii is a flag check on CPython
-    strings, so a clean line costs no search."""
-    return not line.isascii() and _SURROGATE.search(line) is not None
+def _decode(line: str) -> str | None:
+    """A line read with ``errors="surrogateescape"``: the line itself when its
+    bytes are UTF-8; else those bytes (each now a lone surrogate) read as
+    cp1252, the encoding of CICIDS2017's distributed files, as a new string;
+    None when cp1252 leaves one of them undefined. isascii is a flag check
+    on CPython strings, so a clean line costs no search."""
+    if line.isascii() or _SURROGATE.search(line) is None:
+        return line
+    try:
+        return line.encode("utf-8", "surrogateescape").decode("cp1252")
+    except UnicodeDecodeError:
+        return None
 
 
 class _Lines:
-    """The lines of an iterator, counted, flagging any undecodable one."""
+    """The lines of an iterator through ``_decode``, counted, flagging a
+    recoded line and an undecodable one (which passes unchanged)."""
 
     def __init__(self, lines):
         self.lines = lines
         self.read = 0
-        self.undecodable = False
+        self.recoded = self.undecodable = False
 
     def __iter__(self):
         for line in self.lines:
             self.read += 1
-            self.undecodable = self.undecodable or _undecodable(line)
-            yield line
+            text = _decode(line)
+            if text is None:
+                self.undecodable = True
+                yield line
+            else:
+                self.recoded = self.recoded or text is not line
+                yield text
 
 
 def _line_bound(path) -> int:
@@ -253,9 +268,12 @@ class _Ingest:
         if any(c in text for c in _PER_ROW_CHARS):
             return False
         rows = [line for line in block if line not in _BLANK_LINES]
-        n_read = len(rows)
+        n_read, n_recoded = len(rows), 0
         if not text.isascii():
-            rows = [line for line in rows if not _undecodable(line)]
+            decoded = [_decode(line) for line in rows]
+            n_recoded = sum(new is not old and new is not None
+                            for new, old in zip(decoded, rows))
+            rows = [line for line in decoded if line is not None]
         n_undecodable = n_read - len(rows)
         if any(line.count(",") != self.n_fields - 1 for line in rows):
             return False
@@ -276,6 +294,7 @@ class _Ingest:
         back = self.n_fields - self.label_idx
         self.keep(features, [line.rsplit(",", back)[-back].strip() for line in rows])
         self.report.rows_read += n_read
+        self.report.recoded += n_recoded
         self.report.drop("undecodable", n_undecodable)
         self.report.drop("non_finite", n_non_finite)
         return True
@@ -291,13 +310,14 @@ class _Ingest:
         for raw in csv.reader(lines):
             if raw:
                 report.rows_read += 1
+                report.recoded += lines.recoded and not lines.undecodable
                 reason, values = self._check(raw, lines.undecodable)
                 if reason is None:
                     rows.append(values)
                     labels.append(raw[self.label_idx].strip())
                 else:
                     report.drop(reason)
-            lines.undecodable = False
+            lines.recoded = lines.undecodable = False
             if lines.read >= len(block):
                 break
         self.keep(np.array(rows, dtype=np.float64).reshape(len(rows), len(self.feature_cols)),
@@ -343,9 +363,10 @@ def load_dataset(path, label_column: str = DEFAULT_LABEL_COLUMN,
                  ignore_columns: tuple[str, ...] = ()) -> tuple[Dataset, IngestReport]:
     """Read a header-bearing CSV of numeric features plus one label column.
 
+    A line that is not UTF-8 is read as cp1252 and counted as ``recoded``.
     Rows with a wrong field count, non-numeric or non-finite feature values,
-    or a byte that is not UTF-8 in any cell (``undecodable``), are dropped
-    and counted by reason. Columns named in ``ignore_columns`` (like a
+    or a byte that neither encoding reads (``undecodable``), are dropped and
+    counted by reason. Columns named in ``ignore_columns`` (like a
     provenance column) are skipped entirely. A leading UTF-8 byte-order mark
     is skipped.
 
@@ -362,7 +383,8 @@ def load_dataset(path, label_column: str = DEFAULT_LABEL_COLUMN,
         if header is None:
             raise SchemaError(f"{path}: empty file, no header row")
         if lines.undecodable:
-            raise SchemaError(f"{path}: header row holds a byte that is not UTF-8")
+            raise SchemaError(f"{path}: header row holds a byte that is neither UTF-8 "
+                              "nor cp1252")
         names = [h.strip() for h in header]
         if label_column not in names:
             raise SchemaError(f"{path}: label column {label_column!r} not found")
@@ -612,30 +634,25 @@ def stratified_split(dataset: Dataset, spec: SplitSpec) -> tuple[Dataset, Datase
     every class stays trainable.
     """
     rng = as_generator(spec.seed)
-    if spec.stratified:
-        train_idx_parts = []
-        test_idx_parts = []
-        for class_id in sorted(dataset.label_names):
-            idx = dataset.rows_of(class_id)
-            if idx.size == 0:
-                continue
-            perm = rng.permutation(idx)
-            if idx.size == 1:
-                warnings.warn(
-                    f"class {dataset.label_names[class_id]!r} has a single sample; "
-                    "keeping it in the training split"
-                )
-                take = 1
-            else:
-                take = round_half_up(spec.train_ratio * idx.size)
-            train_idx_parts.append(perm[:take])
-            test_idx_parts.append(perm[take:])
-        train_idx = np.concatenate(train_idx_parts) if train_idx_parts else np.array([], dtype=np.int64)
-        test_idx = np.concatenate(test_idx_parts) if test_idx_parts else np.array([], dtype=np.int64)
-    else:
-        perm = rng.permutation(dataset.n_rows)
-        take = round_half_up(spec.train_ratio * dataset.n_rows)
-        train_idx, test_idx = perm[:take], perm[take:]
+    train_idx_parts = []
+    test_idx_parts = []
+    for class_id in sorted(dataset.label_names):
+        idx = dataset.rows_of(class_id)
+        if idx.size == 0:
+            continue
+        perm = rng.permutation(idx)
+        if idx.size == 1:
+            warnings.warn(
+                f"class {dataset.label_names[class_id]!r} has a single sample; "
+                "keeping it in the training split"
+            )
+            take = 1
+        else:
+            take = round_half_up(spec.train_ratio * idx.size)
+        train_idx_parts.append(perm[:take])
+        test_idx_parts.append(perm[take:])
+    train_idx = np.concatenate(train_idx_parts) if train_idx_parts else np.array([], dtype=np.int64)
+    test_idx = np.concatenate(test_idx_parts) if test_idx_parts else np.array([], dtype=np.int64)
 
     def subset(idx):
         return Dataset(dataset.features[idx], dataset.labels[idx],

@@ -73,21 +73,22 @@ def _read_str(fh: BinaryIO) -> str:
 
 
 def _write_array(fh: BinaryIO, arr: np.ndarray):
-    arr = np.asarray(arr, dtype=np.float64)
+    """``arr``'s shape, then its buffer as little-endian float64, copied only
+    when ``arr`` is not already that."""
+    arr = np.asarray(arr, dtype="<f8", order="C")
     _write_u32(fh, arr.ndim)
     for dim in arr.shape:
         _write_u32(fh, dim)
-    fh.write(np.ascontiguousarray(arr).astype("<f8").tobytes())
+    fh.write(arr)
 
 
 def _read_array(fh: BinaryIO) -> np.ndarray:
+    """The next array of ``fh``, read straight into a new array."""
     ndim = _read_u32(fh)
-    shape = tuple(_read_u32(fh) for _ in range(ndim))
-    count = int(np.prod(shape)) if shape else 1
-    raw = fh.read(8 * count)
-    if len(raw) != 8 * count:
+    arr = np.empty(tuple(_read_u32(fh) for _ in range(ndim)), dtype="<f8")
+    if fh.readinto(arr) != arr.nbytes:
         raise FormatError("truncated checkpoint: expected float64 payload")
-    return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+    return arr
 
 
 def write_network(fh: BinaryIO, net: Network):

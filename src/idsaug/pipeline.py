@@ -287,7 +287,6 @@ class ClassifierConfig:
     batch_size: int = 128
     lr: float = 1e-3
     seed: int = 0
-    patience: int | None = None
 
     def __post_init__(self):
         if not 0 <= self.epochs <= 100:
@@ -296,8 +295,6 @@ class ClassifierConfig:
             raise ConfigError("batch_size must be positive")
         if not self.lr > 0.0:
             raise ConfigError(f"classifier learning rate must be positive, got {self.lr}")
-        if self.patience is not None and self.patience < 1:
-            raise ConfigError("patience must be positive when set")
 
 
 class ClassifierModel:
@@ -351,8 +348,6 @@ def train_classifier(data: Dataset, config: ClassifierConfig) -> tuple[Classifie
     shuffled_x = np.empty(features.shape, features.dtype)
     shuffled_t = np.empty(targets.shape, targets.dtype)
     history: list[float] = []
-    best = np.inf
-    stale = 0
     for epoch in range(config.epochs):
         order = rng_train.permutation(data.n_rows)
         # a permutation is in range; "clip" writes straight into ``out``
@@ -371,16 +366,7 @@ def train_classifier(data: Dataset, config: ClassifierConfig) -> tuple[Classifie
             net.backward(grad, input_grad=False, skip_last=True)
             optimizer.step(net.params, net.grad)
             losses.append(loss)
-        epoch_loss = float(np.mean(losses))
-        history.append(epoch_loss)
-        if config.patience is not None:
-            if epoch_loss < best - 1e-9:
-                best = epoch_loss
-                stale = 0
-            else:
-                stale += 1
-                if stale >= config.patience:
-                    break
+        history.append(float(np.mean(losses)))
     model.net.eval()
     return model, history
 

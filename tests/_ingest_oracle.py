@@ -20,21 +20,26 @@ from idsaug.errors import DataError, SchemaError
 
 
 class _DecodeWatch:
-    """The lines of a text file opened with ``errors="surrogateescape"``,
-    counting those that held an undecodable byte (now a lone surrogate)."""
+    """The lines of a text file opened with ``errors="surrogateescape"``. A
+    line that held a byte that is not UTF-8 (now a lone surrogate) is read
+    as cp1252 and counted in ``recoded``; one that cp1252 cannot read either
+    passes unchanged and is counted in ``undecodable``."""
 
     _SURROGATE = re.compile("[\udc80-\udcff]")
 
     def __init__(self, fh):
         self.fh = fh
+        self.recoded = 0
         self.undecodable = 0
 
     def __iter__(self):
         for line in self.fh:
-            # isascii is a flag check on CPython strings, so clean lines cost
-            # no search
-            if not line.isascii() and self._SURROGATE.search(line):
-                self.undecodable += 1
+            if self._SURROGATE.search(line):
+                try:
+                    line = line.encode("utf-8", "surrogateescape").decode("cp1252")
+                    self.recoded += 1
+                except UnicodeDecodeError:
+                    self.undecodable += 1
             yield line
 
 
@@ -42,10 +47,11 @@ def load_dataset(path, label_column: str = DEFAULT_LABEL_COLUMN,
                  ignore_columns: tuple[str, ...] = ()) -> tuple[Dataset, IngestReport]:
     """Read a header-bearing CSV of numeric features plus one label column.
 
-    Rows with a wrong field count, non-numeric or non-finite feature values,
-    or a byte that is not UTF-8 in any cell (``undecodable``), are dropped
-    and counted by reason. Columns named in ``ignore_columns`` (like a
-    provenance column) are skipped entirely.
+    A line that is not UTF-8 is read as cp1252, and a row that holds one is
+    counted as ``recoded``. Rows with a wrong field count, non-numeric or
+    non-finite feature values, or a byte that neither encoding reads
+    (``undecodable``), are dropped and counted by reason. Columns named in
+    ``ignore_columns`` (like a provenance column) are skipped entirely.
     """
     report = IngestReport()
     with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
@@ -55,7 +61,8 @@ def load_dataset(path, label_column: str = DEFAULT_LABEL_COLUMN,
         if header is None:
             raise SchemaError(f"{path}: empty file, no header row")
         if lines.undecodable:
-            raise SchemaError(f"{path}: header row holds a byte that is not UTF-8")
+            raise SchemaError(f"{path}: header row holds a byte that is neither UTF-8 "
+                              "nor cp1252")
         names = [h.strip() for h in header]
         if label_column not in names:
             raise SchemaError(f"{path}: label column {label_column!r} not found")
@@ -65,15 +72,18 @@ def load_dataset(path, label_column: str = DEFAULT_LABEL_COLUMN,
 
         rows: list[list[float]] = []
         labels: list[str] = []
-        undecodable_seen = 0
+        # the counts up to the last record: a record that moves one holds such a line
+        recoded_seen, undecodable_seen = lines.recoded, lines.undecodable
         for raw in reader:
             if not raw:
                 continue
             report.rows_read += 1
+            recoded, recoded_seen = lines.recoded != recoded_seen, lines.recoded
             if lines.undecodable != undecodable_seen:
                 undecodable_seen = lines.undecodable
                 report.drop("undecodable")
                 continue
+            report.recoded += recoded
             if len(raw) != len(names):
                 report.drop("wrong_field_count")
                 continue

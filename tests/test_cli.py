@@ -1,14 +1,18 @@
 import fnmatch
+import json
 import os
 import re
 
+import numpy as np
 import pytest
 
 from idsaug import dataio, pipeline, san, scgan
 from idsaug.cli import RunConfig, build_parser, build_run_config, main, parse_config_file
 from idsaug.errors import PipelineError, StateError
 from idsaug.nncore.checkpoint import read_record
+from idsaug.seeding import derive_seed
 
+import cicids_reference
 from test_dataio import csv_writer_oracle
 
 
@@ -83,27 +87,29 @@ class TestConfigHandling:
         assert not (tmp_path / "r").exists()
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
+        # san_batch was a key once; an older config.txt that names it is refused
         config = tmp_path / "cfg.txt"
-        config.write_text("not_a_key = 1\n")
-        code = main(["run-all", "--config", str(config), "--out", str(tmp_path / "r")])
-        assert code == 2
-        assert "not_a_key" in capsys.readouterr().err
+        for line, key in [("not_a_key = 1", "not_a_key"), ("san_batch = 64", "san_batch")]:
+            config.write_text(line + "\n")
+            code = main(["run-all", "--config", str(config), "--out", str(tmp_path / "r")])
+            assert code == 2, key
+            assert f"unknown config key {key!r}" in capsys.readouterr().err
 
     def test_flags_override_config_file(self, tmp_path):
         config = tmp_path / "cfg.txt"
-        config.write_text("method = baseline\nmaster_seed = 4\nskn_k = 9\n")
+        config.write_text("method = baseline\nmaster_seed = 4\neta = 0.3\n")
         merged = build_run_config(parse_config_file(config),
                                   {"method": "smote", "master_seed": None})
         assert merged.method == "smote"   # flag wins
         assert merged.master_seed == 4    # file value survives
-        assert merged.skn_k == 9
+        assert merged.eta == 0.3
 
     def test_bool_and_comment_parsing(self, tmp_path):
         config = tmp_path / "cfg.txt"
-        config.write_text("# comment\nemit_pca = true\nstratified = false\n")
+        config.write_text("# comment\nemit_pca = true\ntrain_ratio = 0.7\n")
         merged = build_run_config(parse_config_file(config), {})
         assert merged.emit_pca is True
-        assert merged.stratified is False
+        assert merged.train_ratio == 0.7
 
     def test_invalid_level_mode_fails_before_any_work(self, bench_csv, tmp_path, capsys):
         code = main(["run-all", "--dataset", str(bench_csv), "--level-mode", "gap",
@@ -125,6 +131,14 @@ class TestConfigHandling:
         assert rebuilt.method == "ros"
         assert rebuilt.master_seed == 11
         assert rebuilt.eta == 0.3
+
+    def test_default_stage_configs_are_the_librarys(self):
+        # each default is stated once, in its stage config
+        config = RunConfig()
+        assert config.augment_config() == pipeline.AugmentConfig()
+        assert config.classifier_config() == pipeline.ClassifierConfig(
+            seed=derive_seed(0, "classifier"))
+        assert config.split_spec() == dataio.SplitSpec(seed=derive_seed(0, "split"))
 
 
 class TestSynthbench:
@@ -186,6 +200,32 @@ class TestRunAll:
             assert run_all(bench_csv, tmp_path / method, method=method) == 0
             assert stage_report_keys(tmp_path / method) == [f"{tag}[class_1]",
                                                             f"{tag}[class_2]"]
+
+    def test_cicids2017_shaped_file_keeps_all_eight_families(self, tmp_path):
+        # the distributed files' shape: spaced and repeated column names,
+        # cp1252 Web Attack labels, Infinity and NaN cells, and the header
+        # repeated where two day files were joined
+        counts = [120, 20, 20, 10, 5, 8, 6, 5, 5, 6, 5, 4, 3, 2, 2]
+        rng = np.random.default_rng(0)
+        lines = [b",".join(b"%d" % v for v in rng.integers(0, 1000, 78)) + b"," + label
+                 for label, n in zip(cicids_reference.RAW_LABELS, counts) for _ in range(n)]
+        flow_bytes = cicids_reference.HEADER.split(",").index("Flow Bytes/s")
+        for cell in (b"Infinity", b"NaN"):
+            cells = lines[0].split(b",")
+            cells[flow_bytes] = cell
+            lines.insert(60, b",".join(cells))
+        header = cicids_reference.HEADER.encode("ascii")
+        lines.insert(100, header)
+        path = tmp_path / "cicids.csv"
+        path.write_bytes(b"\r\n".join([header, *lines, b""]))
+        out = tmp_path / "run"
+        assert main(["run-all", "--dataset", str(path), "--mapping", "builtin",
+                     "--method", "ros", "--out", str(out), *FAST_FLAGS]) == 0
+        families = json.loads((out / "labels.json").read_text()).values()
+        assert sorted(families) == sorted(cicids_reference.CLASS_ORDER)
+        assert (out / "ingest_report.txt").read_text() == (
+            f"rows read: {sum(counts) + 3}\nrows kept: {sum(counts)}\nrecoded (cp1252): 11\n"
+            "dropped (non_finite): 2\ndropped (non_numeric): 1\n")
 
     def test_missing_dataset_flag_is_config_error(self, tmp_path):
         assert main(["run-all", "--out", str(tmp_path / "r")]) == 2

@@ -67,20 +67,52 @@ class TestLoad:
     @pytest.mark.parametrize("row, cell", [(b"3,4,A\xff\n", "label"),
                                            (b"3,4\xfe,B\n", "feature")])
     def test_row_with_an_undecodable_byte_dropped_and_counted(self, tmp_path, row, cell):
+        # a line that is not UTF-8 is read as cp1252 and counted: byte 0xFF
+        # reads as y with diaeresis, a kept label; 0xFE as thorn, in a feature
+        # cell that is then no number
         path = tmp_path / "t.csv"
         path.write_bytes(b"a,b,Label\n1,2,A\n" + row + b"5,6,B\n")
         ds, report = dataio.load_dataset(path)
+        assert (report.rows_read, report.recoded) == (3, 1)
+        if cell == "label":
+            assert ds.label_names == {0: "A", 1: "A\xff", 2: "B"}
+            assert ds.features.tolist() == [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
+            assert report.dropped == {}
+            # no label map names it, so the builtin mapping refuses it
+            with pytest.raises(MappingError, match="A\xff"):
+                dataio.map_labels(ds)
+        else:
+            assert ds.label_names == {0: "A", 1: "B"}
+            assert ds.features.tolist() == [[1.0, 2.0], [5.0, 6.0]]
+            assert report.dropped == {"non_numeric": 1}
+        assert "recoded (cp1252): 1" in report.summary()
+
+    # the five bytes that cp1252 leaves undefined, in a label or a feature
+    @pytest.mark.parametrize("row", [b"3,4,A\x81", b"3,4,A\x8d", b"3,4,\x8fA", b"3\x90,4,B",
+                                     b"3,\x9d4,B"])
+    def test_a_line_neither_utf8_nor_cp1252_is_dropped_as_undecodable(self, tmp_path, row):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"a,b,Label\n1,2,A\n" + row + b"\n5,6,B\n")
+        ds, report = dataio.load_dataset(path)
         # no replacement character makes a new class of a damaged label
-        assert ds.label_names == {0: "A", 1: "B"}, cell
+        assert ds.label_names == {0: "A", 1: "B"}
         assert ds.features.tolist() == [[1.0, 2.0], [5.0, 6.0]]
-        assert (report.rows_read, report.rows_kept) == (3, 2)
+        assert (report.rows_read, report.rows_kept, report.recoded) == (3, 2, 0)
         assert report.dropped == {"undecodable": 1}
 
     def test_undecodable_header_is_a_schema_error(self, tmp_path):
+        # 0x81 is neither UTF-8 nor defined in cp1252
         path = tmp_path / "t.csv"
-        path.write_bytes(b"a\xff,b,Label\n1,2,A\n")
-        with pytest.raises(SchemaError, match="not UTF-8"):
+        path.write_bytes(b"a\x81,b,Label\n1,2,A\n")
+        with pytest.raises(SchemaError, match="neither UTF-8 nor cp1252"):
             dataio.load_dataset(path)
+
+    def test_cp1252_header_is_read_as_cp1252(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"caf\xe9,Label\n1,A\n")
+        ds, report = dataio.load_dataset(path)
+        assert ds.feature_names == ["caf\xe9"]
+        assert (report.rows_kept, report.recoded) == (1, 0)
 
     def test_valid_non_ascii_text_is_kept(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -114,9 +146,11 @@ class TestLoad:
 CLEAN_CELLS = [b"0", b"1.5", b"-0", b" 2 ", b"\t3", b"1e-05", b".5", b"5.", b"0.1",
                b"9007199254740993", b"-7.25e+3", b"5e-324", b"0.30000000000000004"]
 DIRTY_CELLS = [b"oops", b"", b" ", b"nan", b"NaN", b"inf", b"-inf", b"Infinity", b"1e999",
-               b"1_000", b"2\x1c", b"\x1f1", b"1\xc2\x85", b"\xd9\xa1", b"1\xff", b'"4"']
+               b"1_000", b"2\x1c", b"\x1f1", b"1\xc2\x85", b"\xd9\xa1", b"1\xff", b'"4"',
+               b"1\xa0", b"\xb9", b"2\x81"]
 LABEL_CELLS = [b"x", b"y", b" x ", b"Web Attack \xe2\x80\x93 XSS", b'"a,b"', b'"q""uote"',
-               b'"two\nlines"', b"", b"BENIGN", b"A\xff", b"A\x96", b"\xe2\x80\x93"]
+               b'"two\nlines"', b"", b"BENIGN", b"A\xff", b"A\x96", b"\xe2\x80\x93",
+               b"A\x9d", b'"A\x96\nB"']
 IGNORED_CELLS = [b"original", b"scgan", b"not a number", b'"p,q"']
 
 
@@ -171,7 +205,7 @@ def ingest_outcome(load, path, **kwargs):
         return type(exc), str(exc)
     return (ds.features.dtype, ds.features.shape, ds.features.tobytes(), ds.labels.dtype,
             ds.labels.tobytes(), list(ds.label_names.items()), ds.feature_names,
-            report.rows_read, report.rows_kept, report.dropped)
+            report.rows_read, report.rows_kept, report.dropped, report.recoded)
 
 
 class TestBlockIngest:
@@ -188,15 +222,17 @@ class TestBlockIngest:
                     == ingest_outcome(oracle_load_dataset, path, ignore_columns=ignore))
 
     def test_dirty_rows_in_later_blocks_keep_the_bulk_path(self, tmp_path, monkeypatch):
-        # undecodable and non-finite rows are dropped without the per-row rules
+        # recoded, undecodable and non-finite rows take no per-row rules
         monkeypatch.setattr(dataio, "INGEST_BLOCK", 4)
         monkeypatch.setattr(dataio._Ingest, "per_row", refuse_parsing)
         path = tmp_path / "t.csv"
         path.write_bytes(b"a,b,Label\r\n" + b"1,2,x\r\n" * 5 + b"Infinity,2,x\r\n"
-                         + b"3,4,A\x96\r\n\r\n" + b"5,NaN,y\r\n" + b"6,7,y\r\n")
+                         + b"3,4,A\x96\r\n\r\n" + b"5,NaN,y\r\n" + b"6,7,y\r\n"
+                         + b"8,9,B\x81\r\n")
         ds, report = dataio.load_dataset(path)
-        assert ds.features.tolist() == [[1.0, 2.0]] * 5 + [[6.0, 7.0]]
-        assert (report.rows_read, report.rows_kept) == (9, 6)
+        assert ds.features.tolist() == [[1.0, 2.0]] * 5 + [[3.0, 4.0], [6.0, 7.0]]
+        assert ds.label_names == {0: "A\u2013", 1: "x", 2: "y"}
+        assert (report.rows_read, report.rows_kept, report.recoded) == (10, 7, 1)
         assert report.dropped == {"non_finite": 2, "undecodable": 1}
 
     def test_memory_is_bounded_by_the_output_and_one_block(self, tmp_path):
@@ -449,11 +485,6 @@ class TestSplit:
             dataio.SplitSpec(1.5)
         with pytest.raises(ConfigError):
             dataio.SplitSpec(0.0)
-
-    def test_unstratified_split_sizes(self):
-        ds = _dataset_with_counts([50, 50], seed=5)
-        train, test = dataio.stratified_split(ds, dataio.SplitSpec(0.8, seed=3, stratified=False))
-        assert train.n_rows == 80 and test.n_rows == 20
 
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.integers(2, 40), min_size=1, max_size=5),

@@ -1,4 +1,6 @@
+import hashlib
 import io
+import struct
 import tracemalloc
 
 import numpy as np
@@ -21,6 +23,7 @@ from idsaug.nncore import (
     save_network,
     write_network,
 )
+from idsaug.nncore.checkpoint import read_record, write_record
 
 from _gradcheck import fd_gradient, max_rel_err
 
@@ -223,6 +226,36 @@ def test_read_network_from_stream():
     loaded = read_network(buf)
     x = np.array([[0.3, -0.4]])
     assert np.array_equal(net.forward(x), loaded.forward(x))
+
+
+def test_a_stream_cut_inside_an_array_is_refused():
+    buf = io.BytesIO()
+    write_network(buf, Network([Dense(3, 3, np.random.default_rng(9))]))
+    with pytest.raises(FormatError, match="truncated checkpoint: expected float64 payload"):
+        read_network(io.BytesIO(buf.getvalue()[:-8]))
+
+
+def test_records_copy_no_array_on_write_and_one_on_read(tmp_path):
+    # write_record writes each array's own buffer; read_record holds the
+    # file's bytes and each array it copies out of them, nothing more
+    arr = np.random.default_rng(10).random((20_000, 50))
+    path = tmp_path / "big.rec"
+    tracemalloc.start()
+    try:
+        write_record(path, b"TEST\n", {}, arrays=[arr])
+        _, write_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        _, _, (back,) = read_record(path, b"TEST\n", n_arrays=1)
+        _, read_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert write_peak < arr.nbytes // 10
+    assert read_peak < 2 * arr.nbytes + arr.nbytes // 10
+    assert back.dtype == np.float64 and np.array_equal(back, arr)
+    # the format: magic, metadata, then the array's shape and values
+    body = (b"TEST\n" + struct.pack("<I", 2) + b"{}" + struct.pack("<3I", 2, *arr.shape)
+            + arr.astype("<f8").tobytes())
+    assert path.read_bytes() == body + hashlib.sha256(body).digest()
 
 
 def _batchnorm_generator(rng):
