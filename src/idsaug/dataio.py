@@ -31,7 +31,8 @@ from .seeding import as_generator
 DEFAULT_LABEL_COLUMN = "Label"
 ORIGINAL = "original"  # the provenance tag of a row read from the input dataset
 TABLE_MAGIC = b"IDSAUG-TABLE-2\n"
-_WRITE_ROWS = 2048  # rows formatted per write
+_WRITE_CELLS = 1 << 15  # float cells formatted per write
+_FAST_TAIL_BYTES = 128  # the longest label/provenance tail the fast path pads to
 # a run table's float cell: 17 significant digits round-trip every float64
 CELL_FORMAT = "%.17g"
 
@@ -445,6 +446,139 @@ def _check_prefix(dataset: Dataset, provenance, prefix: Table):
                         f"each tagged {ORIGINAL!r}")
 
 
+# The fast path of save_dataset: CELL_FORMAT text for the cells of a min-max
+# scaled table, +0.0, 1.0 and [1e-4, 1), computed with numpy. Each cell is
+# three little-endian 8-byte words, 24 bytes: the head (an optional comma,
+# "0." and the zeros after it, then the leading digit, right-aligned and
+# NUL-padded) and the 16 digits after the leading one, each trailing zero
+# turned to NUL as %g drops it. Removing the NULs leaves the text.
+_UNIT_LOW, _UNIT_HIGH = np.array([1e-4, 1.0]).view(np.int64)
+_POW10 = np.array([float(10 ** i) for i in range(23)])  # each one exact
+_SPLIT = float(2 ** 27 + 1)  # Veltkamp's splitter: a float64 into two 26-bit halves
+
+
+def _head_words(comma: str) -> np.ndarray:
+    """The head word at ``10 * kind + lead``: ``lead`` alone for kind 0, else
+    ``0.``, ``kind - 1`` zeros and ``lead``."""
+    heads = [comma + ("0." + "0" * (kind - 1) if kind else "") + str(lead)
+             for kind in range(5) for lead in range(10)]
+    return np.array([h.encode().rjust(8, b"\0") for h in heads], dtype="S8").view("<u8")
+
+
+_HEADS, _FIRST_HEADS = _head_words(","), _head_words("")
+_GROUPS = np.arange(10_000)
+# the four ASCII digits of each group 0000..9999, in the low half of a word
+_DIGITS4 = (np.stack([_GROUPS // 1000, _GROUPS // 100 % 10, _GROUPS // 10 % 10, _GROUPS % 10],
+                     axis=1).astype(np.uint8) + ord("0")).view("<u4").ravel().astype("<u8")
+_ZEROS4 = sum((_GROUPS % 10 ** i == 0).astype(np.intp) for i in range(1, 5))  # trailing zeros
+# the two digit words' mask at each count of trailing zeros, 0..16
+_KEEP = np.where(np.arange(16) < 16 - np.arange(17)[:, None], 0xFF, 0).astype(np.uint8).view("<u8")
+
+
+def _unit_rows(block: np.ndarray) -> np.ndarray:
+    """Which rows of ``block`` hold only ``+0.0``, ``1.0`` and cells in
+    ``[1e-4, 1)``: a non-negative float's bits order as its value does, and
+    every other float (``-0.0``, negative, NaN) falls outside the bounds."""
+    bits = block.view(np.int64)
+    return ((bits == 0) | ((bits >= _UNIT_LOW) & (bits <= _UNIT_HIGH))).all(axis=1)
+
+
+def _times_pow10(x: np.ndarray, exponent: np.ndarray):
+    """``x * 10**exponent`` exactly, as ``prod + err``: Dekker's TwoProduct,
+    exact since ``10**exponent`` is an exact float64 for ``exponent <= 22``."""
+    power = _POW10[exponent]
+    prod = x * power
+    t = _SPLIT * x
+    x_hi = t - (t - x)
+    x_lo = x - x_hi
+    t = _SPLIT * power
+    p_hi = t - (t - power)
+    p_lo = power - p_hi
+    return prod, ((x_hi * p_hi - prod) + x_hi * p_lo + x_lo * p_hi) + x_lo * p_lo
+
+
+def _unit_cells(block: np.ndarray) -> np.ndarray:
+    """``CELL_FORMAT % x`` for each cell of ``block``, a C-ordered float64
+    block of which ``_unit_rows`` holds for every row, byte for byte: a
+    ``(rows, 24 * columns)`` array of the cells' text, NUL-padded, a comma
+    before every cell but each row's first.
+
+    17 significant digits of ``x`` with decimal exponent ``k`` are the
+    integer nearest ``x * 10**(16 - k)``, ties to even, as CPython rounds.
+    That product is formed exactly, so the digits are exact. ``k`` starts
+    as ``floor(log10(x))``, which can be one off next to a power of ten; the
+    exact product says so by falling outside ``[1e16, 1e17)``. No float64 in
+    ``[1e-4, 1)`` rounds up to ``10**(k + 1)``: ``1.0`` is exact and float64
+    ``0.1``, ``0.01`` and ``0.001`` lie above the powers they stand for, so
+    every double below a power of ten is more than half a 17th digit from
+    it."""
+    rows, columns = block.shape
+    x = block.ravel()
+    zero = x == 0.0
+    x = x + zero  # formatted as 1.0, then headed "0" with its digits dropped
+    k = np.floor(np.log10(x)).astype(np.intp)
+    prod, err = _times_pow10(x, 16 - k)
+    low = (prod < 1e16) | ((prod == 1e16) & (err < 0))
+    high = (prod > 1e17) | ((prod == 1e17) & (err >= 0))
+    off = np.flatnonzero(low | high)
+    if off.size:
+        k[off] += high[off].astype(np.intp) - low[off]
+        prod[off], err[off] = _times_pow10(x[off], 16 - k[off])
+    # prod >= 1e16 > 2**53 is an even integer, so rounding err half to even
+    # rounds prod + err half to even
+    digits = prod.astype(np.int64) + np.rint(err).astype(np.int64)
+    lead = digits // 10 ** 16
+    rest = digits - lead * 10 ** 16
+    high8 = rest // 10 ** 8
+    low8 = rest - high8 * 10 ** 8
+    groups = [high8 // 10 ** 4, high8 % 10 ** 4, low8 // 10 ** 4, low8 % 10 ** 4]
+    words = np.empty((x.size, 3), "<u8")
+    head = np.where(zero, 0, lead) - 10 * k  # kind -k, 0 for "0" and "1"
+    words[:, 0] = _HEADS[head]
+    words[::columns, 0] = _FIRST_HEADS[head[::columns]]
+    words[:, 1] = _DIGITS4[groups[0]] | _DIGITS4[groups[1]] << 32
+    words[:, 2] = _DIGITS4[groups[2]] | _DIGITS4[groups[3]] << 32
+    # trailing zeros start in the last group; about a tenth of cells have any
+    ends = np.flatnonzero(groups[3] % 10 == 0)
+    if ends.size:
+        zeros = _ZEROS4[groups[3][ends]]
+        for i, full in ((2, 4), (1, 8), (0, 12)):
+            zeros += (zeros == full) * _ZEROS4[groups[i][ends]]
+        words[ends, 1:] &= _KEEP[zeros]
+    return words.view(np.uint8).reshape(rows, 24 * columns)
+
+
+def _format_rows(block: np.ndarray, codes: list[int], tails: list[str]) -> bytes:
+    """Each row of ``block`` as ``CELL_FORMAT`` cells joined by commas, then
+    ``tails[code]``, in UTF-8. A row that ``_unit_rows`` admits, whose tail
+    holds no NUL and is at most ``_FAST_TAIL_BYTES`` long (every fast row's
+    tail is padded to the longest), is formatted by ``_unit_cells``; every
+    other row is one ``%`` of its line format. Runs of each kind are joined
+    in row order."""
+    columns = block.shape[1]
+    encoded = [tail.encode("utf-8") for tail in tails]
+    narrow = np.array([len(tail) <= _FAST_TAIL_BYTES and b"\0" not in tail for tail in encoded])
+    codes = np.array(codes)
+    fast = (narrow[codes] & _unit_rows(block)) if columns else np.zeros(len(codes), bool)
+    if fast.any():
+        table = np.array([tail if ok else b"" for tail, ok in zip(encoded, narrow)])
+        buf = np.empty((int(fast.sum()), 24 * columns + table.itemsize), np.uint8)
+        buf[:, :24 * columns] = _unit_cells(block[fast])
+        buf[:, 24 * columns:] = table.view(np.uint8).reshape(len(tails), -1)[codes[fast]]
+    cells = ",".join([CELL_FORMAT] * columns)
+    formats = {c: cells + tails[c].replace("%", "%%") for c in set(codes[~fast].tolist())}
+    edges = [0, *(np.flatnonzero(fast[1:] != fast[:-1]) + 1).tolist(), len(codes)]
+    pieces, done = [], 0  # done: the fast rows joined so far
+    for start, stop in zip(edges, edges[1:]):
+        if fast[start]:
+            pieces.append(buf[done:done + stop - start].tobytes().translate(None, b"\0"))
+            done += stop - start
+        else:
+            pieces.append("".join(formats[c] % tuple(row) for row, c in zip(
+                block[start:stop].tolist(), codes[start:stop].tolist())).encode("utf-8"))
+    return b"".join(pieces)
+
+
 def save_dataset(path, dataset: Dataset, label_column: str = DEFAULT_LABEL_COLUMN,
                  provenance: np.ndarray | None = None, prefix: Table | None = None) -> str:
     """Write a dataset back to CSV with full-precision floats; returns the
@@ -454,11 +588,22 @@ def save_dataset(path, dataset: Dataset, label_column: str = DEFAULT_LABEL_COLUM
     round-trip every float64 exactly, so save followed by load reproduces
     identical values. (``write_csv``'s shortest ``repr`` does too, but its
     search for the shortest digits costs about 40% more per cell, and a run
-    table has millions of cells.) The bytes are those of a
-    ``csv.writer`` given each row's formatted floats, label and provenance:
-    a formatted float never needs quoting, so each row is one ``%`` of a
-    line format, the float cells then the label/provenance tail as
-    ``csv.writer`` writes it, made once per distinct pair.
+    table has millions of cells.) The bytes are those of a ``csv.writer``
+    given each row's formatted floats, label and provenance: a formatted
+    float never needs quoting, so a row is its cells, then the
+    label/provenance tail as ``csv.writer`` writes it, made once per
+    distinct pair.
+
+    Rows are formatted in blocks of about ``_WRITE_CELLS`` cells. A row
+    whose every cell is ``+0.0``, ``1.0`` or in ``[1e-4, 1)`` (every row of
+    a min-max scaled run table) is formatted by numpy integer arithmetic
+    (``_unit_cells``): the 17 digits are the correctly rounded integer
+    nearest ``x * 10**(16 - k)``, found from that product formed exactly,
+    so the text is the text ``%`` writes, byte for byte, at a fraction of
+    its cost. Any other row (negatives, ``-0.0``, ``(0, 1e-4)``, ``> 1``,
+    NaN, inf), and a row whose label/provenance tail holds a NUL or is
+    longer than ``_FAST_TAIL_BYTES``, is one ``%`` of a line format, as
+    before.
 
     ``prefix`` is a run table saved with every row tagged ``ORIGINAL`` (a
     split), whose rows ``dataset`` starts with under that tag: the training
@@ -475,18 +620,18 @@ def save_dataset(path, dataset: Dataset, label_column: str = DEFAULT_LABEL_COLUM
     header = list(dataset.feature_names) + [label_column]
     if provenance is not None:
         header.append("provenance")
-    cells = ",".join([CELL_FORMAT] * dataset.n_features)
     # an empty first field stands for the comma after the last float
     lead = [""] if dataset.n_features else []
-    line_formats: dict[tuple, str] = {}
+    codes: dict[tuple, int] = {}  # (label id, tag) -> its tail's index
+    tails: list[str] = []
 
-    def line_format(label_id: int, tag) -> str:
-        key = (label_id, tag)
-        if key not in line_formats:
+    def code(key: tuple) -> int:
+        if key not in codes:
+            label_id, tag = key
             fields = lead + [dataset.label_names[label_id]]
-            tail = _csv_line(fields if tag is None else fields + [tag])
-            line_formats[key] = cells + tail.replace("%", "%%")
-        return line_formats[key]
+            codes[key] = len(tails)
+            tails.append(_csv_line(fields if tag is None else fields + [tag]))
+        return codes[key]
 
     digest = hashlib.sha256()
     with atomic_file(path, "wb") as fh:
@@ -499,14 +644,14 @@ def save_dataset(path, dataset: Dataset, label_column: str = DEFAULT_LABEL_COLUM
         elif _file_sha256(prefix.csv_path, emit) != prefix.csv_sha256:
             raise FormatError(f"{prefix.csv_path} no longer matches the fingerprint in its "
                               ".tbl record")
-        for start in range(0 if prefix is None else prefix.n_rows, dataset.n_rows, _WRITE_ROWS):
-            stop = start + _WRITE_ROWS
+        block_rows = max(1, _WRITE_CELLS // max(1, dataset.n_features))
+        for start in range(0 if prefix is None else prefix.n_rows, dataset.n_rows, block_rows):
+            stop = start + block_rows
             labels = dataset.labels[start:stop].tolist()
             tags = ([None] * len(labels) if provenance is None
                     else [str(p) for p in provenance[start:stop]])
-            emit("".join(line_format(label, tag) % tuple(row) for row, label, tag
-                         in zip(dataset.features[start:stop].tolist(), labels, tags)
-                         ).encode("utf-8"))
+            emit(_format_rows(np.ascontiguousarray(dataset.features[start:stop]),
+                              [code(key) for key in zip(labels, tags)], tails))
     return digest.hexdigest()
 
 

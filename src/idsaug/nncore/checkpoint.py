@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
-import io
 import json
+import math
 import os
 import struct
 from typing import BinaryIO
@@ -82,10 +82,22 @@ def _write_array(fh: BinaryIO, arr: np.ndarray):
     fh.write(arr)
 
 
+def _check_fits(fh: BinaryIO, floats: int, what: str):
+    """Refuses ``floats`` float64 values that ``fh``, a record being read
+    (``_HashingReader``), has fewer bytes left for, before anything that
+    size is allocated. A plain stream is not checked."""
+    left = getattr(fh, "left", None)
+    if left is not None and 8 * floats > left:
+        raise FormatError(f"truncated checkpoint: {what} needs {8 * floats} bytes, "
+                          f"{left} left")
+
+
 def _read_array(fh: BinaryIO) -> np.ndarray:
     """The next array of ``fh``, read straight into a new array."""
     ndim = _read_u32(fh)
-    arr = np.empty(tuple(_read_u32(fh) for _ in range(ndim)), dtype="<f8")
+    shape = tuple(_read_u32(fh) for _ in range(ndim))
+    _check_fits(fh, math.prod(shape), f"an array of shape {shape}")
+    arr = np.empty(shape, dtype="<f8")
     if fh.readinto(arr) != arr.nbytes:
         raise FormatError("truncated checkpoint: expected float64 payload")
     return arr
@@ -114,6 +126,9 @@ def read_network(fh: BinaryIO, dtype=None) -> Network:
             kind = layer_spec["kind"]
             if kind not in LAYER_SETTINGS:
                 raise FormatError(f"unknown layer kind {kind!r} in checkpoint")
+            if LAYER_KINDS[kind].param_names:
+                # a dense layer's weights, a norm layer's scale
+                _check_fits(fh, math.prod(layer_spec["dims"]), f"a {kind} layer")
             layers.append(LAYER_KINDS[kind](*layer_spec["dims"], **{
                 name: layer_spec[name] for name in LAYER_SETTINGS[kind]}))
         mode = spec["mode"]
@@ -162,6 +177,39 @@ class _HashingWriter:
         self.fh.write(data)
 
 
+class _HashingReader:
+    """A record file read after its magic line: the next ``left`` bytes,
+    hashed (after the magic) as they are read, then the sha256 they end
+    with."""
+
+    def __init__(self, fh: BinaryIO, magic: bytes, left: int):
+        self.fh = fh
+        self.left = max(0, left)
+        self.digest = hashlib.sha256(magic)
+
+    def read(self, size: int) -> bytes:
+        data = self.fh.read(min(size, self.left))
+        self.left -= len(data)
+        self.digest.update(data)
+        return data
+
+    def readinto(self, buf) -> int:
+        view = memoryview(buf)
+        if not view.nbytes:  # cast refuses a shape with a zero in it
+            return 0
+        view = view.cast("B")[:self.left]
+        n = self.fh.readinto(view)
+        self.left -= n
+        self.digest.update(view[:n])
+        return n
+
+    def intact(self) -> bool:
+        """Hashes the bytes not read yet; whether the sha256 after them matches."""
+        while self.left and self.read(1 << 20):
+            pass
+        return self.fh.read() == self.digest.digest()
+
+
 @contextlib.contextmanager
 def atomic_file(path, mode: str = "w", **kwargs):
     """Open a temporary file beside ``path`` for writing and move it onto
@@ -195,20 +243,31 @@ def read_record(path, magic: bytes, n_networks: int = 0, n_arrays: int = 0,
                 dtype=None) -> tuple[dict, list[Network], list[np.ndarray]]:
     """Read a record file, its networks in ``dtype`` (float64 when None); a
     FormatError means it is not one whole, unaltered record of this kind and
-    format."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if not data.startswith(magic):
-        kind = magic.decode("ascii").strip()
-        raise FormatError(f"{path}: bad checkpoint magic, expected {kind}")
-    size = len(data) - hashlib.sha256().digest_size
-    if size < len(magic) or hashlib.sha256(memoryview(data)[:size]).digest() != data[size:]:
-        raise FormatError(f"{path}: record checksum mismatch")
-    fh = io.BytesIO(data)
-    fh.seek(len(magic))
-    metadata = read_metadata(fh)
-    networks = [read_network(fh, dtype) for _ in range(n_networks)]
-    arrays = [_read_array(fh) for _ in range(n_arrays)]
-    if fh.tell() != size:
+    format.
+
+    The file is hashed as it is parsed, each array as ``readinto`` fills it,
+    so reading holds the arrays and not also the file's bytes; the digest
+    is compared before anything is returned. A parse that fails first
+    hashes the rest of the file, so an altered record is refused as one
+    whatever the alteration broke."""
+    with open(path, "rb") as raw:
+        if raw.read(len(magic)) != magic:
+            kind = magic.decode("ascii").strip()
+            raise FormatError(f"{path}: bad checkpoint magic, expected {kind}")
+        size = os.fstat(raw.fileno()).st_size - hashlib.sha256().digest_size
+        fh = _HashingReader(raw, magic, size - len(magic))
+        mismatch = FormatError(f"{path}: record checksum mismatch")
+        try:
+            metadata = read_metadata(fh)
+            networks = [read_network(fh, dtype) for _ in range(n_networks)]
+            arrays = [_read_array(fh) for _ in range(n_arrays)]
+        except Exception as exc:  # whatever the parse hit, an altered file is refused as one
+            if not fh.intact():
+                raise mismatch from exc
+            raise
+        unread = fh.left
+        if not fh.intact():
+            raise mismatch
+    if unread:
         raise FormatError(f"{path}: record length does not match its contents")
     return metadata, networks, arrays

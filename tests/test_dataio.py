@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from idsaug import dataio
@@ -610,7 +610,7 @@ class TestVectorisedWriter:
 
     @pytest.mark.parametrize("extra", [None, -1, 0, 1])
     def test_chunk_boundaries(self, tmp_path, extra):
-        n = 0 if extra is None else dataio._WRITE_ROWS + extra
+        n = 0 if extra is None else dataio._WRITE_CELLS // 3 + extra
         rng = np.random.default_rng(n)
         dataset = dataio.Dataset(rng.standard_normal((n, 3)), rng.integers(0, 2, n),
                                  {0: "a,b", 1: ""})
@@ -639,6 +639,134 @@ class TestVectorisedWriter:
         dataset = dataio.Dataset(np.zeros((2, 0)), [0, 1], {0: "", 1: "a"})
         dataio.save_dataset(tmp_path / "new.csv", dataset, label_column="")
         assert (tmp_path / "new.csv").read_bytes() == b'""\r\n""\r\na\r\n'
+
+
+# cells the fast path formats, and one of each kind that takes the fallback
+UNIT_FLOATS = st.one_of(st.sampled_from([0.0, 1.0, 1e-4, 1 - 2.0 ** -53]),
+                        st.floats(1e-4, 1.0),
+                        st.integers(1, 2 ** 18 - 1).map(lambda j: j / 2 ** 18))
+FALLBACK_FLOATS = st.one_of(st.sampled_from([-0.0, 5e-324, 1e-5, np.nextafter(1e-4, 0), 2.5,
+                                             np.nextafter(1.0, 2), np.nan, np.inf, -np.inf]),
+                            st.floats(-1.0, 0.0), st.floats(0.0, 1e-4), st.floats(min_value=1.0))
+# names that send their rows to the fallback: a NUL, or a tail past the fast path's width
+ODD_NAMES = st.one_of(names, st.sampled_from(["\0", "a\0b", "\0,", "é" * 70]))
+
+
+@st.composite
+def mixed_blocks(draw):
+    """A table whose rows are mostly fast-path rows, with fallback rows (one
+    fallback cell each) among them, and names that may hold a NUL or be
+    too long for the fast path."""
+    n, d = draw(st.integers(1, 10)), draw(st.integers(1, 4))
+    rows = []
+    for _ in range(n):
+        row = draw(st.lists(UNIT_FLOATS, min_size=d, max_size=d))
+        if draw(st.integers(0, 3)) == 0:
+            row[draw(st.integers(0, d - 1))] = draw(FALLBACK_FLOATS)
+        rows.append(row)
+    label_names = dict(enumerate(draw(st.lists(ODD_NAMES, min_size=2, max_size=2))))
+    provenance = np.array(draw(st.lists(ODD_NAMES, min_size=n, max_size=n)), dtype=object)
+    return _block(rows, label_names, draw(st.sampled_from([None, provenance])))
+
+
+def _block(rows, label_names=None, provenance=None):
+    dataset = dataio.Dataset(np.array(rows, dtype=np.float64), np.arange(len(rows)) % 2,
+                             label_names or {0: "a", 1: "Web Attack – XSS"})
+    return dataset, provenance
+
+
+def _around(value):
+    return [np.nextafter(value, 0), value, np.nextafter(value, 2)]
+
+
+def _budget_rows():
+    """Rows on both sides of the first block edge at 3 columns, a fallback
+    row on each side."""
+    n = dataio._WRITE_CELLS // 3
+    rows = np.random.default_rng(24).uniform(1e-4, 1, (n + 2, 3))
+    rows[n - 1, 0], rows[n, 1] = -0.0, np.nan
+    return rows
+
+
+def _oracle_bytes(dataset, provenance):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "old.csv")
+        csv_writer_oracle(path, dataset, provenance=provenance)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+class TestFastPath:
+    """``save_dataset``'s numpy formatting of +0.0, 1.0 and [1e-4, 1) writes
+    the bytes of one ``"%.17g"`` per cell, beside rows that take the
+    fallback in the same block."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(mixed_blocks())
+    @example(_block([np.arange(1, 2 ** 18, 4099) / 2 ** 18]))  # ties at the 18th digit
+    @example(_block([_around(10.0 ** j) for j in range(-5, 1)] + [_around(1e-4)]))
+    @example(_block([[1 - 2.0 ** -53, 1.0, 0.0]]))
+    @example(_block([[-0.0, 1.0, 5e-324], [np.nan, np.inf, -np.inf]]))
+    @example(_block(_budget_rows(), provenance=np.array(["original"] * (
+        dataio._WRITE_CELLS // 3 + 2), dtype=object)))
+    def test_mixed_blocks_match_the_csv_writer_oracle(self, table):
+        dataset, provenance = table
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "new.csv")
+            digest = dataio.save_dataset(path, dataset, provenance=provenance)
+            with open(path, "rb") as fh:
+                data = fh.read()
+        assert data == _oracle_bytes(dataset, provenance)
+        assert digest == hashlib.sha256(data).hexdigest()
+
+    def test_the_fast_path_admits_exactly_its_domain(self):
+        inside = [0.0, 1e-4, 0.5, 1 - 2.0 ** -53, 1.0]
+        outside = [-0.0, np.nextafter(1e-4, 0), 5e-324, np.nextafter(1.0, 2), -0.5, np.nan,
+                   np.inf, -np.inf]
+        assert dataio._unit_rows(np.array([inside])).all()
+        assert not dataio._unit_rows(np.array([inside + [x] for x in outside])).any()
+
+    def test_a_long_label_is_not_padded_onto_every_row(self, tmp_path):
+        # the fast path pads tails to the longest it takes; a 20 kB label
+        # padded onto 5,000 rows would hold 100 MB
+        dataset = dataio.Dataset(np.full((5000, 1), 0.5), [1] + [0] * 4999,
+                                 {0: "a", 1: "x" * 20_000})
+        tracemalloc.start()
+        try:
+            dataio.save_dataset(tmp_path / "t.csv", dataset)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 << 20
+        assert (tmp_path / "t.csv").read_bytes() == _oracle_bytes(dataset, None)
+
+    def test_the_text_of_a_fixed_table_is_pinned(self, tmp_path):
+        # a table built from IEEE-exact operations only, so any change to the
+        # text of run tables or synthbench inputs shows here
+        features = np.arange(1, 40_001).reshape(-1, 20) / 40_001
+        features[::7, 3] = 0.0
+        features[1::7, 4] = 1.0
+        features[2::9, 5] = -0.0
+        features[3::11, 6] = 1e-5
+        features[4::13, 7] = 2.5
+        features[5::17, 8] = 2.0 ** -20
+        features[6::19, 9] = 2.0 ** 60
+        dataset = dataio.Dataset(features, np.arange(2000) % 2,
+                                 {0: "BENIGN", 1: 'Web Attack – "XSS", 50%'})
+        provenance = np.array(["original", "skn"] * 1000, dtype=object)
+        dataio.save_dataset(tmp_path / "bench.csv", dataset)
+        dataio.save_table(tmp_path / "run.csv", dataset, provenance=provenance)
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in ("bench.csv", "run.csv", "run.tbl")}
+        assert digests == PINNED_DIGESTS
+
+
+# taken from the per-row "%" writer, before the fast path existed
+PINNED_DIGESTS = {
+    "bench.csv": "f421da51e18d417fc0da34d7cb467c5036f06374753c20ce9185a43cdbfe7ae0",
+    "run.csv": "aca69a05cd07eefc76b0b95d36aa0cdcaacb452d2580f8bcd04c6c1288276014",
+    "run.tbl": "ccdb7c5cc6adb5bc1315a24838a727d403082bc9250af657c192df6e3c235fa1",
+}
 
 
 class TestTableCompanion:
@@ -677,7 +805,7 @@ class TestTableCompanion:
             def __str__(self):
                 raise RuntimeError("cannot format this tag")
 
-        n = dataio._WRITE_ROWS + 1
+        n = dataio._WRITE_CELLS // 3 + 1
         dataset = _dataset_with_counts([n - 1, 1], seed=2)
         dataio.save_table(tmp_path / "t.csv", dataset)
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}

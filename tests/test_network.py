@@ -236,8 +236,8 @@ def test_a_stream_cut_inside_an_array_is_refused():
 
 
 def test_records_copy_no_array_on_write_and_one_on_read(tmp_path):
-    # write_record writes each array's own buffer; read_record holds the
-    # file's bytes and each array it copies out of them, nothing more
+    # write_record writes each array's own buffer; read_record reads and
+    # hashes each array in place, so it holds the arrays and nothing more
     arr = np.random.default_rng(10).random((20_000, 50))
     path = tmp_path / "big.rec"
     tracemalloc.start()
@@ -250,12 +250,45 @@ def test_records_copy_no_array_on_write_and_one_on_read(tmp_path):
     finally:
         tracemalloc.stop()
     assert write_peak < arr.nbytes // 10
-    assert read_peak < 2 * arr.nbytes + arr.nbytes // 10
+    assert read_peak < arr.nbytes + arr.nbytes // 10
     assert back.dtype == np.float64 and np.array_equal(back, arr)
     # the format: magic, metadata, then the array's shape and values
     body = (b"TEST\n" + struct.pack("<I", 2) + b"{}" + struct.pack("<3I", 2, *arr.shape)
             + arr.astype("<f8").tobytes())
     assert path.read_bytes() == body + hashlib.sha256(body).digest()
+
+
+_HUGE_DENSE = b'{"layers": [{"dims": [100000, 100000], "kind": "dense"}], "mode": "eval"}'
+
+
+@pytest.mark.parametrize("declared, n_networks, what", [
+    (struct.pack("<3I", 2, 2 ** 32 - 1, 2 ** 32 - 1), 0,
+     r"an array of shape \(4294967295, 4294967295\)"),
+    (struct.pack("<I", len(_HUGE_DENSE)) + _HUGE_DENSE, 1, "a dense layer"),
+], ids=["array", "dense_layer"])
+def test_a_record_declaring_more_than_it_holds_is_refused_before_allocating(
+        tmp_path, declared, n_networks, what):
+    # checksummed, so only the size check stands between the declaration and
+    # an np.empty or a 100000 x 100000 dense layer
+    body = b"TEST\n" + struct.pack("<I", 2) + b"{}" + declared
+    path = tmp_path / "big.rec"
+    path.write_bytes(body + hashlib.sha256(body).digest())
+    with pytest.raises(FormatError, match=f"truncated checkpoint: {what} needs"):
+        read_record(path, b"TEST\n", n_networks=n_networks, n_arrays=1)
+
+
+def test_every_damaged_byte_and_cut_is_a_checksum_mismatch(tmp_path):
+    path = tmp_path / "net.rec"
+    write_record(path, b"TEST\n", {"a": 1}, networks=[_softmax_classifier(
+        np.random.default_rng(13))], arrays=[np.arange(6.0).reshape(2, 3)])
+    blob = path.read_bytes()
+    for at in range(len(b"TEST\n"), len(blob)):
+        path.write_bytes(blob[:at] + bytes([blob[at] ^ 1]) + blob[at + 1:])
+        with pytest.raises(FormatError, match="record checksum mismatch"):
+            read_record(path, b"TEST\n", n_networks=1, n_arrays=1)
+        path.write_bytes(blob[:at])
+        with pytest.raises(FormatError, match="record checksum mismatch"):
+            read_record(path, b"TEST\n", n_networks=1, n_arrays=1)
 
 
 def _batchnorm_generator(rng):
