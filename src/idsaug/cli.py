@@ -370,10 +370,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="idsaug",
         description="Level-aware augmentation for imbalanced intrusion-detection data")
     sub = parser.add_subparsers(dest="command", required=True)
+    config_flags = argparse.ArgumentParser(add_help=False)
+    _add_config_flags(config_flags)
 
     def command(name, func, needs_run=False):
-        p = sub.add_parser(name)
-        _add_config_flags(p)
+        p = sub.add_parser(name, parents=[config_flags])
         if needs_run:
             p.add_argument("--run", required=True, help="run directory")
         p.set_defaults(func=func)

@@ -548,7 +548,7 @@ def _unit_cells(block: np.ndarray) -> np.ndarray:
     return words.view(np.uint8).reshape(rows, 24 * columns)
 
 
-def _format_rows(block: np.ndarray, codes: list[int], tails: list[str]) -> bytes:
+def _format_rows(block: np.ndarray, codes: np.ndarray, tails: list[str]) -> bytes:
     """Each row of ``block`` as ``CELL_FORMAT`` cells joined by commas, then
     ``tails[code]``, in UTF-8. A row that ``_unit_rows`` admits, whose tail
     holds no NUL and is at most ``_FAST_TAIL_BYTES`` long (every fast row's
@@ -558,7 +558,6 @@ def _format_rows(block: np.ndarray, codes: list[int], tails: list[str]) -> bytes
     columns = block.shape[1]
     encoded = [tail.encode("utf-8") for tail in tails]
     narrow = np.array([len(tail) <= _FAST_TAIL_BYTES and b"\0" not in tail for tail in encoded])
-    codes = np.array(codes)
     fast = (narrow[codes] & _unit_rows(block)) if columns else np.zeros(len(codes), bool)
     if fast.any():
         table = np.array([tail if ok else b"" for tail, ok in zip(encoded, narrow)])
@@ -620,19 +619,8 @@ def save_dataset(path, dataset: Dataset, label_column: str = DEFAULT_LABEL_COLUM
     header = list(dataset.feature_names) + [label_column]
     if provenance is not None:
         header.append("provenance")
-    # an empty first field stands for the comma after the last float
-    lead = [""] if dataset.n_features else []
-    codes: dict[tuple, int] = {}  # (label id, tag) -> its tail's index
-    tails: list[str] = []
-
-    def code(key: tuple) -> int:
-        if key not in codes:
-            label_id, tag = key
-            fields = lead + [dataset.label_names[label_id]]
-            codes[key] = len(tails)
-            tails.append(_csv_line(fields if tag is None else fields + [tag]))
-        return codes[key]
-
+    first = 0 if prefix is None else prefix.n_rows
+    codes, tails = _tail_codes(dataset, first, provenance)
     digest = hashlib.sha256()
     with atomic_file(path, "wb") as fh:
         def emit(data: bytes):
@@ -641,33 +629,61 @@ def save_dataset(path, dataset: Dataset, label_column: str = DEFAULT_LABEL_COLUM
 
         if prefix is None:
             emit(_csv_line(header).encode("utf-8"))
-        elif _file_sha256(prefix.csv_path, emit) != prefix.csv_sha256:
-            raise FormatError(f"{prefix.csv_path} no longer matches the fingerprint in its "
-                              ".tbl record")
+        else:
+            for block in _file_blocks(prefix.csv_path):
+                emit(block)
+            # hexdigest leaves the digest open for the rows after the prefix
+            if digest.hexdigest() != prefix.csv_sha256:
+                raise FormatError(f"{prefix.csv_path} no longer matches the fingerprint in "
+                                  "its .tbl record")
         block_rows = max(1, _WRITE_CELLS // max(1, dataset.n_features))
-        for start in range(0 if prefix is None else prefix.n_rows, dataset.n_rows, block_rows):
+        for start in range(first, dataset.n_rows, block_rows):
             stop = start + block_rows
-            labels = dataset.labels[start:stop].tolist()
-            tags = ([None] * len(labels) if provenance is None
-                    else [str(p) for p in provenance[start:stop]])
             emit(_format_rows(np.ascontiguousarray(dataset.features[start:stop]),
-                              [code(key) for key in zip(labels, tags)], tails))
+                              codes[start - first:stop - first], tails))
     return digest.hexdigest()
+
+
+def _tail_codes(dataset: Dataset, first: int, provenance) -> tuple[np.ndarray, list[str]]:
+    """For the rows from ``first`` on: each row's index into ``tails``, the
+    ``csv.writer`` text of every (label, provenance tag) pair they hold, led
+    by the comma after the last float. Each run of equal tags is named once."""
+    labels = np.asarray(dataset.labels[first:], dtype=np.int64)
+    if provenance is None:
+        tags, tag_codes = [None], np.zeros(len(labels), dtype=np.int64)
+    else:
+        tagged = np.asarray(provenance)[first:]
+        starts = np.r_[0, np.flatnonzero(tagged[1:] != tagged[:-1]) + 1][:len(tagged)]
+        index: dict[str, int] = {}
+        runs = [index.setdefault(str(tag), len(index)) for tag in tagged[starts]]
+        tags = list(index)
+        tag_codes = np.repeat(np.array(runs, dtype=np.int64), np.diff(starts, append=len(tagged)))
+    pairs, codes = np.unique(labels * len(tags) + tag_codes, return_inverse=True)
+    # an empty first field stands for the comma after the last float
+    lead = [""] if dataset.n_features else []
+    tails = []
+    for pair in pairs.tolist():
+        tag = tags[pair % len(tags)]
+        fields = lead + [dataset.label_names[pair // len(tags)]]
+        tails.append(_csv_line(fields if tag is None else fields + [tag]))
+    return codes, tails
 
 
 def _record_path(path) -> str:
     return os.path.splitext(os.fspath(path))[0] + ".tbl"
 
 
-def _file_sha256(path, emit=None) -> str:
-    """The sha256 of the file at ``path``, read in 1 MiB blocks; ``emit``,
-    if given, gets each block."""
-    digest = hashlib.sha256()
+def _file_blocks(path):
+    """The bytes of the file at ``path``, in 1 MiB blocks."""
     with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(block)
-            if emit is not None:
-                emit(block)
+        yield from iter(lambda: fh.read(1 << 20), b"")
+
+
+def _file_sha256(path) -> str:
+    """The sha256 of the file at ``path``."""
+    digest = hashlib.sha256()
+    for block in _file_blocks(path):
+        digest.update(block)
     return digest.hexdigest()
 
 

@@ -132,6 +132,22 @@ class TestConfigHandling:
         assert rebuilt.master_seed == 11
         assert rebuilt.eta == 0.3
 
+    def test_stage_subcommands_take_the_config_flags_and_their_own(self):
+        config_flags = [
+            "-h", "--help", "--config", "--dataset", "--label-column", "--mapping",
+            "--train-ratio", "--seed", "--out", "--method", "--level-mode",
+            "--scarce-min-ir", "--rare-min-ir", "--san-epochs", "--san-lr", "--san-pairs",
+            "--san-margin", "--san-alpha", "--scgan-epochs", "--scgan-lr", "--eta",
+            "--max-attempt-factor", "--clf-epochs", "--clf-lr", "--emit-pca"]
+        own = {"run-all": [], "preprocess": [], "levels": ["--run", "--scope"],
+               "train-san": ["--run"], "train-scgan": ["--run", "--class-name"],
+               "augment": ["--run"], "train-clf": ["--run"], "eval": ["--run"]}
+        parser = build_parser()
+        commands = next(a for a in parser._actions if a.dest == "command").choices
+        for name, flags in own.items():
+            options = [s for action in commands[name]._actions for s in action.option_strings]
+            assert options == config_flags + flags, name
+
     def test_default_stage_configs_are_the_librarys(self):
         # each default is stated once, in its stage config
         config = RunConfig()

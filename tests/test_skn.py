@@ -1,3 +1,7 @@
+import math
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,14 +13,16 @@ from idsaug.skn import SknConfig, build_neighbor_lists, skn_synthesize
 
 
 def brute_force_neighbors(points, query, k):
-    """Independent oracle: exhaustive distance sort with index tie-break."""
+    """Independent oracle: exhaustive distance sort with index tie-break;
+    NaN distances last, as numpy sorts them."""
     scored = []
     for i, p in enumerate(points):
         if i == query:
             continue
-        scored.append((float(np.sqrt(((p - points[query]) ** 2).sum())), i))
+        distance = float(np.sqrt(((p - points[query]) ** 2).sum()))
+        scored.append((math.isnan(distance), 0.0 if math.isnan(distance) else distance, i))
     scored.sort()
-    return [i for _, i in scored[:k]]
+    return [i for _, _, i in scored[:k]]
 
 
 def brute_force_synthesize(points, n_new, k, seed):
@@ -48,6 +54,33 @@ class _ForcedLambda:
         return self.lam
 
 
+@st.composite
+def neighbor_classes(draw):
+    """A class and a k for it: uniform rows or rows on a small integer grid
+    (many tied distances), optionally moved by a constant 1e6 (so the
+    expansion |p|^2 + |q|^2 - 2 p.q cancels), then exact duplicate rows,
+    rows one ulp from another, and maybe a NaN cell."""
+    n = draw(st.integers(2, 30))
+    dim = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        points = rng.random((n, dim))
+    else:
+        points = rng.integers(0, 3, (n, dim)).astype(np.float64)
+    if draw(st.booleans()):
+        points += 1e6
+    row = st.integers(0, n - 1)
+    for a, b in draw(st.lists(st.tuples(row, row), max_size=4)):
+        points[a] = points[b]
+    for a, b, f in draw(st.lists(st.tuples(row, row, st.integers(0, dim - 1)), max_size=3)):
+        points[a] = points[b]
+        points[a, f] = np.nextafter(points[a, f], np.inf)
+    if draw(st.integers(0, 4)) == 0:
+        points[draw(row), draw(st.integers(0, dim - 1))] = np.nan
+    k = draw(st.one_of(st.just(n - 1), st.integers(1, n - 1)))
+    return points, k
+
+
 class TestKnn:
     """Rows of ``build_neighbor_lists``, the search ``skn_synthesize`` runs."""
 
@@ -76,9 +109,9 @@ class TestKnn:
         for q in range(200):
             assert neighbors[q].tolist() == brute_force_neighbors(points, q, 7)
 
-    # a query row of 40 x 3 points spans 120 differences: blocks of 7 rows
-    # (the last one short), of exactly one row, and of less than one row,
-    # which still takes one
+    # 40 rows of 3 columns: blocks of 21 query rows (the last one short), of
+    # 3 rows, and of less than one row, which still takes one; the re-rank
+    # takes 280, 40 and 1 pairs at a time
     @pytest.mark.parametrize("block", [7 * 120, 120, 1])
     def test_block_boundaries_match_brute_force(self, monkeypatch, block):
         monkeypatch.setattr(skn, "_DIFF_BLOCK", block)
@@ -87,6 +120,46 @@ class TestKnn:
         neighbors = build_neighbor_lists(points, 5)
         for q in range(40):
             assert neighbors[q].tolist() == brute_force_neighbors(points, q, 5)
+
+    @settings(max_examples=150, deadline=None)
+    @given(neighbor_classes(), st.data())
+    def test_matches_brute_force_on_drawn_classes(self, drawn, data):
+        points, k = drawn
+        n = len(points)
+        expected = [brute_force_neighbors(points, q, k) for q in range(n)]
+        # one query row and one pair per block, then blocks that end inside
+        # the class and re-rank chunks that end inside a row's pairs
+        edge = data.draw(st.integers(1, n)) * n + data.draw(st.integers(0, n - 1))
+        for block in (1, edge, skn._DIFF_BLOCK):
+            with mock.patch.object(skn, "_DIFF_BLOCK", block):
+                assert build_neighbor_lists(points, k).tolist() == expected, block
+
+    def test_squared_norms_past_the_limit_rerank_every_pair(self):
+        points = np.random.default_rng(13).random((30, 6)) * 2.0 ** 510
+        assert np.einsum("ij,ij->i", points, points).max() > skn._NORM_LIMIT
+        neighbors = build_neighbor_lists(points, 4)
+        for q in range(30):
+            assert neighbors[q].tolist() == brute_force_neighbors(points, q, 4)
+
+    @pytest.mark.parametrize("n, dim, nan, block", [
+        (4000, 78, False, skn._DIFF_BLOCK),
+        # a NaN sends every pair to the re-rank
+        (1000, 3, True, 1 << 15)])
+    def test_scratch_is_bounded_by_the_block(self, monkeypatch, n, dim, nan, block):
+        # all n x n distances would take 8 * n * n bytes: 128 MB, then 8 MB
+        monkeypatch.setattr(skn, "_DIFF_BLOCK", block)
+        points = np.random.default_rng(12).random((n, dim))
+        if nan:
+            points[5, 0] = np.nan
+        tracemalloc.start()
+        try:
+            build_neighbor_lists(points, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a shortlisting block holds its distances, their partition and the
+        # mask; a re-rank of every pair holds about eight n-wide arrays
+        assert peak <= (3 if not nan else 8) * 8 * block + 64 * n
 
     def test_tie_break_by_ascending_index(self):
         # three points at identical distance from the query
