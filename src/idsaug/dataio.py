@@ -3,6 +3,7 @@ the run-directory tables: binary records with a checked CSV twin each."""
 
 from __future__ import annotations
 
+import collections
 import csv
 import hashlib
 import io
@@ -175,9 +176,12 @@ def _label_ids(label_strings: list[str]) -> tuple[np.ndarray, dict[int, str]]:
     return ids, {i: name for name, i in name_to_id.items()}
 
 
-# input lines per ingest block: numpy converts a block's feature cells in one
-# call, so ingest holds one block of text besides the arrays it returns
+# input lines per ingest block: numpy converts a block's cells in one call,
+# so ingest holds one block of the file besides the arrays it returns
 INGEST_BLOCK = 1024
+# bytes per read of the input file: about the lines a block still wants, at
+# the mean line length so far, within these bounds
+_READ_MIN, _READ_MAX = 1 << 16, 1 << 24
 
 _SURROGATE = re.compile("[\udc80-\udcff]")
 # lines that csv.reader reads as no record at all
@@ -187,6 +191,7 @@ _BLANK_LINES = frozenset(("\n", "\r", "\r\n"))
 # separators \x1c-\x1f, which numpy strips from around a number and float()
 # does not
 _PER_ROW_CHARS = ('"', "\0", "\x1c", "\x1d", "\x1e", "\x1f")
+_PER_ROW_BYTES = tuple(c.encode() for c in _PER_ROW_CHARS)
 
 
 def _decode(line: str) -> str | None:
@@ -224,43 +229,162 @@ class _Lines:
                 yield text
 
 
-def _line_bound(path) -> int:
-    """The most lines the text reader can split ``path`` into: one per
-    ``\n``, ``\r`` or ``\r\n`` ending, plus an unterminated last line.
-    Counted over the raw bytes, so nothing is decoded."""
-    endings = 0
-    prev_cr = False
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            endings += chunk.count(b"\n") + chunk.count(b"\r") - chunk.count(b"\r\n")
-            endings -= prev_cr and chunk.startswith(b"\n")
-            prev_cr = chunk.endswith(b"\r")
-    return endings + 1
+class _Input:
+    """A binary file after its UTF-8 byte-order mark, read once: as blocks of
+    raw lines, or as text lines one at a time.
+
+    A raw block ends at a ``\\n``, so it never splits a ``\\r\\n``; in a read
+    that holds no ``\\n``, at a ``\\r`` that is not the read's last byte, so a
+    file of ``\\r`` line ends is read a block at a time too. Text lines end
+    where a ``newline=""`` text reader ends them, at ``\\n``, ``\\r`` or
+    ``\\r\\n``, and are decoded as UTF-8 with ``errors="surrogateescape"``. The
+    text lines of a block ``push``ed back are read before the rest of the file."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self._load(fh.read(3))
+        self.pos = 3 if self.buf == b"\xef\xbb\xbf" else 0
+        self.read_bytes = self.read_lines = 0  # handed out in blocks
+        self.pending: collections.deque[str] = collections.deque()
+
+    def _load(self, buf: bytes):
+        """Make ``buf`` the bytes being read, from its start."""
+        self.buf, self.pos, self.view = buf, 0, memoryview(buf)
+        # the offset of each line end in buf, and how many of them are handed out
+        data = np.frombuffer(buf, dtype=np.uint8)
+        self.ends = np.flatnonzero(data == ord("\n"))
+        if not len(self.ends):
+            self.ends = np.flatnonzero(data[:-1] == ord("\r"))
+        self.used = 0
+
+    def block(self, lines: int) -> bytes:
+        """The next ``lines`` lines (fewer at the end of the file) as one bytes
+        object; empty once the file is read."""
+        parts, wanted = [], lines
+        while True:
+            ends = self.ends[self.used:self.used + lines]
+            if len(ends) == lines:
+                end = int(ends[-1]) + 1
+                parts.append(self.view[self.pos:end])
+                self.pos, self.used, lines = end, self.used + lines, 0
+                break
+            parts.append(self.buf[self.pos:])  # a copy, so the read it ends is freed
+            lines -= len(ends)
+            mean = self.read_bytes // max(self.read_lines, 1)
+            self._load(self.fh.read(min(max(_READ_MIN, lines * mean), _READ_MAX)))
+            if not self.buf:
+                break
+        block = b"".join(parts)
+        self.read_bytes += len(block)
+        self.read_lines += wanted - lines
+        return block
+
+    def push(self, block: bytes):
+        self.pending.extend(line.decode("utf-8", "surrogateescape")
+                            for line in block.splitlines(keepends=True))
+
+    def __iter__(self):
+        return self
+
+    def __next__(self) -> str:
+        if not self.pending:
+            self.push(self.block(1))
+            if not self.pending:
+                raise StopIteration
+        return self.pending.popleft()
 
 
 class _Ingest:
     """The rows ``load_dataset`` has kept so far, block by block, and its report.
 
-    Kept rows fill the next rows of one array sized by a bound on the data
-    rows, so the features are never held twice."""
+    Kept rows fill the next rows of arrays that grow in place, an eighth at a
+    time, and shrink in place at the end, so the features are never held
+    twice."""
 
     def __init__(self, path, n_fields: int, label_idx: int, feature_cols: list[int],
-                 max_rows: int):
+                 source: _Input):
         self.path = path
+        self.source = source
         self.n_fields = n_fields
         self.label_idx = label_idx
         self.feature_cols = feature_cols
+        # the feature cells among a row's n_fields cells: a slice, so a view,
+        # when they are adjacent
+        first = feature_cols[0] if feature_cols else 0
+        adjacent = feature_cols == list(range(first, first + len(feature_cols)))
+        self.columns = slice(first, first + len(feature_cols)) if adjacent else feature_cols
         self.report = IngestReport()
-        self.features = np.empty((max_rows, len(feature_cols)))
-        self.label_ids = np.empty(max_rows, dtype=np.int64)
+        self.features = np.empty((0, len(feature_cols)))
+        self.label_ids = np.empty(0, dtype=np.int64)
         self.n_kept = 0
-        self.label_index: dict[str, int] = {}  # label -> id in order of first sight
+        # label (as read, or stripped) -> id, in order of first sight; a
+        # missing label gets the next id. A label seen only on rows that were
+        # not kept may hold an id too: result names kept rows' labels only
+        self.label_index: collections.defaultdict[str, int] = collections.defaultdict()
+        self.label_index.default_factory = self.label_index.__len__
+        # numpy reads the label and the ignored columns through these; an
+        # ignored cell's value is never used
+        self.converters = {i: len for i in range(n_fields) if i not in feature_cols}
+        self.converters[label_idx] = self.label_index.__getitem__
 
-    def keep(self, features: np.ndarray, labels: list[str]):
-        index = self.label_index
-        at, self.n_kept = self.n_kept, self.n_kept + len(labels)
-        self.features[at:self.n_kept] = features
-        self.label_ids[at:self.n_kept] = [index.setdefault(s, len(index)) for s in labels]
+    def read(self):
+        """Every block of the source: raw blocks through ``fast``, and the text
+        lines of a block it refuses through ``bulk`` or else ``per_row``."""
+        source = self.source
+        while True:
+            if source.pending:
+                pending = source.pending
+                block = [pending.popleft() for _ in range(min(INGEST_BLOCK, len(pending)))]
+                if not self.bulk(block):
+                    self.per_row(block, source)
+            elif raw := source.block(INGEST_BLOCK):
+                if not self.fast(raw):
+                    source.push(raw)
+            else:
+                return
+
+    def keep(self, features: np.ndarray, ids):
+        at, end = self.n_kept, self.n_kept + len(features)
+        if end > len(self.label_ids):
+            # an eighth more than held, so at most an eighth spare at the end
+            rows = max(end, len(self.label_ids) * 9 // 8)
+            self.features.resize((rows, self.features.shape[1]), refcheck=False)
+            self.label_ids.resize(rows, refcheck=False)
+        self.features[at:end] = features
+        self.label_ids[at:end] = ids
+        self.n_kept = end
+
+    def fast(self, block: bytes) -> bool:
+        """Convert the rows of a raw block in one numpy call, which also
+        checks that each has ``n_fields`` fields and names its label. False,
+        with no row recorded, when the block is not ASCII, holds one of
+        ``_PER_ROW_CHARS``, or numpy refuses it."""
+        # numpy warns on a block of blank lines; the text path reads it
+        if (not (self.feature_cols and block.isascii()) or block.isspace()
+                or any(c in block for c in _PER_ROW_BYTES)):
+            return False
+        try:
+            # latin1 (the block is ASCII): the converters get str, not the
+            # bytes that numpy before 2.0 hands them by default
+            cells = np.loadtxt(io.BytesIO(block), dtype=np.float64, delimiter=",",
+                               comments=None, converters=self.converters, ndmin=2,
+                               encoding="latin1")
+        except ValueError:  # a bare \r, a field count that changes, a non-numeric cell
+            return False
+        if cells.shape[1] != self.n_fields:
+            return False
+        features, ids = cells[:, self.columns], cells[:, self.label_idx]
+        n_read = len(cells)
+        # a finite total (no NaN, no Inf, no overflow) clears every row at once
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = features.sum()
+        if not np.isfinite(total):
+            finite = np.isfinite(features).all(axis=1)
+            features, ids = features[finite], ids[finite]
+            self.report.drop("non_finite", n_read - len(ids))
+        self.keep(features, ids)
+        self.report.rows_read += n_read
+        return True
 
     def bulk(self, block: list[str]) -> bool:
         """Convert the rows of ``block`` in one numpy call. False, with nothing
@@ -293,7 +417,8 @@ class _Ingest:
             rows = list(itertools.compress(rows, finite.tolist()))
         # a quote-free row of n_fields fields: the label is the back-th from the end
         back = self.n_fields - self.label_idx
-        self.keep(features, [line.rsplit(",", back)[-back].strip() for line in rows])
+        index = self.label_index
+        self.keep(features, [index[line.rsplit(",", back)[-back].strip()] for line in rows])
         self.report.rows_read += n_read
         self.report.recoded += n_recoded
         self.report.drop("undecodable", n_undecodable)
@@ -322,7 +447,7 @@ class _Ingest:
             if lines.read >= len(block):
                 break
         self.keep(np.array(rows, dtype=np.float64).reshape(len(rows), len(self.feature_cols)),
-                  labels)
+                  [self.label_index[s] for s in labels])
 
     def _check(self, raw: list[str], undecodable: bool):
         """A record's drop reason and None, or None and its feature values;
@@ -348,16 +473,20 @@ class _Ingest:
                           for reason, count in sorted(self.report.dropped.items()))
             raise DataError(f"{self.path}: no rows left after filtering "
                             f"({self.report.rows_read} rows read{dropped})")
-        names = sorted(self.label_index)
-        # ids in order of first sight -> ids in sorted-name order
-        ids = np.empty(len(names), dtype=np.int64)
-        ids[[self.label_index[name] for name in names]] = np.arange(len(names))
+        read_as = list(self.label_index)
+        kept = self.label_ids[:self.n_kept]
+        # the ids of kept rows' labels -> ids in sorted order of their stripped names
+        seen = np.flatnonzero(np.bincount(kept, minlength=len(read_as)))
+        names = sorted({read_as[i].strip() for i in seen})
+        name_ids = {name: i for i, name in enumerate(names)}
+        ids = np.zeros(len(read_as), dtype=np.int64)
+        ids[seen] = [name_ids[read_as[i].strip()] for i in seen]
         # shrink in place; no view of the array is left
         features = self.features
         features.resize((self.n_kept, features.shape[1]), refcheck=False)
         self.report.rows_kept = self.n_kept
-        return (Dataset(features, ids[self.label_ids[:self.n_kept]], dict(enumerate(names)),
-                        feature_names), self.report)
+        return (Dataset(features, ids[kept], dict(enumerate(names)), feature_names),
+                self.report)
 
 
 def load_dataset(path, label_column: str = DEFAULT_LABEL_COLUMN,
@@ -371,15 +500,20 @@ def load_dataset(path, label_column: str = DEFAULT_LABEL_COLUMN,
     provenance column) are skipped entirely. A leading UTF-8 byte-order mark
     is skipped.
 
-    The rows are read in blocks of ``INGEST_BLOCK`` lines, and numpy converts
-    a block's feature cells in one call: lines with an undecodable byte are
-    dropped before it, rows holding NaN or +-Inf by a mask after it. Only a
-    block that numpy refuses (a non-numeric cell, a wrong field count, a
-    quote, a whitespace-only line) takes the per-row rules, record by record
-    in file order, so every block gives the same rows and counts.
+    The file is read once, in binary blocks of ``INGEST_BLOCK`` lines, and
+    numpy converts a block's cells in one call. A block that is ASCII and
+    holds none of ``_PER_ROW_CHARS`` is parsed from its bytes, labels and
+    field counts included; rows holding NaN or +-Inf are dropped by a mask.
+    Any other block is decoded line by line and converted from its text:
+    lines with an undecodable byte are dropped before numpy, non-finite rows
+    after it. Only a block that numpy refuses there too (a non-numeric cell,
+    a wrong field count, a quote, a whitespace-only line) takes the per-row
+    rules, record by record in file order, so every block gives the same
+    rows and counts.
     """
-    with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
-        lines = _Lines(fh)
+    with open(path, "rb") as fh:
+        source = _Input(fh)
+        lines = _Lines(source)
         header = next(csv.reader(lines), None)
         if header is None:
             raise SchemaError(f"{path}: empty file, no header row")
@@ -392,11 +526,8 @@ def load_dataset(path, label_column: str = DEFAULT_LABEL_COLUMN,
         label_idx = names.index(label_column)
         skip = {label_idx} | {i for i, n in enumerate(names) if n in ignore_columns}
         feature_cols = [i for i in range(len(names)) if i not in skip]
-        # the header took at least one line
-        ingest = _Ingest(path, len(names), label_idx, feature_cols, _line_bound(path) - 1)
-        while block := list(itertools.islice(fh, INGEST_BLOCK)):
-            if not ingest.bulk(block):
-                ingest.per_row(block, fh)
+        ingest = _Ingest(path, len(names), label_idx, feature_cols, source)
+        ingest.read()
     return ingest.result([names[i] for i in feature_cols])
 
 

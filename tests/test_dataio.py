@@ -142,15 +142,17 @@ class TestLoad:
 
 
 # cells for the ingest oracle test: clean ones numpy converts, and dirty ones
-# for every drop reason or per-row rule
+# for every drop reason or per-row rule. \x0b, \x0c and cp1252's \x85 (NEL
+# in Latin-1) end a line for str.splitlines but not for the text reader.
 CLEAN_CELLS = [b"0", b"1.5", b"-0", b" 2 ", b"\t3", b"1e-05", b".5", b"5.", b"0.1",
-               b"9007199254740993", b"-7.25e+3", b"5e-324", b"0.30000000000000004"]
+               b"9007199254740993", b"-7.25e+3", b"5e-324", b"0.30000000000000004",
+               b"1\x0b", b"\x0c2"]
 DIRTY_CELLS = [b"oops", b"", b" ", b"nan", b"NaN", b"inf", b"-inf", b"Infinity", b"1e999",
                b"1_000", b"2\x1c", b"\x1f1", b"1\xc2\x85", b"\xd9\xa1", b"1\xff", b'"4"',
-               b"1\xa0", b"\xb9", b"2\x81"]
+               b"1\xa0", b"\xb9", b"2\x81", b"3\x85", b"\x0b"]
 LABEL_CELLS = [b"x", b"y", b" x ", b"Web Attack \xe2\x80\x93 XSS", b'"a,b"', b'"q""uote"',
                b'"two\nlines"', b"", b"BENIGN", b"A\xff", b"A\x96", b"\xe2\x80\x93",
-               b"A\x9d", b'"A\x96\nB"']
+               b"A\x9d", b'"A\x96\nB"', b"A\x0bB", b"\x0cC", b"D\x85", b'"E\rF"']
 IGNORED_CELLS = [b"original", b"scgan", b"not a number", b'"p,q"']
 
 
@@ -166,7 +168,7 @@ def ingest_files(draw):
     if ignored:
         names.insert(draw(st.integers(0, len(names))), "provenance")
     label_at = names.index("Label")
-    newline = draw(st.sampled_from([b"\n", b"\r\n", None]))  # None: each line picks
+    newline = draw(st.sampled_from([b"\n", b"\r\n", b"\r", None]))  # None: each line picks
     lines = [",".join(names).encode()]
     for _ in range(draw(st.integers(0, 24))):
         kind = draw(st.integers(0, 19))
@@ -187,7 +189,7 @@ def ingest_files(draw):
         elif kind == 2:
             cells.pop()
         lines.append(b",".join(cells))
-    data = b"".join(line + (newline or draw(st.sampled_from([b"\n", b"\r\n"])))
+    data = b"".join(line + (newline or draw(st.sampled_from([b"\n", b"\r\n", b"\r"])))
                     for line in lines)
     if draw(st.booleans()):
         data = data.rstrip(b"\r\n")
@@ -274,19 +276,90 @@ class TestBlockIngest:
         assert ds.features.base is None
         assert peak <= ds.features.nbytes + 8 * ds.labels.nbytes + 16 * block_bytes
 
+    def test_clean_blocks_are_parsed_from_their_bytes(self, tmp_path, monkeypatch):
+        # an ASCII file of full-precision cells, several blocks long, is
+        # neither decoded nor parsed from text past its header
+        monkeypatch.setattr(dataio, "INGEST_BLOCK", 16)
+        decoded = []
+        monkeypatch.setattr(dataio, "_decode", lambda line: decoded.append(line) or line)
+        monkeypatch.setattr(dataio._Ingest, "bulk", refuse_parsing)
+        monkeypatch.setattr(dataio._Ingest, "per_row", refuse_parsing)
+        values = np.random.default_rng(5).random((100, 6))
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"a,b,c,d,e,f,Label\r\n" + b"".join(
+            (",".join("%.17g" % v for v in row) + ",c%d\r\n" % (i % 3)).encode()
+            for i, row in enumerate(values)))
+        ds, report = dataio.load_dataset(path)
+        assert np.array_equal(ds.features, values)
+        assert ds.labels.tolist() == [i % 3 for i in range(100)]
+        assert (report.rows_read, report.rows_kept, report.dropped) == (100, 100, {})
+        assert decoded == ["a,b,c,d,e,f,Label\r\n"]
+
+    def test_labels_are_str_under_the_loadtxt_default_before_numpy_2(self, tmp_path,
+                                                                      monkeypatch):
+        # numpy before 2.0 defaults np.loadtxt to encoding="bytes", which hands
+        # converters bytes; the byte path names its encoding, so labels stay str
+        loadtxt = np.loadtxt
+        monkeypatch.setattr(np, "loadtxt", lambda *args, encoding="bytes", **kwargs:
+                            loadtxt(*args, encoding=encoding, **kwargs))
+        monkeypatch.setattr(dataio._Ingest, "bulk", refuse_parsing)
+        monkeypatch.setattr(dataio._Ingest, "per_row", refuse_parsing)
+        ds, _ = dataio.load_dataset(write_csv(tmp_path / "t.csv", "a,b,Label\n1,2, y\n3,4,x\n"))
+        assert ds.label_names == {0: "x", 1: "y"}
+        assert ds.labels.tolist() == [1, 0]
+
+    def test_a_file_of_cr_line_ends_is_read_a_block_at_a_time(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(dataio, "INGEST_BLOCK", 8)
+        monkeypatch.setattr(dataio, "_READ_MIN", 64)
+        lines_per_block = []
+        block = dataio._Input.block
+
+        def counted(source, lines):
+            raw = block(source, lines)
+            lines_per_block.append(len(raw.splitlines()))
+            return raw
+
+        monkeypatch.setattr(dataio._Input, "block", counted)
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"a,Label\r" + b"".join(b"%d,x\r" % i for i in range(500)))
+        ds, report = dataio.load_dataset(path)
+        assert ds.features[:, 0].tolist() == list(range(500))
+        assert report.rows_read == 500
+        # a read that ends in \r leaves that line end to the next read
+        assert max(lines_per_block) <= 2 * 8
+
+    @settings(max_examples=100, deadline=None)
+    @given(ingest_files(), st.integers(1, 6), st.integers(1, 9))
+    def test_reads_of_any_size_match_the_row_by_row_oracle(self, case, block, read):
+        # a \r\n, a byte-order mark or a multi-byte character split across
+        # two reads of the file is read as if it were not
+        data, ignore = case
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dataio, "INGEST_BLOCK", block)
+            mp.setattr(dataio, "_READ_MIN", read)
+            path = os.path.join(tmp, "t.csv")
+            with open(path, "wb") as fh:
+                fh.write(data)
+            assert (ingest_outcome(dataio.load_dataset, path, ignore_columns=ignore)
+                    == ingest_outcome(oracle_load_dataset, path, ignore_columns=ignore))
+
     @pytest.mark.parametrize("text, lines", [
         (b"", 0), (b"a", 1), (b"a\n", 1), (b"a\r\nb", 2), (b"a\rb\r", 2), (b"\n\r\r\n", 3),
-        # a \r\n split across two of the counter's reads is one ending
-        (b"a" * ((1 << 20) - 1) + b"\r\nb", 2)],
+        # after a first read of 3 bytes, for a byte-order mark, a 2**16-byte
+        # read ends in the \r of this \r\n: still one ending
+        (b"a" * ((1 << 16) + 2) + b"\r\nb", 2)],
         ids=["empty", "unterminated", "lf", "crlf", "cr", "mixed", "crlf-across-reads"])
-    def test_line_bound_covers_every_line_the_reader_sees(self, tmp_path, text, lines):
+    def test_text_lines_end_where_the_text_reader_ends_them(self, tmp_path, monkeypatch,
+                                                            text, lines):
         path = tmp_path / "t.csv"
         path.write_bytes(text)
         with open(path, newline="", encoding="utf-8") as fh:
-            assert len(fh.readlines()) == lines
-        assert dataio._line_bound(path) in (lines, lines + 1)
-        assert dataio._line_bound(path) == text.count(b"\n") + text.count(b"\r") \
-            - text.count(b"\r\n") + 1
+            expected = fh.readlines()
+        assert len(expected) == lines
+        for read in (1, 2, 1 << 16):
+            monkeypatch.setattr(dataio, "_READ_MIN", read)
+            with open(path, "rb") as fh:
+                assert list(dataio._Input(fh)) == expected, read
 
 
 class TestRoundTrip:
