@@ -184,8 +184,6 @@ INGEST_BLOCK = 1024
 _READ_MIN, _READ_MAX = 1 << 16, 1 << 24
 
 _SURROGATE = re.compile("[\udc80-\udcff]")
-# lines that csv.reader reads as no record at all
-_BLANK_LINES = frozenset(("\n", "\r", "\r\n"))
 # characters that numpy would read otherwise than csv.reader and float(): a
 # quote (csv quoting), NUL (refused by csv.reader before Python 3.11) and the
 # separators \x1c-\x1f, which numpy strips from around a number and float()
@@ -231,7 +229,8 @@ class _Lines:
 
 class _Input:
     """A binary file after its UTF-8 byte-order mark, read once: as blocks of
-    raw lines, or as text lines one at a time.
+    raw lines, which ``_Ingest.fast`` parses, or as text lines one at a
+    time, for the header, ``_Ingest.text`` and the per-row rules.
 
     A raw block ends at a ``\\n``, so it never splits a ``\\r\\n``; in a read
     that holds no ``\\n``, at a ``\\r`` that is not the read's last byte, so a
@@ -329,13 +328,13 @@ class _Ingest:
 
     def read(self):
         """Every block of the source: raw blocks through ``fast``, and the text
-        lines of a block it refuses through ``bulk`` or else ``per_row``."""
+        lines of a block it refuses through ``text`` or else ``per_row``."""
         source = self.source
         while True:
             if source.pending:
                 pending = source.pending
                 block = [pending.popleft() for _ in range(min(INGEST_BLOCK, len(pending)))]
-                if not self.bulk(block):
+                if not self.text(block):
                     self.per_row(block, source)
             elif raw := source.block(INGEST_BLOCK):
                 if not self.fast(raw):
@@ -354,21 +353,15 @@ class _Ingest:
         self.label_ids[at:end] = ids
         self.n_kept = end
 
-    def fast(self, block: bytes) -> bool:
-        """Convert the rows of a raw block in one numpy call, which also
-        checks that each has ``n_fields`` fields and names its label. False,
-        with no row recorded, when the block is not ASCII, holds one of
-        ``_PER_ROW_CHARS``, or numpy refuses it."""
-        # numpy warns on a block of blank lines; the text path reads it
-        if (not (self.feature_cols and block.isascii()) or block.isspace()
-                or any(c in block for c in _PER_ROW_BYTES)):
-            return False
+    def convert(self, lines, encoding: str) -> bool:
+        """Convert the rows of ``lines`` in one numpy call, which also checks
+        that each has ``n_fields`` fields and names its label. False, with no
+        row recorded, when numpy refuses them."""
         try:
-            # latin1 (the block is ASCII): the converters get str, not the
-            # bytes that numpy before 2.0 hands them by default
-            cells = np.loadtxt(io.BytesIO(block), dtype=np.float64, delimiter=",",
-                               comments=None, converters=self.converters, ndmin=2,
-                               encoding="latin1")
+            # an explicit encoding: numpy before 2.0 defaults to "bytes", which
+            # hands the converters bytes, not str
+            cells = np.loadtxt(lines, dtype=np.float64, delimiter=",", comments=None,
+                               converters=self.converters, ndmin=2, encoding=encoding)
         except ValueError:  # a bare \r, a field count that changes, a non-numeric cell
             return False
         if cells.shape[1] != self.n_fields:
@@ -386,43 +379,32 @@ class _Ingest:
         self.report.rows_read += n_read
         return True
 
-    def bulk(self, block: list[str]) -> bool:
-        """Convert the rows of ``block`` in one numpy call. False, with nothing
-        recorded, when numpy refuses the block or it needs the per-row rules."""
-        text = "".join(block)
-        if any(c in text for c in _PER_ROW_CHARS):
+    def fast(self, block: bytes) -> bool:
+        """Convert a raw block from its bytes. False, with no row recorded,
+        when it is not ASCII, holds one of ``_PER_ROW_CHARS``, or numpy
+        refuses it."""
+        # numpy warns on a block of blank lines; the per-row rules read it
+        if (not block.isascii() or block.isspace()
+                or any(c in block for c in _PER_ROW_BYTES)):
             return False
-        rows = [line for line in block if line not in _BLANK_LINES]
-        n_read, n_recoded = len(rows), 0
-        if not text.isascii():
-            decoded = [_decode(line) for line in rows]
-            n_recoded = sum(new is not old and new is not None
-                            for new, old in zip(decoded, rows))
-            rows = [line for line in decoded if line is not None]
-        n_undecodable = n_read - len(rows)
-        if any(line.count(",") != self.n_fields - 1 for line in rows):
+        return self.convert(io.BytesIO(block), encoding="latin1")  # the block is ASCII
+
+    def text(self, block: list[str]) -> bool:
+        """Convert the text lines of ``block``, each read through ``_decode``,
+        less those that neither encoding reads. False, with nothing recorded,
+        when the block needs the per-row rules or numpy refuses it."""
+        if any(c in "".join(block) for c in _PER_ROW_CHARS):
             return False
-        if rows and self.feature_cols:
-            try:
-                features = np.loadtxt(rows, dtype=np.float64, delimiter=",", comments=None,
-                                      usecols=self.feature_cols, ndmin=2)
-            except ValueError:
-                return False
-        else:
-            features = np.empty((len(rows), len(self.feature_cols)))
-        finite = np.isfinite(features).all(axis=1)
-        n_non_finite = len(rows) - int(np.count_nonzero(finite))
-        if n_non_finite:
-            features = features[finite]
-            rows = list(itertools.compress(rows, finite.tolist()))
-        # a quote-free row of n_fields fields: the label is the back-th from the end
-        back = self.n_fields - self.label_idx
-        index = self.label_index
-        self.keep(features, [index[line.rsplit(",", back)[-back].strip()] for line in rows])
-        self.report.rows_read += n_read
-        self.report.recoded += n_recoded
+        decoded = [_decode(line) for line in block]
+        lines = [line for line in decoded if line is not None]
+        # as in fast, blank lines alone go to the per-row rules
+        if not any(map(str.strip, lines)) or not self.convert(lines, encoding="utf-8"):
+            return False
+        n_undecodable = len(block) - len(lines)
+        self.report.rows_read += n_undecodable
+        self.report.recoded += sum(new is not old and new is not None
+                                   for new, old in zip(decoded, block))
         self.report.drop("undecodable", n_undecodable)
-        self.report.drop("non_finite", n_non_finite)
         return True
 
     def per_row(self, block: list[str], rest):
@@ -501,15 +483,15 @@ def load_dataset(path, label_column: str = DEFAULT_LABEL_COLUMN,
     is skipped.
 
     The file is read once, in binary blocks of ``INGEST_BLOCK`` lines, and
-    numpy converts a block's cells in one call. A block that is ASCII and
-    holds none of ``_PER_ROW_CHARS`` is parsed from its bytes, labels and
-    field counts included; rows holding NaN or +-Inf are dropped by a mask.
-    Any other block is decoded line by line and converted from its text:
-    lines with an undecodable byte are dropped before numpy, non-finite rows
-    after it. Only a block that numpy refuses there too (a non-numeric cell,
-    a wrong field count, a quote, a whitespace-only line) takes the per-row
-    rules, record by record in file order, so every block gives the same
-    rows and counts.
+    each block goes to one numpy parse, which reads the labels and checks
+    the field counts too; rows holding NaN or +-Inf are dropped by a mask.
+    A block that is ASCII and holds none of ``_PER_ROW_CHARS`` is parsed
+    from its bytes. Any other block is split into text lines, each decoded
+    as above; the undecodable ones are dropped and the rest parsed the same
+    way. Only a block that numpy refuses there too (a non-numeric cell, a
+    wrong field count, a whitespace-only line), one with a quote and one of
+    blank lines alone take the per-row rules, record by record in file
+    order, so every block gives the same rows and counts.
     """
     with open(path, "rb") as fh:
         source = _Input(fh)

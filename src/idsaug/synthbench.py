@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataio import Dataset, save_dataset
+from .dataio import Dataset, _label_ids, save_dataset
 from .errors import ConfigError
 from .seeding import as_generator
 
@@ -107,11 +107,8 @@ def generate_dataset(spec: BenchSpec) -> Dataset:
             rows[mask] = comp.center + comp.scale * rng.standard_normal((int(mask.sum()), spec.dim))
         blocks.append(rows)
         label_strings.extend([cls.name] * cls.count)
-    features = np.concatenate(blocks)
-    names = sorted({c.name for c in spec.classes})
-    name_to_id = {n: i for i, n in enumerate(names)}
-    labels = np.array([name_to_id[s] for s in label_strings], dtype=np.int64)
-    return Dataset(features, labels, {i: n for n, i in name_to_id.items()})
+    labels, names = _label_ids(label_strings)
+    return Dataset(np.concatenate(blocks), labels, names)
 
 
 def write_bench_csv(path, spec: BenchSpec):

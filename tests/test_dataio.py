@@ -282,7 +282,7 @@ class TestBlockIngest:
         monkeypatch.setattr(dataio, "INGEST_BLOCK", 16)
         decoded = []
         monkeypatch.setattr(dataio, "_decode", lambda line: decoded.append(line) or line)
-        monkeypatch.setattr(dataio._Ingest, "bulk", refuse_parsing)
+        monkeypatch.setattr(dataio._Ingest, "text", refuse_parsing)
         monkeypatch.setattr(dataio._Ingest, "per_row", refuse_parsing)
         values = np.random.default_rng(5).random((100, 6))
         path = tmp_path / "t.csv"
@@ -295,18 +295,49 @@ class TestBlockIngest:
         assert (report.rows_read, report.rows_kept, report.dropped) == (100, 100, {})
         assert decoded == ["a,b,c,d,e,f,Label\r\n"]
 
-    def test_labels_are_str_under_the_loadtxt_default_before_numpy_2(self, tmp_path,
-                                                                      monkeypatch):
+    @pytest.fixture
+    def loadtxt_bytes_default(self, monkeypatch):
         # numpy before 2.0 defaults np.loadtxt to encoding="bytes", which hands
-        # converters bytes; the byte path names its encoding, so labels stay str
+        # converters bytes; ingest names its encoding, so labels stay str
         loadtxt = np.loadtxt
         monkeypatch.setattr(np, "loadtxt", lambda *args, encoding="bytes", **kwargs:
                             loadtxt(*args, encoding=encoding, **kwargs))
-        monkeypatch.setattr(dataio._Ingest, "bulk", refuse_parsing)
         monkeypatch.setattr(dataio._Ingest, "per_row", refuse_parsing)
+
+    def test_labels_are_str_under_the_loadtxt_default_before_numpy_2(self, tmp_path,
+                                                                      monkeypatch,
+                                                                      loadtxt_bytes_default):
+        monkeypatch.setattr(dataio._Ingest, "text", refuse_parsing)
         ds, _ = dataio.load_dataset(write_csv(tmp_path / "t.csv", "a,b,Label\n1,2, y\n3,4,x\n"))
         assert ds.label_names == {0: "x", 1: "y"}
         assert ds.labels.tolist() == [1, 0]
+
+    def test_decoded_labels_are_str_under_the_loadtxt_default_before_numpy_2(
+            self, tmp_path, loadtxt_bytes_default):
+        # the block is not ASCII, so the text path converts it
+        path = tmp_path / "t.csv"
+        path.write_bytes("a,b,Label\n1,2, Web Attack \u2013 XSS\n".encode()
+                         + b"3,4,Web Attack \x96 Sql Injection\n5,6,x\n")
+        ds, report = dataio.load_dataset(path)
+        assert ds.label_names == {0: "Web Attack \u2013 Sql Injection",
+                                  1: "Web Attack \u2013 XSS", 2: "x"}
+        assert ds.labels.tolist() == [1, 0, 2]
+        assert report.recoded == 1
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("data", [
+        # a non-ASCII block in which every row has one field too many
+        b"a,b,Label\n" + b"1,2,A\x96,3\n" * 3 + "4,5,B\u2013,6\n".encode() + b"7,8,C\n",
+        # a label-only file, a block of it ASCII, a block with a cp1252 label
+        b"Label\n" + b"x\ny\n \nBENIGN\n" + b"x\nWeb Attack \x96 XSS\n\ny\n",
+        # a block of blank lines and one undecodable line, among clean blocks
+        b"a,Label\n" + b"1,x\n" * 4 + b"\n\r\n\n2,A\x81\n" + b"3,y\n",
+    ], ids=["extra-field", "label-only", "blank-and-undecodable"])
+    def test_fixed_files_match_the_row_by_row_oracle(self, tmp_path, monkeypatch, data):
+        monkeypatch.setattr(dataio, "INGEST_BLOCK", 4)
+        path = tmp_path / "t.csv"
+        path.write_bytes(data)
+        assert ingest_outcome(dataio.load_dataset, path) == ingest_outcome(oracle_load_dataset, path)
 
     def test_a_file_of_cr_line_ends_is_read_a_block_at_a_time(self, tmp_path, monkeypatch):
         monkeypatch.setattr(dataio, "INGEST_BLOCK", 8)
