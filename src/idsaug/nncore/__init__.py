@@ -2,15 +2,7 @@
 
 from .adam import Adam
 from .checkpoint import load_network, read_network, save_network, write_network
-from .layers import (
-    BatchNorm,
-    Dense,
-    LayerNorm,
-    LeakyReLU,
-    ReLU,
-    Sigmoid,
-    Softmax,
-)
+from .layers import BatchNorm, Dense, LayerNorm, LeakyReLU, ReLU, Sigmoid
 from .losses import (
     adversarial_losses,
     contrastive_loss,
@@ -18,6 +10,7 @@ from .losses import (
     discriminator_score_grads,
     generator_score_grad,
     reconstruction_loss,
+    softmax,
 )
 from .network import Network
 
@@ -30,7 +23,6 @@ __all__ = [
     "Network",
     "ReLU",
     "Sigmoid",
-    "Softmax",
     "adversarial_losses",
     "contrastive_loss",
     "cross_entropy_loss",
@@ -40,5 +32,6 @@ __all__ = [
     "read_network",
     "reconstruction_loss",
     "save_network",
+    "softmax",
     "write_network",
 ]

@@ -43,7 +43,6 @@ LAYER_SETTINGS = {
     "leakyrelu": ("slope",),
     "relu": (),
     "sigmoid": (),
-    "softmax": (),
 }
 
 

@@ -383,38 +383,7 @@ class Sigmoid(Activation):
         return grad_in, []
 
 
-class Softmax(Activation):
-    kind = "softmax"
-
-    def forward(self, x, train, ws=None):
-        ws = {} if ws is None else ws
-        y = _buffer(ws, "out", x.shape, x.dtype)
-        row = _buffer(ws, "row", (x.shape[0], 1), x.dtype)
-        # the row maxima as the column maxima of a transposed copy, which
-        # numpy reduces several times faster than the rows of x
-        xt = _buffer(ws, "transposed", x.shape[::-1], x.dtype)
-        np.copyto(xt, x.T)
-        np.maximum.reduce(xt, 0, None, row[:, 0])
-        np.subtract(x, row, out=y)
-        np.exp(y, out=y)
-        _row_sums(y, row, ws)
-        y /= row
-        return y, (y, ws)
-
-    def backward(self, grad_out, cache, train, input_grad=True, grads=None, param_grad=True):
-        y, ws = cache
-        grad_in = _buffer(ws, "grad_in", y.shape, y.dtype)
-        row = ws["row"]
-        np.multiply(grad_out, y, out=grad_in)
-        _row_sums(grad_in, row, ws)
-        np.subtract(grad_out, row, out=grad_in)
-        grad_in *= y
-        return grad_in, []
-
-
-LAYER_KINDS = {
-    cls.kind: cls for cls in (Dense, BatchNorm, LayerNorm, LeakyReLU, ReLU, Sigmoid, Softmax)
-}
+LAYER_KINDS = {cls.kind: cls for cls in (Dense, BatchNorm, LayerNorm, LeakyReLU, ReLU, Sigmoid)}
 
 
 def check_batch(x, in_dim: int, context: str, dtype) -> np.ndarray:

@@ -129,11 +129,11 @@ class Network:
         rows, writes each into one preallocated output and drops every
         layer's cache, so its peak memory is a block's activations plus the
         output. Blocking is valid because every eval-mode layer is row-wise:
-        Dense, BatchNorm on its running statistics, LayerNorm, the
-        activations and Softmax each map a row on its own. A block size can
-        still change BLAS's summation order, so results may differ from one
-        pass in the last bits. Train mode cannot block: BatchNorm normalizes
-        over the whole batch.
+        Dense, BatchNorm on its running statistics, LayerNorm and the
+        activations each map a row on its own. A block size can still change
+        BLAS's summation order, so results may differ from one pass in the
+        last bits. Train mode cannot block: BatchNorm normalizes over the
+        whole batch.
         """
         if check:
             x = check_batch(x, self.in_dim, "forward", self.dtype)
@@ -182,7 +182,7 @@ class Network:
         return views
 
     def backward(self, grad_out, tape: Tape | None = None, input_grad: bool = True,
-                 param_grad: bool = True, accumulate: bool = False, skip_last: bool = False):
+                 param_grad: bool = True, accumulate: bool = False):
         """Backpropagate ``grad_out`` through the last forward pass.
 
         Returns (grad_wrt_input, param_grads): param_grads are views of
@@ -195,10 +195,6 @@ class Network:
         pass that needs only the input gradient, like a generator step
         through a frozen discriminator. With ``accumulate=True`` the
         parameter gradients are added to ``grad``.
-        With ``skip_last=True``, ``grad_out`` is the gradient of the last
-        layer's input and that layer, which must hold no parameters, is
-        skipped: a softmax output trained with ``cross_entropy_loss(...,
-        wrt="logits")``.
         """
         if tape is None:
             tape = self._tape
@@ -207,14 +203,11 @@ class Network:
                 raise StateError("backward called without a cached forward pass")
         if tape.caches is None:
             raise StateError("this tape was already backpropagated")
-        top = len(self.layers) - 1 - skip_last
-        if skip_last and self.layers[-1].params():
-            raise ConfigError("skip_last needs a last layer without parameters")
         grad_out = np.asarray(grad_out, dtype=self.dtype)
-        if grad_out.shape != (tape.rows, self.layers[top].out_dim):
+        if grad_out.shape != (tape.rows, self.out_dim):
             raise ShapeError(
                 f"upstream gradient shape {grad_out.shape} does not match the forward "
-                f"pass's {(tape.rows, self.layers[top].out_dim)}"
+                f"pass's {(tape.rows, self.out_dim)}"
             )
         layer_grads = [None] * len(self.layers)
         if param_grad:
@@ -224,7 +217,7 @@ class Network:
             layer_grads = self._extra_grads if accumulate else self._layer_grads
         train = self.mode == "train"
         grad = grad_out
-        for i in range(top, -1, -1):
+        for i in reversed(range(len(self.layers))):
             grad, _ = self.layers[i].backward(grad, tape.caches[i], train, input_grad or i > 0,
                                               layer_grads[i], param_grad)
         if accumulate and param_grad:

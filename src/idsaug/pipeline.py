@@ -45,7 +45,7 @@ from .errors import (
     ShapeError,
     TrainingDivergedError,
 )
-from .nncore import Adam, Dense, Network, ReLU, Softmax, cross_entropy_loss
+from .nncore import Adam, Dense, Network, ReLU, cross_entropy_loss, softmax
 from .nncore.layers import check_batch
 from .nncore.checkpoint import atomic_file, read_record, write_record
 from .seeding import derive_seed, substream
@@ -55,7 +55,7 @@ PROV_SCGAN = "scgan"
 PROV_SKN = "skn"
 PROV_ROS = "ros"
 
-CLASSIFIER_MAGIC = b"IDSAUG-CLF-3\n"
+CLASSIFIER_MAGIC = b"IDSAUG-CLF-4\n"
 # idsaug-run-4: run-table CSV floats are written as dataio.CELL_FORMAT, not repr
 RUN_FORMAT = "idsaug-run-4"
 
@@ -298,7 +298,8 @@ class ClassifierConfig:
 
 
 class ClassifierModel:
-    """Softmax network whose output width covers the full label dictionary.
+    """Dense network whose output logits cover the full label dictionary;
+    a softmax over them gives the class probabilities.
 
     Its parameters are float32, so it trains and predicts in float32.
     """
@@ -318,7 +319,7 @@ def build_classifier(input_dim: int, class_ids: list[int], config: ClassifierCon
     for width in config.hidden:
         layers += [Dense(prev, width, rng), ReLU(width)]
         prev = width
-    layers += [Dense(prev, len(class_ids), rng), Softmax(len(class_ids))]
+    layers.append(Dense(prev, len(class_ids), rng))
     return ClassifierModel(Network(layers, dtype=np.float32), class_ids)
 
 
@@ -356,14 +357,13 @@ def train_classifier(data: Dataset, config: ClassifierConfig) -> tuple[Classifie
         losses = []
         for start in range(0, data.n_rows, config.batch_size):
             stop = start + config.batch_size
-            probs = net.forward(shuffled_x[start:stop], check=False)
-            # softmax and cross-entropy backward fused: (probs - targets) / batch
-            loss, grad = cross_entropy_loss(probs, shuffled_t[start:stop], wrt="logits")
+            logits = net.forward(shuffled_x[start:stop], check=False)
+            loss, grad = cross_entropy_loss(logits, shuffled_t[start:stop])
             if not np.isfinite(loss):
                 raise TrainingDivergedError(
                     f"classifier loss became non-finite at epoch {epoch + 1}",
                     epoch=epoch + 1)
-            net.backward(grad, input_grad=False, skip_last=True)
+            net.backward(grad, input_grad=False)
             optimizer.step(net.params, net.grad)
             losses.append(loss)
         history.append(float(np.mean(losses)))
@@ -373,8 +373,9 @@ def train_classifier(data: Dataset, config: ClassifierConfig) -> tuple[Classifie
 
 def predict(model: ClassifierModel, data) -> tuple[np.ndarray, np.ndarray]:
     """Class ids by softmax argmax (ties go to the lowest class id), plus the
-    probability rows for auditing."""
-    probs = model.net.forward(data)
+    probability rows for auditing. The softmax is taken in place over the
+    eval-mode logits, so the rows are the one (n, classes) array."""
+    probs = softmax(model.net.forward(data))
     ids = np.asarray(model.class_ids, dtype=np.int64)[probs.argmax(axis=1)]
     return ids, probs
 

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from idsaug.errors import ConfigError, InputDataError
-from idsaug.nncore import BatchNorm, Dense, LayerNorm, LeakyReLU, ReLU, Sigmoid, Softmax
+from idsaug.nncore import BatchNorm, Dense, LayerNorm, LeakyReLU, ReLU, Sigmoid, softmax
 from idsaug.nncore.layers import LAYER_KINDS
 
 from _gradcheck import layer_gradcheck
@@ -27,17 +27,31 @@ def test_dense_init_bounds():
 
 
 def test_softmax_uniform_logits():
-    layer = Softmax(3)
-    out, _ = layer.forward(np.zeros((1, 3)), train=False)
+    out = softmax(np.zeros((1, 3)))
     assert np.allclose(out, 1.0 / 3.0)
 
 
 def test_softmax_rows_sum_to_one():
-    layer = Softmax(5)
     x = np.random.default_rng(2).standard_normal((40, 5)) * 30
-    out, _ = layer.forward(x, train=False)
+    out = softmax(x)
+    assert out is x
     assert np.abs(out.sum(axis=1) - 1.0).max() < 1e-9
     assert out.min() > 0.0 and out.max() <= 1.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([np.float32, np.float64]), st.integers(1, 9), st.integers(1, 7),
+       st.sampled_from([1e-3, 1.0, 1e3]), st.integers(0, 2**31))
+def test_softmax_computes_in_its_input_dtype_and_matches_its_textbook_form(dtype, rows, dim,
+                                                                          scale, seed):
+    x = (np.random.default_rng(seed).standard_normal((rows, dim)) * scale).astype(dtype)
+    wide = x.astype(np.float64)
+    e = np.exp(wide - wide.max(axis=1, keepdims=True))
+    expected = e / e.sum(axis=1, keepdims=True)
+    out = softmax(x)
+    assert out.dtype == dtype
+    tol = 1e-12 if dtype == np.float64 else 1e-6
+    np.testing.assert_allclose(out, expected, rtol=tol, atol=tol)
 
 
 def test_leakyrelu_definition():
@@ -176,7 +190,6 @@ def _random_input(kind, rng, rows, dim):
     ("leakyrelu", lambda rng, d: LeakyReLU(d, slope=0.01)),
     ("relu", lambda rng, d: ReLU(d)),
     ("sigmoid", lambda rng, d: Sigmoid(d)),
-    ("softmax", lambda rng, d: Softmax(d)),
 ])
 def test_layer_gradients_match_finite_differences(kind, factory):
     rng = np.random.default_rng(hash(kind) % (2**32))
@@ -265,12 +278,8 @@ def _reference(kind, layer, x, g, train):
                 g * np.where(x > 0.0, 1.0, layer.slope), [])
     if kind == "relu":
         return np.where(x > 0.0, x, 0.0), g * (x > 0.0), []
-    if kind == "sigmoid":
-        y = 1.0 / (1.0 + np.exp(-np.clip(x, -500.0, 500.0)))
-        return y, g * y * (1.0 - y), []
-    e = np.exp(x - x.max(axis=1, keepdims=True))
-    y = e / e.sum(axis=1, keepdims=True)
-    return y, y * (g - (g * y).sum(axis=1, keepdims=True)), []
+    y = 1.0 / (1.0 + np.exp(-np.clip(x, -500.0, 500.0)))
+    return y, g * y * (1.0 - y), []
 
 
 @settings(max_examples=120, deadline=None)

@@ -13,6 +13,7 @@ from idsaug.nncore import (
     discriminator_score_grads,
     generator_score_grad,
     reconstruction_loss,
+    softmax,
 )
 from idsaug.nncore.losses import LOG_EPS
 
@@ -134,16 +135,16 @@ class TestAdversarial:
 
 class TestCrossEntropy:
     def test_confident_correct_prediction(self):
-        probs = np.array([[1.0, 0.0, 0.0]])
+        logits = np.array([[50.0, 0.0, 0.0]])
         targets = np.array([[1.0, 0.0, 0.0]])
-        loss, _ = cross_entropy_loss(probs, targets)
+        loss, _ = cross_entropy_loss(logits, targets)
         assert loss == pytest.approx(0.0)
 
     def test_uniform_probabilities(self):
         c = 7
-        probs = np.full((3, c), 1.0 / c)
+        logits = np.zeros((3, c))
         targets = np.eye(c)[:3]
-        loss, _ = cross_entropy_loss(probs, targets)
+        loss, _ = cross_entropy_loss(logits, targets)
         assert loss == pytest.approx(math.log(c))
 
     def test_shape_mismatch(self):
@@ -153,30 +154,41 @@ class TestCrossEntropy:
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(6)
         logits = rng.standard_normal((4, 5))
-        probs = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
         targets = np.eye(5)[rng.integers(0, 5, size=4)]
-        _, grad = cross_entropy_loss(probs, targets)
-        numeric = fd_gradient(lambda: cross_entropy_loss(probs, targets)[0], probs)
+        before = logits.copy()
+        _, grad = cross_entropy_loss(logits, targets)
+        assert np.array_equal(logits, before)
+        numeric = fd_gradient(lambda: cross_entropy_loss(logits, targets)[0], logits)
         assert max_rel_err(grad, numeric) < 1e-5
 
     def test_chained_softmax_gradient_is_probs_minus_targets_over_batch(self):
-        from idsaug.nncore import Softmax
-
         rng = np.random.default_rng(7)
         logits = rng.standard_normal((6, 4))
-        layer = Softmax(4)
-        probs, cache = layer.forward(logits, train=True)
+        probs = softmax(logits.copy())
         targets = np.eye(4)[rng.integers(0, 4, size=6)]
-        _, grad_probs = cross_entropy_loss(probs, targets)
-        grad_logits, _ = layer.backward(grad_probs, cache, train=True)
+        grad_probs = -targets / (6 * probs)
+        grad_logits = _softmax_jvp(probs, grad_probs)
         assert np.allclose(grad_logits, (probs - targets) / 6, atol=1e-12)
 
         def objective():
-            out, _ = layer.forward(logits, train=True)
-            return cross_entropy_loss(out, targets)[0]
+            return -(targets * np.log(softmax(logits.copy()))).sum() / 6
 
         numeric = fd_gradient(objective, logits)
         assert max_rel_err(grad_logits, numeric) < 1e-5
+
+
+def _softmax_jvp(y, g):
+    """The softmax's backward pass: the gradient with respect to the logits
+    of a softmax output ``y`` whose own gradient is ``g``."""
+    return y * (g - (g * y).sum(axis=1, keepdims=True))
+
+
+def _clamped_loss_and_probability_gradient(probs, targets):
+    """Cross-entropy of probability rows clamped at LOG_EPS, and its gradient
+    with respect to the rows."""
+    batch = probs.shape[0]
+    clamped = np.maximum(probs, LOG_EPS)
+    return float(-(np.log(clamped) * targets).sum() / batch), -targets / (batch * clamped)
 
 
 @settings(max_examples=80, deadline=None)
@@ -184,19 +196,17 @@ class TestCrossEntropy:
        st.sampled_from([np.float32, np.float64]), st.integers(0, 2**31))
 def test_fused_logits_gradient_matches_the_chained_softmax_gradient(rows, classes, scale,
                                                                     dtype, seed):
-    from idsaug.nncore import Softmax
-
     rng = np.random.default_rng(seed)
     logits = rng.standard_normal((rows, classes)) * scale
     targets = np.eye(classes)[rng.integers(0, classes, size=rows)]
     # one row whose other classes' probabilities lie far below the clamp
     logits = np.vstack([logits, np.eye(classes)[0] * 50.0]).astype(dtype)
     targets = np.vstack([targets, np.eye(classes)[0]])
-    probs, cache = Softmax(classes).forward(logits, train=True)
+    probs = softmax(logits.copy())
     assert (probs[-1, 1:] < LOG_EPS).all()
-    loss, grad_probs = cross_entropy_loss(probs, targets)
-    chained, _ = Softmax(classes).backward(grad_probs, cache, train=True)
-    fused_loss, fused = cross_entropy_loss(probs, targets, wrt="logits")
+    loss, grad_probs = _clamped_loss_and_probability_gradient(probs, targets.astype(dtype))
+    chained = _softmax_jvp(probs, grad_probs)
+    fused_loss, fused = cross_entropy_loss(logits, targets)
     assert fused_loss == loss
     assert fused.dtype == dtype
     np.testing.assert_array_equal(fused, (probs - targets.astype(dtype)) / (rows + 1))
@@ -206,25 +216,18 @@ def test_fused_logits_gradient_matches_the_chained_softmax_gradient(rows, classe
 
 
 def test_fused_gradient_is_the_unclamped_one_where_the_target_probability_is_clamped():
-    from idsaug.nncore import Softmax
-
-    layer = Softmax(2)
-    probs, cache = layer.forward(np.array([[0.0, 30.0]]), train=True)
+    logits = np.array([[0.0, 30.0]])
+    probs = softmax(logits.copy())
     targets = np.array([[1.0, 0.0]])
     assert probs[0, 0] < LOG_EPS
-    loss, fused = cross_entropy_loss(probs, targets, wrt="logits")
+    loss, fused = cross_entropy_loss(logits, targets)
     assert loss == pytest.approx(-math.log(LOG_EPS))
-    unclamped, _ = layer.backward(-targets / probs, cache, train=True)
+    unclamped = _softmax_jvp(probs, -targets / probs)
     np.testing.assert_allclose(fused, unclamped, rtol=1e-12)
     # chained through the clamped probability gradient, the pull almost vanishes
-    _, grad_probs = cross_entropy_loss(probs, targets)
-    chained, _ = layer.backward(grad_probs, cache, train=True)
+    _, grad_probs = _clamped_loss_and_probability_gradient(probs, targets)
+    chained = _softmax_jvp(probs, grad_probs)
     assert abs(chained[0, 0]) < 1e-5 < abs(fused[0, 0])
-
-
-def test_cross_entropy_rejects_an_unknown_wrt():
-    with pytest.raises(ConfigError):
-        cross_entropy_loss(np.full((1, 2), 0.5), np.eye(2)[:1], wrt="inputs")
 
 
 class TestNonNegativity:
@@ -239,6 +242,6 @@ class TestNonNegativity:
             scores = rng.uniform(-1, 2, size=rows)  # clamped internally
             d_loss, g_loss = adversarial_losses(scores, scores)
             assert d_loss >= 0.0 and g_loss >= 0.0
-            probs = rng.dirichlet(np.ones(dim), size=rows)
+            logits = rng.standard_normal((rows, dim)) * 10
             targets = np.eye(dim)[rng.integers(0, dim, size=rows)]
-            assert cross_entropy_loss(probs, targets)[0] >= 0.0
+            assert cross_entropy_loss(logits, targets)[0] >= 0.0

@@ -12,7 +12,7 @@ from idsaug.cli import RunConfig
 from idsaug.dataio import Dataset
 from idsaug.errors import (ConfigError, DataError, FormatError, InputDataError, PipelineError,
                            PolicyError)
-from idsaug.nncore import Adam, Network, Softmax
+from idsaug.nncore import Adam, Network, softmax
 from idsaug.nncore.checkpoint import read_record, write_record
 from idsaug.san import SanConfig
 from idsaug.scgan import FilterPolicy, ScganConfig
@@ -261,10 +261,15 @@ class TestPredict:
         assert int(probs.argmax(axis=1)[0]) == 1
 
     def test_exact_tie_goes_to_lowest_class_id(self):
-        data = separable_dataset(seed=6)
-        model, _ = pipeline.train_classifier(data, pipeline.ClassifierConfig(epochs=0))
-        tie = np.array([[0.5, 0.5]])
-        assert int(tie.argmax(axis=1)[0]) == 0
+        rng = np.random.default_rng(6)
+        model = pipeline.build_classifier(5, [2, 4, 7], pipeline.ClassifierConfig(hidden=(6,)),
+                                          rng)
+        out = model.net.layers[-1]
+        out.weights[...] = 0.0
+        out.bias[...] = 0.0
+        predicted, probs = pipeline.predict(model, rng.random((9, 5)))
+        assert np.array_equal(predicted, np.full(9, 2))
+        assert np.all(probs == probs[0, 0])
 
     def test_batch_prediction_shape(self):
         data = separable_dataset(seed=7)
@@ -287,9 +292,8 @@ class TestPredict:
     def test_argmax_invariant_to_positive_logit_scaling(self):
         rng = np.random.default_rng(8)
         logits = rng.standard_normal((50, 4))
-        softmax = Softmax(4)
-        base, _ = softmax.forward(logits, train=False)
-        scaled, _ = softmax.forward(2.5 * logits, train=False)
+        scaled = softmax(2.5 * logits)
+        base = softmax(logits)
         assert np.array_equal(base.argmax(axis=1), scaled.argmax(axis=1))
 
 
@@ -338,7 +342,7 @@ class TestSaveLoadRun:
 
     @pytest.mark.parametrize("name, old_magic", [
         ("san.ckpt", "IDSAUG-SAN-1"), ("scgan_1.ckpt", "IDSAUG-GAN-1"),
-        ("classifier.ckpt", "IDSAUG-CLF-2")])
+        ("classifier.ckpt", "IDSAUG-CLF-2"), ("classifier.ckpt", "IDSAUG-CLF-3")])
     def test_older_checkpoint_magic_refused(self, tmp_path, name, old_magic):
         path = tmp_path / name
         load, magic, n_networks = _save_checkpoint(path)
