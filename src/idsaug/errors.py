@@ -18,7 +18,7 @@ class InputDataError(IdsAugError):
 
 
 class StateError(IdsAugError):
-    """Operation called in the wrong state (no cached forward pass, untrained model)."""
+    """Operation called in the wrong state (a spent tape, an untrained model)."""
 
 
 class SchemaError(IdsAugError):

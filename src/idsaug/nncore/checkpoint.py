@@ -7,14 +7,15 @@ it. It is written to a temporary file and moved into place with
 A reader refuses a record of another kind or of an older format by its magic
 line, then any record whose checksum does not match.
 
-A network is a JSON spec of its mode and layers (kind, dims and the
-constructor settings ``LAYER_SETTINGS`` names), then each layer's
-``param_names`` arrays and its ``stat_names`` arrays (batchnorm's running
-statistics). An array is its shape, then its values as row-major
-little-endian float64. On load each array's shape must match its layer.
-Round trips are bit-exact. Float32 parameters are stored widened to float64,
-which is exact; a reader that asks for a float32 network gets the same bits
-back, and one that asks for none gets float64.
+A network is a JSON spec of its layers (kind, dims and the constructor
+settings ``LAYER_SETTINGS`` names), then each layer's ``param_names`` arrays
+and its ``stat_names`` arrays (batchnorm's running statistics). Specs written
+by earlier versions also hold a ``"mode"`` key, which the reader ignores. An
+array is its shape, then its values as row-major little-endian float64. On
+load each array's shape must match its layer. Round trips are bit-exact.
+Float32 parameters are stored widened to float64, which is exact; a reader
+that asks for a float32 network gets the same bits back, and one that asks
+for none gets float64.
 """
 
 from __future__ import annotations
@@ -110,7 +111,7 @@ def write_network(fh: BinaryIO, net: Network):
         dims = [layer.in_dim] if isinstance(layer, Activation) else [layer.in_dim, layer.out_dim]
         specs.append({"kind": layer.kind, "dims": dims,
                       **{name: getattr(layer, name) for name in LAYER_SETTINGS[layer.kind]}})
-    write_metadata(fh, {"mode": net.mode, "layers": specs})
+    write_metadata(fh, {"layers": specs})
     for layer in net.layers:
         for name in layer.param_names + layer.stat_names:
             _write_array(fh, getattr(layer, name))
@@ -130,7 +131,6 @@ def read_network(fh: BinaryIO, dtype=None) -> Network:
                 _check_fits(fh, math.prod(layer_spec["dims"]), f"a {kind} layer")
             layers.append(LAYER_KINDS[kind](*layer_spec["dims"], **{
                 name: layer_spec[name] for name in LAYER_SETTINGS[kind]}))
-        mode = spec["mode"]
     except (KeyError, TypeError) as exc:
         raise FormatError(f"bad network spec in checkpoint: {exc!r}") from exc
     for layer in layers:
@@ -141,7 +141,7 @@ def read_network(fh: BinaryIO, dtype=None) -> Network:
                 raise FormatError(f"{layer.kind} {name} shape {arr.shape} does not match "
                                   f"its layer's {expected}")
             setattr(layer, name, arr)
-    return Network(layers, mode=mode, dtype=dtype)
+    return Network(layers, dtype=dtype)
 
 
 def save_network(path, net: Network):

@@ -1,31 +1,33 @@
 """Dense feed-forward layers with explicit forward and backward passes.
 
-Every layer maps a (batch, in_dim) float array to (batch, out_dim) and
-returns a cache that its own ``backward`` consumes. ``backward`` returns the
-gradient with respect to the input plus one gradient per entry of
-``params()``, in the same order; with ``input_grad=False`` a layer may return
-None for the input gradient and skip computing it, and with
-``param_grad=False`` it returns None for the parameter gradients and leaves
-``grads`` untouched. Layers compute in the dtype of their input, which must
-be the dtype of their parameters: no float64 constant widens a float32
-batch, and every output and gradient comes back in the input's dtype. New
-parameters are float64. ``param_names`` names a layer's parameter attributes
-and ``stat_names`` its other arrays; a ``Network`` rebinds the parameters to
-views of its flat vector and casts the others to its dtype. From then on a
-parameter is written in place: rebinding it would cut it off from the
-vector that ``Adam`` updates and a checkpoint saves, so it raises
-``StateError``.
+Every layer maps a (batch, in_dim) float array to (batch, out_dim) in two
+ways. ``forward`` is the training pass: it returns the output and a cache
+that its own ``backward`` consumes, and batchnorm normalizes over the batch
+and updates its running statistics. ``infer`` is inference: it returns the
+output alone, keeps nothing, and batchnorm normalizes with its running
+statistics, so every layer maps each row on its own. ``backward`` returns
+the gradient with respect to the input; with ``input_grad=False`` a layer
+may return None and skip computing it. Layers compute in the dtype of their
+input, which must be the dtype of their parameters: no float64 constant
+widens a float32 batch, and every output and gradient comes back in the
+input's dtype. New parameters are float64. ``param_names`` names a layer's
+parameter attributes and ``stat_names`` its other arrays; a ``Network``
+rebinds the parameters to views of its flat vector and casts the others to
+its dtype. From then on a parameter is written in place: rebinding it would
+cut it off from the vector that ``Adam`` updates and a checkpoint saves, so
+it raises ``StateError``.
 
-Buffers. ``forward(x, train, ws)`` writes its output and every intermediate
-into arrays it keeps in ``ws``, a dict of named buffers, and its cache holds
+Buffers. ``forward(x, ws)`` writes its output and every intermediate into
+arrays it keeps in ``ws``, a dict of named buffers, and its cache holds
 ``ws`` so that ``backward`` writes its gradients into the same dict. A buffer
 is made the first time a name is asked for and reused on every later call
 with the same ``ws``, so the caller must pass one ``ws`` per batch shape and
 dtype, and must not pass it to another forward while a cache that holds it
 is still to be backpropagated: ``Network`` gives each live tape its own.
 With no ``ws`` a call gets a fresh dict, so its outputs are new arrays.
-``backward(..., grads)`` writes the parameter gradients into the given
-arrays (views into a network's flat gradient) instead of new ones.
+``backward(..., grads)`` writes the parameter gradients into ``grads``, one
+array per entry of ``params()`` (views into a network's flat gradient); with
+``grads=None`` it computes none.
 """
 
 from __future__ import annotations
@@ -88,17 +90,15 @@ class Layer:
     def params(self) -> list[np.ndarray]:
         return [getattr(self, name) for name in self.param_names]
 
-    def forward(self, x: np.ndarray, train: bool, ws: dict | None = None):
+    def forward(self, x: np.ndarray, ws: dict | None = None):
         raise NotImplementedError
 
-    def backward(self, grad_out: np.ndarray, cache, train: bool, input_grad: bool = True,
-                 grads: list[np.ndarray] | None = None, param_grad: bool = True):
-        raise NotImplementedError
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        return self.forward(x)[0]
 
-    def _param_grads(self, grads, dtype) -> list[np.ndarray]:
-        if grads is None:
-            grads = [np.empty(p.shape, dtype) for p in self.params()]
-        return grads
+    def backward(self, grad_out: np.ndarray, cache, input_grad: bool = True,
+                 grads: list[np.ndarray] | None = None):
+        raise NotImplementedError
 
 
 class Activation(Layer):
@@ -120,26 +120,24 @@ class Dense(Layer):
         self.weights = rng.uniform(-limit, limit, size=(in_dim, out_dim))
         self.bias = np.zeros(out_dim)
 
-    def forward(self, x, train, ws=None):
+    def forward(self, x, ws=None):
         ws = {} if ws is None else ws
         out = _buffer(ws, "out", (x.shape[0], self.out_dim), x.dtype)
         np.matmul(x, self.weights, out=out)
         out += self.bias
         return out, (x, ws)
 
-    def backward(self, grad_out, cache, train, input_grad=True, grads=None, param_grad=True):
+    def backward(self, grad_out, cache, input_grad=True, grads=None):
         x, ws = cache
-        if param_grad:
-            grad_w, grad_b = grads = self._param_grads(grads, grad_out.dtype)
+        if grads is not None:
+            grad_w, grad_b = grads
             np.matmul(x.T, grad_out, out=grad_w)
             _column_sums(grad_out, grad_b, ws)
-        else:
-            grads = None
         if not input_grad:
-            return None, grads
+            return None
         grad_in = _buffer(ws, "grad_in", x.shape, grad_out.dtype)
         np.matmul(grad_out, self.weights.T, out=grad_in)
-        return grad_in, grads
+        return grad_in
 
 
 class BatchNorm(Activation):
@@ -162,83 +160,81 @@ class BatchNorm(Activation):
         self.running_mean = np.zeros(dim)
         self.running_var = np.ones(dim)
 
-    def forward(self, x, train, ws=None):
+    def forward(self, x, ws=None):
         ws = {} if ws is None else ws
         n, d = x.shape
+        if n < 2:
+            raise InputDataError("batchnorm needs a batch of at least 2 rows in a training pass")
         x_hat = _buffer(ws, "x_hat", x.shape, x.dtype)
         inv_std = _buffer(ws, "inv_std", d, x.dtype)
-        if train:
-            if n < 2:
-                raise InputDataError("batchnorm needs a batch of at least 2 rows in train mode")
-            mean = _buffer(ws, "mean", d, x.dtype)
-            var = _buffer(ws, "var", d, x.dtype)
-            _column_sums(x, mean, ws)
-            mean /= n
-            np.subtract(x, mean, out=x_hat)
-            out = _buffer(ws, "out", x.shape, x.dtype)
-            np.multiply(x_hat, x_hat, out=out)
-            _column_sums(out, var, ws)
-            var /= n
-            np.add(var, self.epsilon, out=inv_std)
-            np.sqrt(inv_std, out=inv_std)
-            np.divide(1.0, inv_std, out=inv_std)
-            x_hat *= inv_std
-            m = self.momentum
-            running_mean, running_var = self.running_mean, self.running_var
-            running_mean *= 1.0 - m
-            np.multiply(mean, m, out=mean)
-            running_mean += mean
-            # running variance tracks the unbiased estimate
-            running_var *= 1.0 - m
-            np.multiply(var, m, out=var)
-            var *= n / (n - 1.0)
-            running_var += var
-        else:
-            np.add(self.running_var, self.epsilon, out=inv_std)
-            np.sqrt(inv_std, out=inv_std)
-            np.divide(1.0, inv_std, out=inv_std)
-            np.subtract(x, self.running_mean, out=x_hat)
-            x_hat *= inv_std
-            out = _buffer(ws, "out", x.shape, x.dtype)
+        mean = _buffer(ws, "mean", d, x.dtype)
+        var = _buffer(ws, "var", d, x.dtype)
+        _column_sums(x, mean, ws)
+        mean /= n
+        np.subtract(x, mean, out=x_hat)
+        out = _buffer(ws, "out", x.shape, x.dtype)
+        np.multiply(x_hat, x_hat, out=out)
+        _column_sums(out, var, ws)
+        var /= n
+        np.add(var, self.epsilon, out=inv_std)
+        np.sqrt(inv_std, out=inv_std)
+        np.divide(1.0, inv_std, out=inv_std)
+        x_hat *= inv_std
+        m = self.momentum
+        running_mean, running_var = self.running_mean, self.running_var
+        running_mean *= 1.0 - m
+        np.multiply(mean, m, out=mean)
+        running_mean += mean
+        # running variance tracks the unbiased estimate
+        running_var *= 1.0 - m
+        np.multiply(var, m, out=var)
+        var *= n / (n - 1.0)
+        running_var += var
         np.multiply(x_hat, self.scale, out=out)
         out += self.shift
         return out, (x_hat, inv_std, ws)
 
-    def backward(self, grad_out, cache, train, input_grad=True, grads=None, param_grad=True):
+    def infer(self, x):
+        # the running statistics stand in for the batch's
+        inv_std = np.add(self.running_var, self.epsilon)
+        np.sqrt(inv_std, out=inv_std)
+        np.divide(1.0, inv_std, out=inv_std)
+        out = np.subtract(x, self.running_mean)
+        out *= inv_std
+        out *= self.scale
+        out += self.shift
+        return out
+
+    def backward(self, grad_out, cache, input_grad=True, grads=None):
         x_hat, inv_std, ws = cache
         n, d = x_hat.shape
-        if param_grad:
-            grad_scale, grad_shift = grads = self._param_grads(grads, grad_out.dtype)
-        else:
-            # the input gradient still needs both column sums
-            grads = None
-            grad_scale, grad_shift = (_buffer(ws, name, d, x_hat.dtype)
-                                      for name in ("grad_scale", "grad_shift"))
+        # the input gradient needs both column sums, parameter gradients or not
+        grad_scale, grad_shift = grads if grads is not None else (
+            _buffer(ws, name, d, x_hat.dtype) for name in ("grad_scale", "grad_shift"))
         tmp = _buffer(ws, "tmp", x_hat.shape, x_hat.dtype)
         np.multiply(grad_out, x_hat, out=tmp)
         _column_sums(tmp, grad_scale, ws)
         _column_sums(grad_out, grad_shift, ws)
         if not input_grad:
-            return None, grads
-        # with k = scale * inv_std, the input gradient is k * grad_out, less
-        # in train mode the batch terms (k / n) * (grad_shift + x_hat * grad_scale)
+            return None
+        # with k = scale * inv_std, the input gradient is k * grad_out less
+        # the batch terms (k / n) * (grad_shift + x_hat * grad_scale)
         k = _buffer(ws, "k", d, x_hat.dtype)
         np.multiply(self.scale, inv_std, out=k)
         grad_in = _buffer(ws, "grad_in", x_hat.shape, x_hat.dtype)
         np.multiply(grad_out, k, out=grad_in)
-        if train:
-            k /= n
-            term = _buffer(ws, "term", d, x_hat.dtype)
-            np.multiply(k, grad_shift, out=term)
-            grad_in -= term
-            np.multiply(k, grad_scale, out=term)
-            np.multiply(x_hat, term, out=tmp)
-            grad_in -= tmp
-        return grad_in, grads
+        k /= n
+        term = _buffer(ws, "term", d, x_hat.dtype)
+        np.multiply(k, grad_shift, out=term)
+        grad_in -= term
+        np.multiply(k, grad_scale, out=term)
+        np.multiply(x_hat, term, out=tmp)
+        grad_in -= tmp
+        return grad_in
 
 
 class LayerNorm(Activation):
-    """Per-row normalization over features; identical in train and eval."""
+    """Per-row normalization over features; the same in training and inference."""
 
     kind = "layernorm"
     param_names = ("scale", "shift")
@@ -251,7 +247,7 @@ class LayerNorm(Activation):
         self.scale = np.ones(dim)
         self.shift = np.zeros(dim)
 
-    def forward(self, x, train, ws=None):
+    def forward(self, x, ws=None):
         ws = {} if ws is None else ws
         n, d = x.shape
         x_hat = _buffer(ws, "x_hat", x.shape, x.dtype)
@@ -271,19 +267,17 @@ class LayerNorm(Activation):
         out += self.shift
         return out, (x_hat, inv_std, ws)
 
-    def backward(self, grad_out, cache, train, input_grad=True, grads=None, param_grad=True):
+    def backward(self, grad_out, cache, input_grad=True, grads=None):
         x_hat, inv_std, ws = cache
         n, d = x_hat.shape
         tmp = _buffer(ws, "tmp", x_hat.shape, x_hat.dtype)
-        if param_grad:
-            grad_scale, grad_shift = grads = self._param_grads(grads, grad_out.dtype)
+        if grads is not None:
+            grad_scale, grad_shift = grads
             np.multiply(grad_out, x_hat, out=tmp)
             _column_sums(tmp, grad_scale, ws)
             _column_sums(grad_out, grad_shift, ws)
-        else:
-            grads = None
         if not input_grad:
-            return None, grads
+            return None
         # (inv_std / d) * (d * grad_hat - rowsum(grad_hat) - x_hat * rowsum(grad_hat * x_hat))
         grad_hat = _buffer(ws, "grad_hat", x_hat.shape, x_hat.dtype)
         grad_in = _buffer(ws, "grad_in", x_hat.shape, x_hat.dtype)
@@ -299,7 +293,7 @@ class LayerNorm(Activation):
         grad_in -= tmp
         np.divide(inv_std, d, out=total)
         grad_in *= total
-        return grad_in, grads
+        return grad_in
 
 
 class LeakyReLU(Activation):
@@ -313,14 +307,14 @@ class LeakyReLU(Activation):
             raise ConfigError(f"leakyrelu slope must lie in [0, 1], got {slope}")
         self.slope = float(slope)
 
-    def forward(self, x, train, ws=None):
+    def forward(self, x, ws=None):
         ws = {} if ws is None else ws
         y = _buffer(ws, "out", x.shape, x.dtype)
         np.multiply(x, self.slope, out=y)
         np.maximum(x, y, out=y)
         return y, (y, ws)
 
-    def backward(self, grad_out, cache, train, input_grad=True, grads=None, param_grad=True):
+    def backward(self, grad_out, cache, input_grad=True, grads=None):
         # y > 0 exactly where x > 0; the factor is 1.0 there and the slope elsewhere
         y, ws = cache
         mask = _buffer(ws, "mask", y.shape, bool)
@@ -328,32 +322,32 @@ class LeakyReLU(Activation):
         np.greater(y, 0.0, out=mask)
         np.maximum(mask, self.slope, out=grad_in, dtype=y.dtype)
         grad_in *= grad_out
-        return grad_in, []
+        return grad_in
 
 
 class ReLU(Activation):
     kind = "relu"
 
-    def forward(self, x, train, ws=None):
+    def forward(self, x, ws=None):
         ws = {} if ws is None else ws
         y = _buffer(ws, "out", x.shape, x.dtype)
         np.maximum(x, 0.0, out=y)
         return y, (y, ws)
 
-    def backward(self, grad_out, cache, train, input_grad=True, grads=None, param_grad=True):
+    def backward(self, grad_out, cache, input_grad=True, grads=None):
         # y > 0 exactly where x > 0
         y, ws = cache
         mask = _buffer(ws, "mask", y.shape, bool)
         grad_in = _buffer(ws, "grad_in", y.shape, y.dtype)
         np.greater(y, 0.0, out=mask)
         np.multiply(grad_out, mask, out=grad_in)
-        return grad_in, []
+        return grad_in
 
 
 class Sigmoid(Activation):
     kind = "sigmoid"
 
-    def forward(self, x, train, ws=None):
+    def forward(self, x, ws=None):
         # 1 / (1 + e) for x >= 0 and e / (1 + e) below, with e = exp(-|x|), so
         # exp never overflows; outputs stay in the open interval (0, 1) even when
         # the exponential underflows
@@ -374,13 +368,13 @@ class Sigmoid(Activation):
         np.clip(y, info.smallest_subnormal, 1.0 - info.epsneg, out=y)
         return y, (y, ws)
 
-    def backward(self, grad_out, cache, train, input_grad=True, grads=None, param_grad=True):
+    def backward(self, grad_out, cache, input_grad=True, grads=None):
         y, ws = cache
         grad_in = _buffer(ws, "grad_in", y.shape, y.dtype)
         np.multiply(grad_out, y, out=grad_in)
         np.subtract(1.0, y, out=ws["exp"])
         grad_in *= ws["exp"]
-        return grad_in, []
+        return grad_in
 
 
 LAYER_KINDS = {cls.kind: cls for cls in (Dense, BatchNorm, LayerNorm, LeakyReLU, ReLU, Sigmoid)}

@@ -1,9 +1,12 @@
 """Sequential network container with tape-based backpropagation.
 
-``forward`` runs the layer stack; in train mode it records a tape of
-per-layer caches that ``backward`` consumes. ``take_tape`` hands the tape to
-the caller instead, which lets shared-parameter models run several forward
-passes before backpropagating each one.
+A network has two passes. ``forward`` is the training pass: it returns its
+output together with a tape of per-layer caches, and ``backward`` takes that
+tape explicitly, so shared-parameter models run several training passes
+before backpropagating each one. ``infer`` is inference: it checks its
+input, runs batchnorm on its running statistics and keeps nothing. Every
+tape comes from a training pass, so its backward is always the training
+pass's gradient.
 
 Parameters. The constructor copies every layer's parameters, in
 ``parameters()`` order, into one flat vector ``params`` and rebinds each
@@ -15,18 +18,18 @@ rebound (``StateError``), since a rebound array would be cut off from
 network held. The dtype of that vector is given at construction, or is
 that of the layers' first parameter when none is given, and never changes;
 the layers' other arrays (batchnorm's running statistics) are cast to it. A
-network computes in that dtype: ``forward`` casts its input to it and
+network computes in that dtype: both passes cast their input to it and
 ``backward`` its upstream gradient.
 
-Buffers. A train-mode forward writes every layer's output and cache into a
+Buffers. A training pass writes every layer's output and cache into a
 workspace: one buffer dict per layer (see ``layers``), made for one batch
-shape and dtype. The workspace belongs to the forward's tape until
-``backward`` consumes that tape, and then returns to the network's pool of
-free workspaces for that shape, so two live tapes never share memory and a
-train step allocates only the arrays it hands back: ``forward``'s output and
-``backward``'s input gradient are copies the caller owns. A stored tape that
-is replaced by the next forward without a backward returns its workspace too.
-``eval()`` drops the pool, and an eval-mode forward keeps nothing.
+shape and dtype. The workspace belongs to the pass's tape until ``backward``
+consumes that tape, and then returns to the network's pool of free
+workspaces for that shape, so two live tapes never share memory and a train
+step allocates only the arrays it hands back: ``forward``'s output and
+``backward``'s input gradient are copies the caller owns. A tape that is
+never backpropagated takes its workspace with it. ``infer`` uses no
+workspace.
 
 Gradients. ``backward`` writes the parameter gradients into ``grad``, a
 flat vector laid out as ``params`` (each layer writes straight into its
@@ -43,13 +46,13 @@ import numpy as np
 from ..errors import ConfigError, ShapeError, StateError
 from .layers import Layer, check_batch
 
-# rows per eval-mode block: large enough to keep BLAS efficient, small enough
+# rows per inference block: large enough to keep BLAS efficient, small enough
 # that a block's activations stay a few MB for any batch size
 EVAL_BLOCK = 4096
 
 
 class Tape:
-    """One train-mode forward: its layer caches and the workspace they live in."""
+    """One training pass: its layer caches and the workspace they live in."""
 
     __slots__ = ("rows", "workspace", "caches")
 
@@ -60,7 +63,7 @@ class Tape:
 
 
 class Network:
-    def __init__(self, layers: list[Layer], mode: str = "train", dtype=None):
+    def __init__(self, layers: list[Layer], dtype=None):
         if not layers:
             raise ConfigError("network needs at least one layer")
         for first, second in zip(layers, layers[1:]):
@@ -69,13 +72,9 @@ class Network:
                     f"layer dims do not chain: {first.kind}({first.out_dim}) then "
                     f"{second.kind}({second.in_dim})"
                 )
-        if mode not in ("train", "eval"):
-            raise ConfigError(f"unknown mode {mode!r}")
         self.layers = list(layers)
-        self.mode = mode
-        self._tape: Tape | None = None
         # free workspaces by batch rows
-        self._pool: dict[tuple, list[list[dict]]] = {}
+        self._pool: dict[int, list[list[dict]]] = {}
         params = self.parameters()
         if dtype is None:
             dtype = params[0].dtype if params else np.float64
@@ -106,70 +105,45 @@ class Network:
     def out_dim(self) -> int:
         return self.layers[-1].out_dim
 
-    def train(self) -> "Network":
-        self.mode = "train"
-        return self
-
-    def eval(self) -> "Network":
-        self.mode = "eval"
-        self._tape = None
-        self._pool = {}
-        return self
-
     def parameters(self) -> list[np.ndarray]:
         return [p for layer in self.layers for p in layer.params()]
 
-    def forward(self, x, check: bool = True) -> np.ndarray:
-        """Run the stack. Train mode stores a tape; eval mode mutates nothing.
+    def forward(self, x) -> tuple[np.ndarray, Tape]:
+        """The training pass: returns the output and the tape ``backward`` takes.
 
-        ``check=False`` skips ``check_batch`` (shape and finiteness) and only
-        casts ``x``: for a training loop that checked its whole input once.
-
-        Eval mode runs the layers over consecutive slices of ``EVAL_BLOCK``
-        rows, writes each into one preallocated output and drops every
-        layer's cache, so its peak memory is a block's activations plus the
-        output. Blocking is valid because every eval-mode layer is row-wise:
-        Dense, BatchNorm on its running statistics, LayerNorm and the
-        activations each map a row on its own. A block size can still change
-        BLAS's summation order, so results may differ from one pass in the
-        last bits. Train mode cannot block: BatchNorm normalizes over the
-        whole batch.
+        ``x`` is cast to the network's dtype, not checked: a training loop
+        checks its whole input once. Batchnorm normalizes over the whole
+        batch and updates its running statistics.
         """
-        if check:
-            x = check_batch(x, self.in_dim, "forward", self.dtype)
-        else:
-            x = np.asarray(x, dtype=self.dtype)
-        if self.mode == "train":
-            if self._tape is not None:
-                self._release(self._tape)
-            free = self._pool.get(x.shape[0])
-            workspace = free.pop() if free else [{} for _ in self.layers]
-            caches = []
-            for layer, ws in zip(self.layers, workspace):
-                x, cache = layer.forward(x, True, ws)
-                caches.append(cache)
-            self._tape = Tape(x.shape[0], workspace, caches)
-            return x.copy()
+        x = np.asarray(x, dtype=self.dtype)
+        free = self._pool.get(x.shape[0])
+        workspace = free.pop() if free else [{} for _ in self.layers]
+        caches = []
+        for layer, ws in zip(self.layers, workspace):
+            x, cache = layer.forward(x, ws)
+            caches.append(cache)
+        return x.copy(), Tape(x.shape[0], workspace, caches)
+
+    def infer(self, x) -> np.ndarray:
+        """Inference: checks ``x`` (shape and finiteness) and mutates nothing.
+
+        Runs the layers over consecutive slices of ``EVAL_BLOCK`` rows,
+        writes each into one preallocated output and keeps no cache, so its
+        peak memory is a block's activations plus the output. Blocking is
+        valid because every layer's inference maps a row on its own: Dense,
+        BatchNorm on its running statistics, LayerNorm and the activations.
+        A block size can still change BLAS's summation order, so results may
+        differ from one pass in the last bits. A training pass cannot block:
+        BatchNorm normalizes over the whole batch.
+        """
+        x = check_batch(x, self.in_dim, "infer", self.dtype)
         out = np.empty((x.shape[0], self.out_dim), dtype=x.dtype)
         for start in range(0, x.shape[0], EVAL_BLOCK):
             block = x[start:start + EVAL_BLOCK]
             for layer in self.layers:
-                block, _ = layer.forward(block, False)
+                block = layer.infer(block)
             out[start:start + EVAL_BLOCK] = block
         return out
-
-    def take_tape(self) -> Tape:
-        """Detach and return the tape from the last train-mode forward."""
-        tape = self._tape
-        self._tape = None
-        if tape is None:
-            raise StateError("no forward tape available; run a train-mode forward first")
-        return tape
-
-    def _release(self, tape: Tape):
-        """Return a tape's workspace to the pool; the tape is spent."""
-        tape.caches = None
-        self._pool.setdefault(tape.rows, []).append(tape.workspace)
 
     def _views(self, flat: np.ndarray) -> list[list[np.ndarray]]:
         """Per-layer views of a vector laid out as ``params``."""
@@ -181,26 +155,21 @@ class Network:
                 pos += p.size
         return views
 
-    def backward(self, grad_out, tape: Tape | None = None, input_grad: bool = True,
+    def backward(self, grad_out, tape: Tape, input_grad: bool = True,
                  param_grad: bool = True, accumulate: bool = False):
-        """Backpropagate ``grad_out`` through the last forward pass.
+        """Backpropagate ``grad_out`` through the training pass of ``tape``.
 
         Returns (grad_wrt_input, param_grads): param_grads are views of
         ``grad``, aligned with ``parameters()``, valid until the next
-        backward. With no explicit tape, consumes the stored one; a tape can
-        be backpropagated once. With ``input_grad=False`` the first layer
-        skips its input gradient and the returned one is None. With
+        backward. A tape can be backpropagated once; its workspace then
+        returns to the pool. With ``input_grad=False`` the first layer skips
+        its input gradient and the returned one is None. With
         ``param_grad=False`` no layer computes its parameter gradients,
         ``grad`` is left as it was and the returned param_grads are None: a
         pass that needs only the input gradient, like a generator step
         through a frozen discriminator. With ``accumulate=True`` the
         parameter gradients are added to ``grad``.
         """
-        if tape is None:
-            tape = self._tape
-            self._tape = None
-            if tape is None:
-                raise StateError("backward called without a cached forward pass")
         if tape.caches is None:
             raise StateError("this tape was already backpropagated")
         grad_out = np.asarray(grad_out, dtype=self.dtype)
@@ -215,12 +184,12 @@ class Network:
                 self._extra = np.empty_like(self.grad)
                 self._extra_grads = self._views(self._extra)
             layer_grads = self._extra_grads if accumulate else self._layer_grads
-        train = self.mode == "train"
         grad = grad_out
         for i in reversed(range(len(self.layers))):
-            grad, _ = self.layers[i].backward(grad, tape.caches[i], train, input_grad or i > 0,
-                                              layer_grads[i], param_grad)
+            grad = self.layers[i].backward(grad, tape.caches[i], input_grad or i > 0,
+                                           layer_grads[i])
         if accumulate and param_grad:
             self.grad += self._extra
-        self._release(tape)
+        tape.caches = None
+        self._pool.setdefault(tape.rows, []).append(tape.workspace)
         return (grad.copy() if input_grad else None), (self.grads if param_grad else None)

@@ -333,7 +333,6 @@ def train_classifier(data: Dataset, config: ClassifierConfig) -> tuple[Classifie
     rng_init, rng_train = (np.random.default_rng(s) for s in seq.spawn(2))
     model = build_classifier(data.n_features, class_ids, config, rng_init)
     if config.epochs == 0:
-        model.net.eval()
         return model, []
 
     net = model.net
@@ -357,25 +356,24 @@ def train_classifier(data: Dataset, config: ClassifierConfig) -> tuple[Classifie
         losses = []
         for start in range(0, data.n_rows, config.batch_size):
             stop = start + config.batch_size
-            logits = net.forward(shuffled_x[start:stop], check=False)
+            logits, tape = net.forward(shuffled_x[start:stop])
             loss, grad = cross_entropy_loss(logits, shuffled_t[start:stop])
             if not np.isfinite(loss):
                 raise TrainingDivergedError(
                     f"classifier loss became non-finite at epoch {epoch + 1}",
                     epoch=epoch + 1)
-            net.backward(grad, input_grad=False)
+            net.backward(grad, tape, input_grad=False)
             optimizer.step(net.params, net.grad)
             losses.append(loss)
         history.append(float(np.mean(losses)))
-    model.net.eval()
     return model, history
 
 
 def predict(model: ClassifierModel, data) -> tuple[np.ndarray, np.ndarray]:
     """Class ids by softmax argmax (ties go to the lowest class id), plus the
     probability rows for auditing. The softmax is taken in place over the
-    eval-mode logits, so the rows are the one (n, classes) array."""
-    probs = softmax(model.net.forward(data))
+    inferred logits, so the rows are the one (n, classes) array."""
+    probs = softmax(model.net.infer(data))
     ids = np.asarray(model.class_ids, dtype=np.int64)[probs.argmax(axis=1)]
     return ids, probs
 

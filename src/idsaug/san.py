@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataio import _check_unit_range
-from .errors import ConfigError, DataError, StateError, TrainingDivergedError
+from .errors import ConfigError, DataError, TrainingDivergedError
 from .nncore import (
     Adam,
     BatchNorm,
@@ -91,16 +91,6 @@ class SanModel:
     @property
     def code_dim(self) -> int:
         return self.encoder.out_dim
-
-    def eval(self) -> "SanModel":
-        self.encoder.eval()
-        self.decoder.eval()
-        return self
-
-    def train(self) -> "SanModel":
-        self.encoder.train()
-        self.decoder.train()
-        return self
 
 
 def build_san(input_dim: int, config: SanConfig, rng: np.random.Generator) -> SanModel:
@@ -185,14 +175,10 @@ def _loss_and_grads(model: SanModel, batch: PairBatch):
     Each network's gradients over both twins are summed in its ``grad``; the
     returned per-parameter lists are views of it."""
     enc, dec = model.encoder, model.decoder
-    e1 = enc.forward(batch.x1, check=False)
-    tape_e1 = enc.take_tape()
-    r1 = dec.forward(e1, check=False)
-    tape_d1 = dec.take_tape()
-    e2 = enc.forward(batch.x2, check=False)
-    tape_e2 = enc.take_tape()
-    r2 = dec.forward(e2, check=False)
-    tape_d2 = dec.take_tape()
+    e1, tape_e1 = enc.forward(batch.x1)
+    r1, tape_d1 = dec.forward(e1)
+    e2, tape_e2 = enc.forward(batch.x2)
+    r2, tape_d2 = dec.forward(e2)
 
     loss_r1, grad_r1 = reconstruction_loss(batch.x1, r1)
     loss_r2, grad_r2 = reconstruction_loss(batch.x2, r2)
@@ -209,12 +195,13 @@ def _loss_and_grads(model: SanModel, batch: PairBatch):
 
 
 def san_loss(model: SanModel, batch: PairBatch) -> float:
-    """Reconstruction of both twins plus the weighted contrastive term."""
+    """Reconstruction of both twins plus the weighted contrastive term, over
+    training passes: the loss whose gradients ``_loss_and_grads`` takes."""
     enc, dec = model.encoder, model.decoder
-    e1 = enc.forward(batch.x1)
-    r1 = dec.forward(e1)
-    e2 = enc.forward(batch.x2)
-    r2 = dec.forward(e2)
+    e1, _ = enc.forward(batch.x1)
+    r1, _ = dec.forward(e1)
+    e2, _ = enc.forward(batch.x2)
+    r2, _ = dec.forward(e2)
     loss_r1, _ = reconstruction_loss(batch.x1, r1)
     loss_r2, _ = reconstruction_loss(batch.x2, r2)
     loss_c, _, _ = contrastive_loss(e1, e2, batch.y, model.margin)
@@ -222,15 +209,15 @@ def san_loss(model: SanModel, batch: PairBatch) -> float:
 
 
 def train_san(features, labels, config: SanConfig) -> tuple[SanModel, list[float]]:
-    """Train the shared twins; returns the model in eval mode plus the
-    per-epoch mean loss history."""
+    """Train the shared twins; returns the model plus the per-epoch mean loss
+    history."""
     features = np.asarray(features, dtype=np.float64)
     _check_unit_range(features, "train_san")
     seq = np.random.SeedSequence(config.seed)
     rng_init, rng_pairs = (np.random.default_rng(s) for s in seq.spawn(2))
     model = build_san(features.shape[1], config, rng_init)
     if config.epochs == 0:
-        return model.eval(), []
+        return model, []
 
     enc, dec = model.encoder, model.decoder
     opt_enc = Adam(enc.params, lr=config.lr)
@@ -255,14 +242,12 @@ def train_san(features, labels, config: SanConfig) -> tuple[SanModel, list[float
             opt_dec.step(dec.params, dec.grad)
             losses.append(loss)
         history.append(float(np.mean(losses)))
-    return model.eval(), history
+    return model, history
 
 
 def encode(model: SanModel, data) -> np.ndarray:
-    """Deterministic codes for a batch; the model must be in eval mode."""
-    if model.encoder.mode != "eval":
-        raise StateError("encode requires the model in eval mode")
-    return model.encoder.forward(data)
+    """Deterministic codes for a batch: the encoder's inference pass."""
+    return model.encoder.infer(data)
 
 
 def save_san(path, model: SanModel):

@@ -100,11 +100,6 @@ class ScganModel:
         self.class_id = class_id
         self.trained = trained
 
-    def eval(self) -> "ScganModel":
-        self.generator.eval()
-        self.discriminator.eval()
-        return self
-
 
 def build_scgan(feature_dim: int, code_dim: int, config: ScganConfig,
                 rng: np.random.Generator, class_id: int | None = None) -> ScganModel:
@@ -140,7 +135,7 @@ def train_scgan(class_data, class_id, san_model: SanModel,
     two passes with their gradients summed, up to summation order. The
     generator step then rescores the generated half in place.
 
-    Returns the model in eval mode and per-epoch mean loss histories.
+    Returns the model and per-epoch mean loss histories.
     ``observer``, when given, is called as observer(event, model) after each
     sub-update ("d-updated", "g-updated"), which makes the update alternation
     externally checkable.
@@ -158,7 +153,7 @@ def train_scgan(class_data, class_id, san_model: SanModel,
                         class_id=class_id)
     history = ScganHistory()
     if config.epochs == 0:
-        return model.eval(), history
+        return model, history
 
     feature_dim = model.feature_dim
     real_rows = np.concatenate([data, encode(san_model, data)], axis=1)
@@ -186,22 +181,23 @@ def train_scgan(class_data, class_id, san_model: SanModel,
             gen_in[:, :model.code_dim] = cond
             gen_in[:, model.code_dim:] = rng_train.standard_normal((b, config.noise_dim))
 
-            disc_in[b:, :feature_dim] = gen.forward(gen_in, check=False)
-            tape_gen = gen.take_tape()
+            fake, tape_gen = gen.forward(gen_in)
+            disc_in[b:, :feature_dim] = fake
 
-            scores = disc.forward(disc_in, check=False)
+            scores, tape_disc = disc.forward(disc_in)
             d_real, d_fake = scores[:b], scores[b:]
             d_loss, _ = adversarial_losses(d_real, d_fake)
-            disc.backward(np.concatenate(discriminator_score_grads(d_real, d_fake)),
+            disc.backward(np.concatenate(discriminator_score_grads(d_real, d_fake)), tape_disc,
                           input_grad=False)
             opt_d.step(disc.params, disc.grad)
             if observer is not None:
                 observer("d-updated", model)
 
             # generator step against the updated, frozen discriminator
-            d_fake2 = disc.forward(disc_in[b:], check=False)
+            d_fake2, tape_fake = disc.forward(disc_in[b:])
             _, g_loss = adversarial_losses(d_real, d_fake2)
-            grad_disc_in, _ = disc.backward(generator_score_grad(d_fake2), param_grad=False)
+            grad_disc_in, _ = disc.backward(generator_score_grad(d_fake2), tape_fake,
+                                            param_grad=False)
             gen.backward(grad_disc_in[:, :feature_dim], tape_gen, input_grad=False)
             opt_g.step(gen.params, gen.grad)
             if observer is not None:
@@ -219,7 +215,7 @@ def train_scgan(class_data, class_id, san_model: SanModel,
             history.d_loss.append(float(np.mean(d_losses)))
             history.g_loss.append(float(np.mean(g_losses)))
     model.trained = steps > 0
-    return model.eval(), history
+    return model, history
 
 
 def _class_codes(model: ScganModel, san_model: SanModel, class_samples) -> np.ndarray:
@@ -237,7 +233,7 @@ def _draw(model: ScganModel, codes: np.ndarray, n: int,
     picks = rng.integers(0, codes.shape[0], size=n)
     conditions = codes[picks]
     noise = rng.standard_normal((n, model.noise_dim))
-    candidates = model.generator.forward(np.concatenate([conditions, noise], axis=1))
+    candidates = model.generator.infer(np.concatenate([conditions, noise], axis=1))
     return candidates, conditions
 
 
@@ -267,7 +263,7 @@ def filter_generated(model: ScganModel, candidates, conditions,
         raise InputDataError("candidates and conditions must be row aligned")
     if candidates.shape[0] == 0:
         return candidates, np.empty(0)
-    scores = model.discriminator.forward(
+    scores = model.discriminator.infer(
         np.concatenate([candidates, conditions], axis=1))[:, 0]
     return candidates[scores >= policy.eta], scores
 

@@ -39,22 +39,23 @@ def max_rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(np.max(np.abs(a - n) / denom)) if a.size else 0.0
 
 
-def layer_gradcheck(layer, x: np.ndarray, rng: np.random.Generator,
-                    train: bool = True) -> float:
-    """Worst relative error across input and parameter gradients.
+def layer_gradcheck(layer, x: np.ndarray, rng: np.random.Generator) -> float:
+    """Worst relative error across the input and parameter gradients of a
+    training pass.
 
     The scalar objective is sum(forward(x) * weights) for a fixed random
     weight array, which exercises every output element.
     """
-    y, _ = layer.forward(x.copy(), train)
+    y, _ = layer.forward(x.copy())
     probe = rng.standard_normal(y.shape)
 
     def objective():
-        out, _ = layer.forward(x, train)
+        out, _ = layer.forward(x)
         return float((out * probe).sum())
 
-    _, cache = layer.forward(x, train)
-    grad_in, param_grads = layer.backward(probe, cache, train)
+    _, cache = layer.forward(x)
+    param_grads = [np.empty_like(p) for p in layer.params()]
+    grad_in = layer.backward(probe, cache, grads=param_grads)
 
     worst = max_rel_err(grad_in, fd_gradient(objective, x))
     for param, analytic in zip(layer.params(), param_grads):

@@ -116,7 +116,7 @@ def test_c4_gradient_suite():
                 x = np.where(np.abs(x) < 1e-3, x + np.sign(x + 0.5) * 2e-3, x)
             if kind == "batchnorm":
                 x = x * rng.uniform(2.0, 6.0, size=dim)
-            err = layer_gradcheck(factory(rng, dim), x, rng, train=True)
+            err = layer_gradcheck(factory(rng, dim), x, rng)
             worst = max(worst, err)
             assert err < 1e-4, (kind, err)
 
@@ -240,7 +240,7 @@ def test_c6_filter_soundness_on_trained_toy_gan():
     result = synthesize_to_target(model, san_model, scarce, 500, policy, seed=3)
     assert result.samples.shape[0] == 500
     assert result.samples.min() >= 0.0 and result.samples.max() <= 1.0
-    rescored = model.discriminator.forward(
+    rescored = model.discriminator.infer(
         np.concatenate([result.samples, result.conditions], axis=1))[:, 0]
     frac = float((rescored >= policy.eta).mean())
     assert frac == 1.0

@@ -15,7 +15,7 @@ def test_dense_identity_passthrough():
     layer = Dense(2, 2, np.random.default_rng(0))
     layer.weights = np.eye(2)
     layer.bias = np.zeros(2)
-    out, _ = layer.forward(np.array([[1.0, 2.0]]), train=False)
+    out = layer.infer(np.array([[1.0, 2.0]]))
     assert np.array_equal(out, [[1.0, 2.0]])
 
 
@@ -56,19 +56,19 @@ def test_softmax_computes_in_its_input_dtype_and_matches_its_textbook_form(dtype
 
 def test_leakyrelu_definition():
     layer = LeakyReLU(2, slope=0.01)
-    out, _ = layer.forward(np.array([[-1.0, 2.0]]), train=False)
+    out = layer.infer(np.array([[-1.0, 2.0]]))
     assert np.allclose(out, [[-0.01, 2.0]])
 
 
 def test_relu_zeroes_negatives():
     layer = ReLU(3)
-    out, _ = layer.forward(np.array([[-5.0, 0.0, 3.0]]), train=False)
+    out = layer.infer(np.array([[-5.0, 0.0, 3.0]]))
     assert np.array_equal(out, [[0.0, 0.0, 3.0]])
 
 
 def test_sigmoid_range_and_extremes():
     layer = Sigmoid(2)
-    out, _ = layer.forward(np.array([[-800.0, 800.0]]), train=False)
+    out = layer.infer(np.array([[-800.0, 800.0]]))
     assert np.isfinite(out).all()
     # strictly inside (0, 1) even under exponential underflow
     assert 0.0 < out[0, 0] < 1e-12
@@ -80,7 +80,7 @@ def test_batchnorm_standardizes_before_affine():
     # feature scales well above epsilon so the unit-variance check is tight
     x = rng.standard_normal((256, 6)) * rng.uniform(20, 60, size=6) + rng.uniform(-5, 5, size=6)
     layer = BatchNorm(6)
-    out, _ = layer.forward(x, train=True)
+    out, _ = layer.forward(x)
     assert np.abs(out.mean(axis=0)).max() < 1e-6
     assert np.abs(out.var(axis=0) - 1.0).max() < 1e-6
 
@@ -89,14 +89,14 @@ def test_batchnorm_eval_uses_running_stats_only():
     rng = np.random.default_rng(4)
     layer = BatchNorm(4)
     for _ in range(20):
-        layer.forward(rng.standard_normal((32, 4)) * 3 + 1, train=True)
+        layer.forward(rng.standard_normal((32, 4)) * 3 + 1)
     probe = rng.standard_normal((5, 4))
-    out1, _ = layer.forward(probe, train=False)
-    out2, _ = layer.forward(probe.copy(), train=False)
+    out1 = layer.infer(probe)
+    out2 = layer.infer(probe.copy())
     assert np.array_equal(out1, out2)
-    # a different batch must not change eval outputs
+    # a different batch must not change inference outputs
     layer_stats = (layer.running_mean.copy(), layer.running_var.copy())
-    out3, _ = layer.forward(rng.standard_normal((50, 4)), train=False)
+    layer.infer(rng.standard_normal((50, 4)))
     assert np.array_equal(layer.running_mean, layer_stats[0])
     assert np.array_equal(layer.running_var, layer_stats[1])
 
@@ -105,22 +105,22 @@ def test_batchnorm_running_var_nonnegative():
     rng = np.random.default_rng(5)
     layer = BatchNorm(3)
     for _ in range(50):
-        layer.forward(rng.standard_normal((16, 3)) * 0.01, train=True)
+        layer.forward(rng.standard_normal((16, 3)) * 0.01)
     assert np.all(layer.running_var >= 0.0)
 
 
 def test_batchnorm_rejects_singleton_batches_in_train_mode():
     layer = BatchNorm(3)
     with pytest.raises(InputDataError):
-        layer.forward(np.ones((1, 3)), train=True)
+        layer.forward(np.ones((1, 3)))
 
 
 def test_layernorm_is_mode_independent():
     rng = np.random.default_rng(6)
     x = rng.standard_normal((8, 5))
     layer = LayerNorm(5)
-    out_train, _ = layer.forward(x, train=True)
-    out_eval, _ = layer.forward(x, train=False)
+    out_train, _ = layer.forward(x)
+    out_eval = layer.infer(x)
     assert np.array_equal(out_train, out_eval)
 
 
@@ -153,8 +153,8 @@ def test_relu_matches_the_where_form_byte_for_byte(pair):
     x, g = pair
     layer = ReLU(x.shape[1])
     held = x.copy()
-    out, cache = layer.forward(x, train=True)
-    grad, _ = layer.backward(g, cache, train=True)
+    out, cache = layer.forward(x)
+    grad = layer.backward(g, cache)
     assert _same_bytes(out, np.where(x > 0.0, x, 0.0))
     assert _same_bytes(grad, g * (x > 0.0))
     assert _same_bytes(x, held)
@@ -166,8 +166,8 @@ def test_leakyrelu_matches_the_where_form_byte_for_byte(pair, slope):
     x, g = pair
     layer = LeakyReLU(x.shape[1], slope=slope)
     held = x.copy()
-    out, cache = layer.forward(x, train=True)
-    grad, _ = layer.backward(g, cache, train=True)
+    out, cache = layer.forward(x)
+    grad = layer.backward(g, cache)
     assert _same_bytes(out, np.where(x > 0.0, x, slope * x))
     assert _same_bytes(grad, g * np.where(x > 0.0, 1.0, slope))
     assert _same_bytes(x, held)
@@ -198,16 +198,7 @@ def test_layer_gradients_match_finite_differences(kind, factory):
         rows = int(rng.integers(3, 8))
         layer = factory(rng, dim)
         x = _random_input(kind, rng, rows, dim)
-        assert layer_gradcheck(layer, x, rng, train=True) < 1e-4
-
-
-def test_batchnorm_eval_mode_gradients():
-    rng = np.random.default_rng(7)
-    layer = BatchNorm(4)
-    for _ in range(5):
-        layer.forward(rng.standard_normal((16, 4)), train=True)
-    x = rng.standard_normal((6, 4))
-    assert layer_gradcheck(layer, x, rng, train=False) < 1e-4
+        assert layer_gradcheck(layer, x, rng) < 1e-4
 
 
 def _in_dtype(layer, dtype):
@@ -233,27 +224,28 @@ def test_every_layer_computes_in_its_input_dtype(kind, dtype, rows, dim, scale, 
     assert all(p.dtype == np.float64 for p in layer.params())
     layer = _in_dtype(layer, dtype)
     x = (rng.standard_normal((rows, dim)) * scale).astype(dtype)
-    for train in (True, False):
-        out, cache = layer.forward(x, train)
-        assert out.dtype == dtype
-        g = rng.standard_normal(out.shape).astype(dtype)
-        grad_in, param_grads = layer.backward(g, cache, train)
-        assert grad_in.dtype == dtype
-        assert [p.dtype for p in param_grads] == [dtype] * len(layer.params())
+    out, cache = layer.forward(x)
+    assert out.dtype == dtype
+    g = rng.standard_normal(out.shape).astype(dtype)
+    grad_in = layer.backward(g, cache, grads=[np.empty_like(p) for p in layer.params()])
+    assert grad_in.dtype == dtype
+    assert layer.infer(x).dtype == dtype
     # running statistics too keep the layer's dtype
     assert all(value.dtype == dtype for value in vars(layer).values()
                if isinstance(value, np.ndarray))
     if kind == "sigmoid":
         big = np.finfo(dtype).max
         extreme = np.array([[-big, -200.0, 200.0, big]], dtype=dtype)
-        out, _ = Sigmoid(4).forward(extreme, train=False)
+        out = Sigmoid(4).infer(extreme)
         assert out.dtype == dtype
         assert np.all(out > 0.0) and np.all(out < 1.0)
 
 
 def _reference(kind, layer, x, g, train):
-    """The layer's forward output, input gradient and parameter gradients in
-    their textbook NumPy form: whole-array expressions and NumPy reductions."""
+    """The layer's output, input gradient and parameter gradients in their
+    textbook NumPy form: whole-array expressions and NumPy reductions. The
+    output is the training pass's when ``train`` is set and inference's
+    otherwise; the gradients are the training pass's."""
     if kind == "dense":
         return x @ layer.weights + layer.bias, g @ layer.weights.T, [x.T @ g, g.sum(axis=0)]
     if kind in ("batchnorm", "layernorm"):
@@ -266,11 +258,8 @@ def _reference(kind, layer, x, g, train):
         x_hat = (x - mean) * inv_std
         grad_hat = g * layer.scale
         n = x.shape[axis]
-        if kind == "batchnorm" and not train:
-            grad_in = grad_hat * inv_std
-        else:
-            grad_in = (inv_std / n) * (n * grad_hat - grad_hat.sum(axis=axis, keepdims=True)
-                                       - x_hat * (grad_hat * x_hat).sum(axis=axis, keepdims=True))
+        grad_in = (inv_std / n) * (n * grad_hat - grad_hat.sum(axis=axis, keepdims=True)
+                                   - x_hat * (grad_hat * x_hat).sum(axis=axis, keepdims=True))
         return (layer.scale * x_hat + layer.shift, grad_in,
                 [(g * x_hat).sum(axis=0), g.sum(axis=0)])
     if kind == "leakyrelu":
@@ -306,14 +295,17 @@ def test_every_layer_matches_its_textbook_form(kind, dtype, rows, dim, train, se
         layer.running_var = rng.uniform(0.5, 2.0, dim)
     layer = _in_dtype(layer, dtype)
     x = (rng.standard_normal((rows, dim)) * 3.0).astype(dtype)
-    out, cache = layer.forward(x, train)
-    g = rng.standard_normal(out.shape).astype(dtype)
-    grad_in, param_grads = layer.backward(g, cache, train)
+    g = rng.standard_normal((rows, layer.out_dim)).astype(dtype)
+    if train:
+        out, cache = layer.forward(x)
+        param_grads = [np.empty_like(p) for p in layer.params()]
+        results = [out, layer.backward(g, cache, grads=param_grads), *param_grads]
+    else:
+        results = [layer.infer(x)]  # inference has no backward: its output alone
     narrow = _reference(kind, layer, x, g, train)
     wide = _in_dtype(layer, np.float64)
     expected = _reference(kind, wide, x.astype(np.float64), g.astype(np.float64), train)
-    for ours, textbook, theirs in zip([out, grad_in, *param_grads],
-                                      [narrow[0], narrow[1], *narrow[2]],
+    for ours, textbook, theirs in zip(results, [narrow[0], narrow[1], *narrow[2]],
                                       [expected[0], expected[1], *expected[2]]):
         if dtype == np.float64:
             np.testing.assert_allclose(ours, theirs, rtol=1e-9, atol=1e-9)

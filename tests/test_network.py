@@ -22,7 +22,13 @@ from idsaug.nncore import (
     save_network,
     write_network,
 )
-from idsaug.nncore.checkpoint import read_record, write_record
+from idsaug.nncore.checkpoint import (
+    NETWORK_MAGIC,
+    read_metadata,
+    read_record,
+    write_metadata,
+    write_record,
+)
 
 from _gradcheck import fd_gradient, max_rel_err
 
@@ -45,41 +51,60 @@ def test_dims_must_chain():
 def test_forward_output_width_matches_last_layer():
     rng = np.random.default_rng(1)
     net = _three_layer_net(rng)
-    out = net.forward(rng.standard_normal((7, 4)))
+    out, _ = net.forward(rng.standard_normal((7, 4)))
     assert out.shape == (7, 3)
+    assert net.infer(rng.standard_normal((7, 4))).shape == (7, 3)
 
 
 def test_forward_rejects_wrong_width_and_nonfinite():
     rng = np.random.default_rng(2)
     net = _three_layer_net(rng)
+    # inference checks its input; the training pass leaves that to its loop
     with pytest.raises(ShapeError):
-        net.forward(np.zeros((3, 5)))
+        net.infer(np.zeros((3, 5)))
     bad = np.zeros((3, 4))
     bad[1, 2] = np.nan
     with pytest.raises(InputDataError):
-        net.forward(bad)
-
-
-def test_backward_without_forward_is_a_state_error():
-    net = _three_layer_net(np.random.default_rng(3))
-    with pytest.raises(StateError):
-        net.backward(np.zeros((2, 3)))
+        net.infer(bad)
 
 
 def test_eval_forward_keeps_no_tape():
+    # inference returns its output alone and leaves the training workspaces
+    # where they are: the next training pass of that shape reuses its own
     net = _three_layer_net(np.random.default_rng(4))
-    net.forward(np.random.default_rng(0).standard_normal((4, 4)))  # train: tape stored
-    net.eval()
-    net.forward(np.random.default_rng(0).standard_normal((4, 4)))
-    with pytest.raises(StateError):
-        net.backward(np.zeros((4, 3)))
+    x = np.random.default_rng(0).standard_normal((4, 4))
+    _, tape = net.forward(x)
+    workspace = tape.workspace
+    net.backward(np.zeros((4, 3)), tape)
+    assert isinstance(net.infer(x), np.ndarray)
+    _, tape = net.forward(x)
+    assert tape.workspace is workspace
+
+
+def test_infer_between_forward_and_backward_changes_no_gradient():
+    # a tape is always backpropagated as the training pass it came from,
+    # whatever ran on the network in between
+    def gradients(infer_between):
+        rng = np.random.default_rng(21)
+        net = _three_layer_net(rng)
+        x = rng.standard_normal((8, 4)) * 2.0
+        g = rng.standard_normal((8, 3))
+        _, tape = net.forward(x)
+        if infer_between:
+            net.infer(rng.standard_normal((5, 4)))
+        grad_in, _ = net.backward(g, tape)
+        return grad_in, net.grad.copy()
+
+    (in_a, flat_a), (in_b, flat_b) = gradients(False), gradients(True)
+    assert in_a.tobytes() == in_b.tobytes()
+    assert flat_a.tobytes() == flat_b.tobytes()
 
 
 def test_zero_upstream_gradient_gives_zero_param_gradients():
     rng = np.random.default_rng(5)
     net = _three_layer_net(rng)
-    net.forward(rng.standard_normal((5, 4)))
-    _, grads = net.backward(np.zeros((5, 3)))
+    _, tape = net.forward(rng.standard_normal((5, 4)))
+    _, grads = net.backward(np.zeros((5, 3)), tape)
     for g in grads:
         assert np.array_equal(g, np.zeros_like(g))
 
@@ -91,10 +116,10 @@ def test_three_layer_gradients_match_finite_differences():
     probe = rng.standard_normal((6, 3))
 
     def objective():
-        return float((net.forward(x) * probe).sum())
+        return float((net.forward(x)[0] * probe).sum())
 
-    net.forward(x)
-    grad_in, param_grads = net.backward(probe)
+    _, tape = net.forward(x)
+    grad_in, param_grads = net.backward(probe, tape)
     assert max_rel_err(grad_in, fd_gradient(objective, x)) < 1e-4
     for param, analytic in zip(net.parameters(), param_grads):
         assert max_rel_err(analytic, fd_gradient(objective, param)) < 1e-4
@@ -105,8 +130,8 @@ def test_forward_is_deterministic_per_seed():
         rng = np.random.default_rng(99)
         net = _three_layer_net(rng)
         x = np.random.default_rng(1).standard_normal((8, 4))
-        out = net.forward(x)
-        _, grads = net.backward(np.ones((8, 3)))
+        out, tape = net.forward(x)
+        _, grads = net.backward(np.ones((8, 3)), tape)
         return out, grads
 
     out_a, grads_a = build_and_run()
@@ -136,11 +161,9 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path):
     # give the norm layers non-trivial state first
     for _ in range(4):
         net.forward(rng.standard_normal((16, 5)))
-    net.eval()
     path = tmp_path / "net.ckpt"
     save_network(path, net)
     loaded = load_network(path)
-    assert loaded.mode == net.mode
     assert len(loaded.layers) == len(net.layers)
     for ours, theirs in zip(net.layers, loaded.layers):
         assert ours.kind == theirs.kind
@@ -153,12 +176,39 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path):
         if ours.kind == "leakyrelu":
             assert ours.slope == theirs.slope
     probe = rng.standard_normal((3, 5))
-    assert np.array_equal(net.forward(probe), loaded.forward(probe))
+    assert np.array_equal(net.infer(probe), loaded.infer(probe))
     # second serialization is byte-identical
     buf_a, buf_b = io.BytesIO(), io.BytesIO()
     write_network(buf_a, net)
     write_network(buf_b, loaded)
     assert buf_a.getvalue() == buf_b.getvalue()
+
+
+def test_a_spec_that_still_names_its_mode_loads(tmp_path):
+    # networks written before the engine had two passes in place of two
+    # modes hold "mode": "eval" in their spec; the reader ignores the key
+    rng = np.random.default_rng(15)
+    net = _full_zoo_network(rng)
+    for _ in range(3):
+        net.forward(rng.standard_normal((16, 5)))
+    stream = io.BytesIO()
+    write_network(stream, net)
+    stream.seek(0)
+    spec = read_metadata(stream)
+    assert "mode" not in spec
+    old = io.BytesIO()
+    old.write(NETWORK_MAGIC)
+    write_metadata(old, {})
+    write_metadata(old, {**spec, "mode": "eval"})
+    old.write(stream.read())
+    body = old.getvalue()
+    assert b'"mode": "eval"' in body
+    (tmp_path / "old.ckpt").write_bytes(body + hashlib.sha256(body).digest())
+    save_network(tmp_path / "new.ckpt", net)
+    x = rng.standard_normal((9, 5))
+    out = load_network(tmp_path / "old.ckpt").infer(x)
+    assert out.tobytes() == load_network(tmp_path / "new.ckpt").infer(x).tobytes()
+    assert out.tobytes() == net.infer(x).tobytes()
 
 
 def test_checkpoint_rejects_bad_magic(tmp_path):
@@ -236,7 +286,7 @@ def test_read_network_from_stream():
     buf.seek(0)
     loaded = read_network(buf)
     x = np.array([[0.3, -0.4]])
-    assert np.array_equal(net.forward(x), loaded.forward(x))
+    assert np.array_equal(net.infer(x), loaded.infer(x))
 
 
 def test_a_stream_cut_inside_an_array_is_refused():
@@ -269,7 +319,7 @@ def test_records_copy_no_array_on_write_and_one_on_read(tmp_path):
     assert path.read_bytes() == body + hashlib.sha256(body).digest()
 
 
-_HUGE_DENSE = b'{"layers": [{"dims": [100000, 100000], "kind": "dense"}], "mode": "eval"}'
+_HUGE_DENSE = b'{"layers": [{"dims": [100000, 100000], "kind": "dense"}]}'
 
 
 @pytest.mark.parametrize("declared, n_networks, what", [
@@ -290,7 +340,7 @@ def test_a_record_declaring_more_than_it_holds_is_refused_before_allocating(
 
 def test_every_damaged_byte_and_cut_is_a_checksum_mismatch(tmp_path):
     path = tmp_path / "net.rec"
-    write_record(path, b"TEST\n", {"a": 1}, networks=[_softmax_classifier(
+    write_record(path, b"TEST\n", {"a": 1}, networks=[_logit_classifier(
         np.random.default_rng(13))], arrays=[np.arange(6.0).reshape(2, 3)])
     blob = path.read_bytes()
     for at in range(len(b"TEST\n"), len(blob)):
@@ -310,8 +360,8 @@ def _layernorm_discriminator(rng):
     return Network([Dense(7, 8, rng), LayerNorm(8), LeakyReLU(8), Dense(8, 1, rng), Sigmoid(1)])
 
 
-def _softmax_classifier(rng):
-    # a softmax classifier's network ends at its logits
+def _logit_classifier(rng):
+    # the classifier's shape: its network ends at its logits
     return Network([Dense(5, 8, rng), ReLU(8), Dense(8, 4, rng)])
 
 
@@ -323,24 +373,21 @@ def _layer_state(net):
 
 @pytest.mark.parametrize("n", [1, 6, 7, 8, 15])
 @pytest.mark.parametrize("build", [_batchnorm_generator, _layernorm_discriminator,
-                                   _softmax_classifier])
+                                   _logit_classifier])
 def test_blocked_eval_forward_matches_one_pass(monkeypatch, build, n):
     rng = np.random.default_rng(10)
     net = build(rng)
-    for _ in range(3):  # train-mode passes give batchnorm non-trivial running stats
+    for _ in range(3):  # training passes give batchnorm non-trivial running stats
         net.forward(rng.standard_normal((16, net.in_dim)))
-    net.eval()
     state = [a.copy() for a in _layer_state(net)]
     x = 2.0 * rng.standard_normal((n, net.in_dim))
     monkeypatch.setattr("idsaug.nncore.network.EVAL_BLOCK", n)
-    one_pass = net.forward(x)
+    one_pass = net.infer(x)
     monkeypatch.setattr("idsaug.nncore.network.EVAL_BLOCK", 7)
-    blocked = net.forward(x)
+    blocked = net.infer(x)
     # a block size may change BLAS's summation order, so ask for closeness
     np.testing.assert_allclose(blocked, one_pass, rtol=1e-12, atol=0.0)
-    assert np.array_equal(net.forward(x), blocked)
-    with pytest.raises(StateError):
-        net.backward(np.zeros((n, net.out_dim)))
+    assert np.array_equal(net.infer(x), blocked)
     assert all(np.array_equal(a, b) for a, b in zip(state, _layer_state(net)))
 
 
@@ -352,11 +399,11 @@ def test_eval_forward_memory_is_bounded_by_its_output():
     layers = []
     for width_in, width_out in zip(widths, widths[1:]):
         layers += [Dense(width_in, width_out, rng), BatchNorm(width_out), LeakyReLU(width_out)]
-    net = Network(layers + [Dense(128, 20, rng), Sigmoid(20)], mode="eval")
+    net = Network(layers + [Dense(128, 20, rng), Sigmoid(20)])
     x = rng.standard_normal((32768, 36))
     tracemalloc.start()
     try:
-        out = net.forward(x)
+        out = net.infer(x)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -392,7 +439,7 @@ def _build_stack(spec, seed, dtype):
        st.randoms(use_true_random=False), st.booleans(),
        st.sampled_from([np.float64, np.float32]), st.integers(0, 2**31))
 def test_live_tapes_never_share_buffers(spec, rows, order_rng, accumulate, dtype, seed):
-    """k forwards with take_tape, then backwards in any order: every output,
+    """k training passes, then their backwards in any order: every output,
     input gradient and parameter gradient equals that of a fresh network."""
     rng = np.random.default_rng(seed)
     net = _build_stack(spec, seed, dtype)
@@ -400,15 +447,16 @@ def test_live_tapes_never_share_buffers(spec, rows, order_rng, accumulate, dtype
     gs = [rng.standard_normal((n, net.out_dim)) for n in rows]
     outs, tapes = [], []
     for x in xs:
-        outs.append(net.forward(x))
-        tapes.append(net.take_tape())
+        out, tape = net.forward(x)
+        outs.append(out)
+        tapes.append(tape)
     order = list(range(len(rows)))
     order_rng.shuffle(order)
     reference = []
     for x, g in zip(xs, gs):
         fresh = _build_stack(spec, seed, dtype)
-        out = fresh.forward(x)
-        grad_in, grads = fresh.backward(g)
+        out, tape = fresh.forward(x)
+        grad_in, grads = fresh.backward(g, tape)
         reference.append((out, grad_in, np.concatenate([p.ravel() for p in grads])))
     expected = None
     for position, j in enumerate(order):
@@ -434,18 +482,15 @@ def test_eval_forward_keeps_no_workspace():
     tracemalloc.start()
     try:
         for _ in range(2):
-            net.forward(x)
-            net.backward(g)
-        trained, _ = tracemalloc.get_traced_memory()
-        net.eval()
+            _, tape = net.forward(x)
+            net.backward(g, tape)
         idle, _ = tracemalloc.get_traced_memory()
-        out = net.forward(x)
+        out = net.infer(x)
         after, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the train workspace (several 4096-row buffers per layer) is freed by
-    # eval(), and an eval forward holds on to nothing but its output
-    assert trained - idle >= 10 * 4096 * 8 * 8
+    # the training workspace stays in the pool, and an inference pass holds
+    # on to nothing but its output
     assert after - idle <= out.nbytes + 4096
 
 
@@ -459,14 +504,14 @@ def test_input_gradient_alone_leaves_grad_untouched(spec, rows, dtype, seed):
     x = rng.standard_normal((rows, spec[0]))
     net = _build_stack(spec, seed, dtype)
     g = rng.standard_normal((rows, net.out_dim))
-    net.forward(x)
-    net.backward(rng.standard_normal((rows, net.out_dim)))  # some earlier gradient
+    _, tape = net.forward(x)
+    net.backward(rng.standard_normal((rows, net.out_dim)), tape)  # some earlier gradient
     before = net.grad.copy()
     reference = _build_stack(spec, seed, dtype)
-    reference.forward(x)
-    expected, _ = reference.backward(g)
-    net.forward(x)
-    grad_in, grads = net.backward(g, param_grad=False)
+    _, tape = reference.forward(x)
+    expected, _ = reference.backward(g, tape)
+    _, tape = net.forward(x)
+    grad_in, grads = net.backward(g, tape, param_grad=False)
     assert grads is None
     assert grad_in.dtype == dtype and grad_in.tobytes() == expected.tobytes()
     assert net.grad.tobytes() == before.tobytes()

@@ -124,7 +124,7 @@ class TestBuildAugmented:
 @pytest.mark.parametrize("trainer", ["classifier", "san", "scgan"])
 def test_non_finite_features_refused_before_any_step(monkeypatch, trainer, bad):
     train = leveled_dataset(seed=7, n_ample=40, n_scarce=12, n_rare=4)
-    san_model = san.build_san(train.n_features, SanConfig(), np.random.default_rng(0)).eval()
+    san_model = san.build_san(train.n_features, SanConfig(), np.random.default_rng(0))
     features = train.features.copy()
     features[40, 1] = bad  # the first scarce row
 
@@ -224,10 +224,9 @@ class TestClassifier:
         batches = []
         forward = Network.forward
 
-        def recording(net, x, check=True):
-            if net.mode == "train":
-                batches.append(np.array(x, copy=True))
-            return forward(net, x, check)
+        def recording(net, x):
+            batches.append(np.array(x, copy=True))
+            return forward(net, x)
 
         monkeypatch.setattr(Network, "forward", recording)
         _, history = pipeline.train_classifier(data, config)
@@ -257,8 +256,17 @@ class TestClassifier:
 
 class TestPredict:
     def test_argmax_of_probability_row(self):
-        probs = np.array([[0.1, 0.7, 0.2]])
-        assert int(probs.argmax(axis=1)[0]) == 1
+        # with the output layer's weights zeroed, every row's logits are its
+        # bias, whose maximum names the predicted class
+        rng = np.random.default_rng(9)
+        model = pipeline.build_classifier(5, [2, 4, 7], pipeline.ClassifierConfig(hidden=(6,)),
+                                          rng)
+        out = model.net.layers[-1]
+        out.weights[...] = 0.0
+        out.bias[...] = [0.1, 0.7, 0.2]
+        predicted, probs = pipeline.predict(model, rng.random((9, 5)))
+        assert np.array_equal(predicted, np.full(9, 4))
+        assert probs.tobytes() == softmax(np.tile(out.bias, (9, 1))).tobytes()
 
     def test_exact_tie_goes_to_lowest_class_id(self):
         rng = np.random.default_rng(6)
@@ -430,13 +438,12 @@ def _assemblies(train: Dataset, targets: dict[int, int], part, k: int):
     generators are untrained, and its filter accepts every candidate."""
     rng = np.random.default_rng(0)
     config = pipeline.AugmentConfig(filter_policy=FilterPolicy(eta=0.0), skn=SknConfig(k=k))
-    san_model = san.build_san(train.n_features, SanConfig(code_dim=2, hidden_dims=(3,)),
-                              rng).eval()
+    san_model = san.build_san(train.n_features, SanConfig(code_dim=2, hidden_dims=(3,)), rng)
     gan_config = ScganConfig(noise_dim=2, gen_hidden=(3,), disc_hidden=(3,))
     models = pipeline.AugmentationModels(part, targets, san_model, {})
     for c in part.classes_at(leveling.SCARCE):
         gan = models.scgan_models[c] = scgan.build_scgan(train.n_features, 2, gan_config, rng,
-                                                         class_id=c).eval()
+                                                         class_id=c)
         gan.trained = True
     return models, {
         "baseline": pipeline.top_up(train, train.class_counts(), None),

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from idsaug.errors import ConfigError, DataError, InputDataError, StateError
+from idsaug.errors import ConfigError, DataError, InputDataError
 from idsaug.nncore import Dense, Network
 from idsaug.san import (
     PairBatch,
@@ -157,12 +157,12 @@ class TestSanLoss:
         from idsaug.nncore import reconstruction_loss
 
         rng = np.random.default_rng(4)
-        model = build_san(6, SanConfig(code_dim=3, hidden_dims=(5,), alpha=0.0),
-                          rng).eval()
+        model = build_san(6, SanConfig(code_dim=3, hidden_dims=(5,), alpha=0.0), rng)
         x1, x2 = rng.random((4, 6)), rng.random((4, 6))
         batch = PairBatch(x1, x2, np.ones(4))
-        r1 = model.decoder.forward(model.encoder.forward(x1))
-        r2 = model.decoder.forward(model.encoder.forward(x2))
+        enc, dec = model.encoder, model.decoder
+        r1, _ = dec.forward(enc.forward(x1)[0])
+        r2, _ = dec.forward(enc.forward(x2)[0])
         expected = reconstruction_loss(x1, r1)[0] + reconstruction_loss(x2, r2)[0]
         assert san_loss(model, batch) == pytest.approx(expected)
 
@@ -188,7 +188,6 @@ class TestTrainSan:
         features, labels = gaussian_blobs()
         model, history = train_san(features, labels, SanConfig(epochs=0))
         assert history == []
-        assert model.encoder.mode == "eval"
         assert encode(model, features).shape == (features.shape[0], 16)
 
     def test_loss_decreases_and_embeddings_separate(self):
@@ -252,13 +251,6 @@ class TestEncode:
         features, labels = gaussian_blobs(seed=6)
         model, _ = train_san(features, labels, SanConfig(epochs=0))
         assert encode(model, features[:7]).shape[0] == 7
-
-    def test_train_mode_encode_rejected(self):
-        features, labels = gaussian_blobs(seed=7)
-        model, _ = train_san(features, labels, SanConfig(epochs=0))
-        model.train()
-        with pytest.raises(StateError):
-            encode(model, features)
 
 
 def test_checkpoint_round_trip(tmp_path):

@@ -125,12 +125,12 @@ class TestTrain:
             models.append(build(*args, **kwargs))
             return models[-1]
 
-        def recording(net, x, check=True):
+        def recording(net, x):
             if models and net is models[0].discriminator and state["update_pass_next"]:
                 steps.append({"rows": np.array(x, copy=True),
                               "before": Network(copy.deepcopy(net.layers))})
                 state["update_pass_next"] = False
-            return forward(net, x, check)
+            return forward(net, x)
 
         def observer(event, model):
             if event == "d-updated":
@@ -155,10 +155,8 @@ class TestTrain:
         for step, d_losses in zip(steps, losses[::2]):
             disc, rows = step["before"], step["rows"]
             b = len(rows) // 2
-            d_real = disc.forward(rows[:b])
-            tape_real = disc.take_tape()
-            d_fake = disc.forward(rows[b:])
-            tape_fake = disc.take_tape()
+            d_real, tape_real = disc.forward(rows[:b])
+            d_fake, tape_fake = disc.forward(rows[b:])
             expected = adversarial_losses(d_real, d_fake)
             np.testing.assert_allclose(d_losses, expected, rtol=0, atol=1e-12)
             grad_real, grad_fake = discriminator_score_grads(d_real, d_fake)
@@ -270,7 +268,7 @@ class TestSynthesizeToTarget:
         assert result.samples.shape == (500, DIM)
         assert result.samples.min() >= 0.0 and result.samples.max() <= 1.0
         # every returned sample re-scores at or above eta with its condition
-        rescored = model.discriminator.forward(
+        rescored = model.discriminator.infer(
             np.concatenate([result.samples, result.conditions], axis=1))[:, 0]
         assert np.all(rescored >= policy.eta)
         assert np.array_equal(rescored, result.scores)
