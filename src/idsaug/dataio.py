@@ -241,6 +241,7 @@ class _Input:
 
     def __init__(self, fh):
         self.fh = fh
+        self.size = os.fstat(fh.fileno()).st_size
         self._load(fh.read(3))
         self.pos = 3 if self.buf == b"\xef\xbb\xbf" else 0
         self.read_bytes = self.read_lines = 0  # handed out in blocks
@@ -296,9 +297,10 @@ class _Input:
 class _Ingest:
     """The rows ``load_dataset`` has kept so far, block by block, and its report.
 
-    Kept rows fill the next rows of arrays that grow in place, an eighth at a
-    time, and shrink in place at the end, so the features are never held
-    twice."""
+    Kept rows fill the next rows of arrays reserved once, when the first rows
+    are kept, for the file's size over the mean line length read so far;
+    they grow in place, an eighth at a time, only past that estimate and
+    shrink in place at the end, so the features are never held twice."""
 
     def __init__(self, path, n_fields: int, label_idx: int, feature_cols: list[int],
                  source: _Input):
@@ -339,13 +341,21 @@ class _Ingest:
             elif raw := source.block(INGEST_BLOCK):
                 if not self.fast(raw):
                     source.push(raw)
+                del raw  # freed before the next block is read
             else:
                 return
 
     def keep(self, features: np.ndarray, ids):
         at, end = self.n_kept, self.n_kept + len(features)
-        if end > len(self.label_ids):
-            # an eighth more than held, so at most an eighth spare at the end
+        if not len(self.label_ids):
+            # the file's lines at the mean length read so far, left unwritten,
+            # so rows reserved past the last cost no pages
+            rows = max(end, self.source.size * self.source.read_lines
+                       // max(self.source.read_bytes, 1))
+            self.features = np.empty((rows, self.features.shape[1]))
+            self.label_ids = np.empty(rows, dtype=np.int64)
+        elif end > len(self.label_ids):
+            # past the estimate: an eighth more than held
             rows = max(end, len(self.label_ids) * 9 // 8)
             self.features.resize((rows, self.features.shape[1]), refcheck=False)
             self.label_ids.resize(rows, refcheck=False)
@@ -787,9 +797,13 @@ def _record_path(path) -> str:
 
 
 def _file_blocks(path):
-    """The bytes of the file at ``path``, in 1 MiB blocks."""
+    """The bytes of the file at ``path``, as views of one reused 256 KiB
+    buffer: each read overwrites the view before it, so use a view before
+    asking for the next."""
+    buf = memoryview(bytearray(1 << 18))
     with open(path, "rb") as fh:
-        yield from iter(lambda: fh.read(1 << 20), b"")
+        while n := fh.readinto(buf):
+            yield buf[:n]
 
 
 def _file_sha256(path) -> str:
@@ -879,11 +893,14 @@ def apply_minmax(params: NormalizationParams, data) -> np.ndarray:
         raise ShapeError(f"feature count {features.shape} does not match the "
                          f"{params.x_min.shape[0]} columns of the normalization params")
     span = params.x_max - params.x_min
+    constant = ~(span > 0.0)
+    # one array: the difference, then scaled, zeroed and clipped in place
+    scaled = features - params.x_min
     # divide rather than multiply by a reciprocal: a subnormal span would
     # overflow the reciprocal to inf and poison 0 * inf into NaN
-    safe_span = np.where(span > 0.0, span, 1.0)
-    scaled = (features - params.x_min) / safe_span
-    return np.clip(np.where(span > 0.0, scaled, 0.0), 0.0, 1.0)
+    scaled /= np.where(constant, 1.0, span)
+    scaled[:, constant] = 0.0
+    return np.clip(scaled, 0.0, 1.0, out=scaled)
 
 
 def _check_unit_range(features, context: str):

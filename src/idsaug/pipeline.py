@@ -56,8 +56,9 @@ PROV_SKN = "skn"
 PROV_ROS = "ros"
 
 CLASSIFIER_MAGIC = b"IDSAUG-CLF-4\n"
-# idsaug-run-4: run-table CSV floats are written as dataio.CELL_FORMAT, not repr
-RUN_FORMAT = "idsaug-run-4"
+# idsaug-run-4: run-table CSV floats are written as dataio.CELL_FORMAT, not repr;
+# idsaug-run-5: SKN draws its neighbor picks and lams as two arrays per class
+RUN_FORMAT = "idsaug-run-5"
 
 
 @dataclass

@@ -2,10 +2,11 @@
 
 New rows are x_i + lam * (x_j - x_i) with x_j one of x_i's k nearest
 neighbors inside the class and lam uniform on [0, 1]. Sources are visited
-round-robin; per synthesized row the generator draws one ``integers(k)``
-neighbor position followed by one ``random()`` lam, in that order. That
-draw protocol is part of the contract so an independent implementation
-sharing the seed reproduces the output bit for bit.
+round-robin; per call the generator draws one array of ``n_new`` neighbor
+positions, ``integers(k, size=n_new)``, followed by one array of ``n_new``
+lams, ``random(n_new)``, in that order. That draw protocol is part of the
+contract so an independent implementation sharing the seed reproduces the
+output bit for bit.
 """
 
 from __future__ import annotations
@@ -169,11 +170,8 @@ def skn_synthesize(class_points, n_new: int, config: SknConfig,
     if k_eff < config.k:
         warnings.warn(f"k={config.k} exceeds class size - 1; using k={k_eff}")
     neighbors = build_neighbor_lists(points, k_eff)
-    picks = np.empty(n_new, dtype=np.int64)
-    lam = np.empty(n_new)
-    for t in range(n_new):
-        picks[t] = rng.integers(k_eff)
-        lam[t] = rng.random()
+    picks = rng.integers(k_eff, size=n_new)
+    lam = rng.random(n_new)
     sources = np.arange(n_new) % n
     base = points[sources]
     # the same float operations, element for element, as one row at a time

@@ -345,8 +345,9 @@ class TestStageCommands:
         assert main(["preprocess", "--dataset", str(bench_csv), "--out", str(run),
                      *FAST_FLAGS]) == 0
         # idsaug-run-1 tables hold unscaled features; idsaug-run-2 splits have
-        # no provenance column; idsaug-run-3 tables write their floats as repr
-        for version in ("idsaug-run-1", "idsaug-run-2", "idsaug-run-3"):
+        # no provenance column; idsaug-run-3 tables write their floats as repr;
+        # idsaug-run-4 SKN rows come from one pair of draws per row
+        for version in ("idsaug-run-1", "idsaug-run-2", "idsaug-run-3", "idsaug-run-4"):
             (run / "format.txt").write_text(version + "\n")
             for argv in (["levels"], ["augment", "--method", "smote"], ["eval"]):
                 assert main([*argv, "--run", str(run), *FAST_FLAGS]) == 1, argv

@@ -545,6 +545,26 @@ class TestMinMax:
         assert np.array_equal(dataio.apply_minmax(params, probe),
                               dataio.apply_minmax(loaded, probe))
 
+    def test_scaling_holds_one_array_and_the_formula_bit_for_bit(self):
+        rng = np.random.default_rng(4)
+        train = rng.random((6615, 78)) * 1e4
+        train[:, 5] = 3.0  # constant
+        params = dataio.fit_minmax(train)
+        # rows below and above the training range, and a NaN
+        probe = rng.random((6615, 78)) * 1.2e4 - 1e3
+        probe[9, 3] = np.nan
+        span = params.x_max - params.x_min
+        scaled = (probe - params.x_min) / np.where(span > 0.0, span, 1.0)
+        expected = np.clip(np.where(span > 0.0, scaled, 0.0), 0.0, 1.0)
+        tracemalloc.start()
+        try:
+            out = dataio.apply_minmax(params, probe)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(out.view(np.int64), expected.view(np.int64))
+        assert peak <= 1.25 * out.nbytes
+
 
 def _dataset_with_counts(counts, dim=3, seed=0):
     rng = np.random.default_rng(seed)

@@ -30,13 +30,13 @@ def brute_force_synthesize(points, n_new, k, seed):
     rng = np.random.default_rng(seed)
     n = len(points)
     k_eff = min(k, n - 1)
+    picks = rng.integers(k_eff, size=n_new)
+    lams = rng.random(n_new)
     out = np.empty((n_new, points.shape[1]))
     for t in range(n_new):
         i = t % n
-        neighbors = brute_force_neighbors(points, i, k_eff)
-        j = neighbors[int(rng.integers(k_eff))]
-        lam = rng.random()
-        out[t] = points[i] + lam * (points[j] - points[i])
+        j = brute_force_neighbors(points, i, k_eff)[picks[t]]
+        out[t] = points[i] + lams[t] * (points[j] - points[i])
     return out
 
 
@@ -50,8 +50,24 @@ class _ForcedLambda:
     def integers(self, *args, **kwargs):
         return self.inner.integers(*args, **kwargs)
 
-    def random(self):
-        return self.lam
+    def random(self, size):
+        return np.full(size, self.lam)
+
+
+class _Recording:
+    """Generator stand-in that records each call's method and size."""
+
+    def __init__(self, seed=0):
+        self.inner = np.random.default_rng(seed)
+        self.calls = []
+
+    def integers(self, *args, size=None):
+        self.calls.append(("integers", size))
+        return self.inner.integers(*args, size=size)
+
+    def random(self, size=None):
+        self.calls.append(("random", size))
+        return self.inner.random(size)
 
 
 @st.composite
@@ -206,6 +222,14 @@ class TestSynthesize:
             ours = skn_synthesize(points, n_new, SknConfig(k=3, seed=seed))
             theirs = brute_force_synthesize(points, n_new, 3, seed)
             assert np.array_equal(ours, theirs)
+
+    @pytest.mark.parametrize("n_new", [1, 13, 40])
+    def test_draws_one_array_of_picks_then_one_of_lams(self, n_new):
+        points = np.random.default_rng(10).random((7, 4))
+        rng = _Recording(seed=11)
+        out = skn_synthesize(points, n_new, SknConfig(k=3), rng=rng)
+        assert rng.calls == [("integers", n_new), ("random", n_new)]
+        assert np.array_equal(out, skn_synthesize(points, n_new, SknConfig(k=3, seed=11)))
 
     def test_single_sample_class_falls_back_to_jitter(self):
         point = np.array([[0.5, 0.0, 1.0]])
